@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -99,15 +99,7 @@ def run_replication(
     try:
         sim = simulate_panel(config, replication)
         base = em_options or EMOptions(max_iter=100)
-        opts = EMOptions(
-            max_iter=base.max_iter,
-            tolerance=base.tolerance,
-            phi_policy=base.phi_policy,
-            kappa=base.kappa,
-            detrend=frozenset(sim.trend_set | sim.spec.local_level | sim.spec.local_trend),
-            standardize=base.standardize,
-            variance_floor=base.variance_floor,
-        )
+        opts = replace(base, detrend=frozenset(sim.trend_set | sim.spec.local_level | sim.spec.local_trend))
         res = fit(sim.spec, sim.panel, opts)
         rec.mse_em = mse_common(res.chi, sim.chi, t_min)
         rec.converged = res.converged

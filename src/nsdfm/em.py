@@ -454,7 +454,7 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
     Runs the pre-estimation, alternates E- and M-steps until the relative
     log-likelihood change drops below the tolerance, then refreshes the
     smoothed states with the final parameters.  Non-convergence returns
-    the best-so-far fit with ``converged=False``.
+    the last iterate, not the best one seen, with ``converged=False``.
     """
     options = options or EMOptions()
     if (panel.n, panel.T) != (spec.n, spec.T):

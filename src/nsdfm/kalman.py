@@ -10,11 +10,16 @@ observed, and a Woodbury-style gain for wide panels, which costs
 O(n K^2) instead of O(n^3) per step.  Either way the filtered covariance
 is formed in Joseph form and re-symmetrized, which keeps the recursion
 stable under the near-diffuse initialization used for unit-root states.
+
+The covariance step does not depend on the data.  With a fixed measurement
+map the filter reuses either of its last two steps when P_{t-1|t-1} and the
+observed rows repeat bitwise, and the smoother solves its gain once per
+distinct step, so every result is bit-identical to the full recursion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +47,8 @@ class FilterOutput:
     ``predicted_means[t]`` is a_{t|t-1} and ``filtered_means[t]`` a_{t|t}
     for t >= 1; slot 0 of both holds the initial mean/covariance.
     ``loglik_terms[t]`` is the prediction-error log-density of the rows
-    observed at t and ``innovations[t]`` the corresponding prediction
-    errors (empty at fully missing time points).
+    observed at t (zero at fully missing time points).  ``step_index[t]`` is the
+    slot whose covariance step gave slot t its covariances (t unless reused).
     """
 
     predicted_means: np.ndarray      # (T+1, K)
@@ -51,7 +56,7 @@ class FilterOutput:
     filtered_means: np.ndarray       # (T+1, K)
     filtered_covs: np.ndarray        # (T+1, K, K)
     loglik_terms: np.ndarray         # (T+1,)
-    innovations: list[np.ndarray] = field(default_factory=list)
+    step_index: np.ndarray           # (T+1,) int
     burn_in: int = 0
 
     @property
@@ -94,6 +99,52 @@ def _chol_lower_inv(c: np.ndarray) -> np.ndarray:
     return np.linalg.solve(c, np.eye(c.shape[0]))
 
 
+def _filter_step(ss: StateSpace, eye_K: np.ndarray, P_prev: np.ndarray, obs: np.ndarray, t: int) -> tuple:
+    """The data-free part of filter step t (1-based slot), from P_{t-1|t-1} and the observed rows.
+
+    Returns (P_{t|t-1}, P_{t|t}, Z, r_diag, gain, logdet_S, ci, Zr, M) with
+    Z and r_diag on the observed rows; the innovation's quadratic form needs
+    ci on the direct branch and Zr, M on the Woodbury branch.
+    """
+    P = _symmetrize(ss.transition_map @ P_prev @ ss.transition_map.T + ss.state_innovation_cov)
+    if obs.size == 0:
+        return P, P, None, None, None, 0.0, None, None, None
+    Z = ss.measurement_map(t - 1)[obs]
+    r_diag = ss.measurement_cov_diag[obs]
+    ci = Zr = M = None
+    try:
+        if obs.size <= len(eye_K):
+            # direct update: factorize the n_obs x n_obs innovation covariance
+            S = Z @ P @ Z.T + np.diag(r_diag)
+            cS = np.linalg.cholesky(S)
+            ci = _chol_lower_inv(cS)
+            gain = P @ Z.T @ (ci.T @ ci)
+            logdet_S = 2.0 * np.log(np.diag(cS)).sum()
+        else:
+            # Woodbury gain: O(n K^2) using the diagonal measurement covariance
+            Zr = Z.T / r_diag                        # K x n_obs
+            C = Zr @ Z
+            cP = np.linalg.cholesky(P)
+            cPi = _chol_lower_inv(cP)
+            M_inv = _symmetrize(cPi.T @ cPi + C)     # P^{-1} + Z' R^{-1} Z
+            cM = np.linalg.cholesky(M_inv)
+            cMi = _chol_lower_inv(cM)
+            M = cMi.T @ cMi
+            gain = M @ Zr
+            logdet_S = (
+                np.log(r_diag).sum()
+                + 2.0 * np.log(np.diag(cP)).sum()
+                + 2.0 * np.log(np.diag(cM)).sum()
+            )
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"innovation covariance singular at t={t}; check measurement variances"
+        ) from exc
+    IKZ = eye_K - gain @ Z
+    P_filt = _symmetrize(IKZ @ P @ IKZ.T + (gain * r_diag) @ gain.T)
+    return P, P_filt, Z, r_diag, gain, logdet_S, ci, Zr, M
+
+
 def kf_filter(
     ss: StateSpace,
     panel: Panel,
@@ -121,77 +172,49 @@ def kf_filter(
         raise ValueError("initial moments must be finite")
 
     Theta = ss.transition_map
-    Q = ss.state_innovation_cov
-    R_full = ss.measurement_cov_diag
+    eye_K = np.eye(K)
 
     a_pred = np.zeros((T + 1, K))
     P_pred = np.zeros((T + 1, K, K))
     a_filt = np.zeros((T + 1, K))
     P_filt = np.zeros((T + 1, K, K))
     ll = np.zeros(T + 1)
-    innovations: list[np.ndarray] = [np.zeros(0)]
+    step_index = np.zeros(T + 1, dtype=np.intp)
 
     a_pred[0] = a_filt[0] = init_mean
     P_pred[0] = P_filt[0] = _symmetrize(init_cov)
 
-    eye_K = np.eye(K)
+    recent: list[tuple] = []  # (P_{t-1|t-1}, observed rows, slot, step) of the last two steps computed
     for t in range(1, T + 1):
-        a = Theta @ a_filt[t - 1]
-        P = _symmetrize(Theta @ P_filt[t - 1] @ Theta.T + Q)
-        a_pred[t], P_pred[t] = a, P
-
         obs = np.nonzero(mask[:, t - 1])[0]
+        hits = [e for e in recent if np.array_equal(e[1], obs) and np.array_equal(e[0], P_filt[t - 1])]
+        if hits:
+            _, _, step_index[t], step = hits[0]
+        else:
+            step_index[t], step = t, _filter_step(ss, eye_K, P_filt[t - 1], obs, t)
+            if not ss.time_varying:  # a step can repeat only while Z does not change with t
+                recent = recent[-1:] + [(P_filt[t - 1], obs, t, step)]
+        P, Pf, Z, r_diag, gain, logdet_S, ci, Zr, M = step
+
+        a = Theta @ a_filt[t - 1]
+        a_pred[t], P_pred[t], P_filt[t] = a, P, Pf
         if obs.size == 0:
-            a_filt[t], P_filt[t] = a, P
-            innovations.append(np.zeros(0))
+            a_filt[t] = a
             continue
 
-        Z = ss.measurement_map(t - 1)[obs]
-        r_diag = R_full[obs]
         v = x[obs, t - 1] - Z @ a
-        innovations.append(v)
-
-        try:
-            if obs.size <= K:
-                # direct update: factorize the n_obs x n_obs innovation covariance
-                S = Z @ P @ Z.T + np.diag(r_diag)
-                cS = np.linalg.cholesky(S)
-                ci = _chol_lower_inv(cS)
-                gain = P @ Z.T @ (ci.T @ ci)
-                half = ci @ v
-                quad = half @ half
-                logdet_S = 2.0 * np.log(np.diag(cS)).sum()
-            else:
-                # Woodbury gain: O(n K^2) using the diagonal measurement covariance
-                Zr = Z.T / r_diag                        # K x n_obs
-                C = Zr @ Z
-                cP = np.linalg.cholesky(P)
-                cPi = _chol_lower_inv(cP)
-                M_inv = _symmetrize(cPi.T @ cPi + C)     # P^{-1} + Z' R^{-1} Z
-                cM = np.linalg.cholesky(M_inv)
-                cMi = _chol_lower_inv(cM)
-                M = cMi.T @ cMi
-                gain = M @ Zr
-                zv = Zr @ v
-                quad = v @ (v / r_diag) - zv @ M @ zv
-                logdet_S = (
-                    np.log(r_diag).sum()
-                    + 2.0 * np.log(np.diag(cP)).sum()
-                    + 2.0 * np.log(np.diag(cM)).sum()
-                )
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                f"innovation covariance singular at t={t}; check measurement variances"
-            ) from exc
-
+        if ci is not None:
+            half = ci @ v
+            quad = half @ half
+        else:
+            zv = Zr @ v
+            quad = v @ (v / r_diag) - zv @ M @ zv
         a_filt[t] = a + gain @ v
-        IKZ = eye_K - gain @ Z
-        P_filt[t] = _symmetrize(IKZ @ P @ IKZ.T + (gain * r_diag) @ gain.T)
         ll[t] = -0.5 * (obs.size * _LOG_2PI + logdet_S + quad)
 
     if not np.all(np.isfinite(ll)):
         raise FloatingPointError("non-finite log-likelihood term; filter diverged")
-    return FilterOutput(a_pred, P_pred, a_filt, P_filt, ll, innovations, burn_in=burn_in)
+    return FilterOutput(a_pred, P_pred, a_filt, P_filt, ll, step_index, burn_in=burn_in)
 
 
 def ks_smooth(filt: FilterOutput, ss: StateSpace) -> SmootherOutput:
@@ -200,7 +223,8 @@ def ks_smooth(filt: FilterOutput, ss: StateSpace) -> SmootherOutput:
     The smoothed cross-covariance uses Cov(s_t, s_{t-1} | data) =
     P_{t|T} J_{t-1}', with J the usual smoother gain; slot 0 of the output
     arrays carries the smoothed initial state, which re-seeds the filter
-    across EM iterations.
+    across EM iterations.  J_t depends on P_{t|t} alone, so it is solved
+    once per distinct ``filt.step_index``.
     """
     Theta = ss.transition_map
     T = filt.T
@@ -209,33 +233,24 @@ def ks_smooth(filt: FilterOutput, ss: StateSpace) -> SmootherOutput:
     s_cov = np.zeros((T + 1, K, K))
     lag1 = np.zeros((T + 1, K, K))
 
+    steps = filt.step_index[:T].tolist()
+    repeated = (np.bincount(steps) > 1).tolist()
+    gains: dict[int, np.ndarray] = {}
     s_mean[T] = filt.filtered_means[T]
     s_cov[T] = filt.filtered_covs[T]
     for t in range(T - 1, -1, -1):
         Pf = filt.filtered_covs[t]
         Pp = filt.predicted_covs[t + 1]
-        # J_t = P_{t|t} Theta' P_{t+1|t}^{-1}, via a solve on the symmetric Pp
-        J = np.linalg.solve(Pp, Theta @ Pf).T
+        J = gains.get(steps[t])
+        if J is None:
+            # J_t = P_{t|t} Theta' P_{t+1|t}^{-1}, via a solve on the symmetric Pp
+            J = np.linalg.solve(Pp, Theta @ Pf).T
+            if repeated[steps[t]]:
+                gains[steps[t]] = J
         s_mean[t] = filt.filtered_means[t] + J @ (s_mean[t + 1] - filt.predicted_means[t + 1])
         s_cov[t] = _symmetrize(Pf + J @ (s_cov[t + 1] - Pp) @ J.T)
         lag1[t + 1] = s_cov[t + 1] @ J.T
     return SmootherOutput(s_mean, s_cov, lag1)
-
-
-def _covariance_step(ss: StateSpace, P_filt: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """One data-free covariance recursion step (all rows observed)."""
-    P = _symmetrize(ss.transition_map @ P_filt @ ss.transition_map.T + ss.state_innovation_cov)
-    Z = ss.measurement_map(t)
-    r_diag = ss.measurement_cov_diag
-    Zr = Z.T / r_diag
-    cP = np.linalg.cholesky(P)
-    cPi = _chol_lower_inv(cP)
-    M_inv = _symmetrize(cPi.T @ cPi + Zr @ Z)
-    M = np.linalg.inv(M_inv)
-    gain = M @ Zr
-    IKZ = np.eye(ss.K) - gain @ Z
-    Pf = _symmetrize(IKZ @ P @ IKZ.T + (gain * r_diag) @ gain.T)
-    return P, Pf
 
 
 def steady_state_diagnostics(
@@ -247,8 +262,8 @@ def steady_state_diagnostics(
     """Per-t traces of the filter/smoother MSE matrices over an n-grid.
 
     ``systems`` maps a cross-section size to (state space, initial state
-    covariance); the recursion is data-free because the covariance of the
-    Kalman filter does not depend on the realized observations.  For each
+    covariance).  The covariances do not depend on the data, so the filter
+    and smoother run on an all-observed panel of zeros.  For each
     n the result holds tr(P_{t|t-1})/q, tr(P_{t|t})/q and tr(P_{t|T})/q
     over the factor companion block for t = 1..horizon, n-scaled variants
     at t = horizon computed on the current-factor block (whose MSE decays
@@ -262,16 +277,9 @@ def steady_state_diagnostics(
     for n, (ss, P0) in systems.items():
         q = ss.layout.q
         fb = slice(0, ss.layout.n_factor_states)
-        P_pred = np.zeros((T_full + 1, ss.K, ss.K))
-        P_filt = np.zeros((T_full + 1, ss.K, ss.K))
-        P_filt[0] = _symmetrize(np.asarray(P0, dtype=float))
-        for t in range(1, T_full + 1):
-            P_pred[t], P_filt[t] = _covariance_step(ss, P_filt[t - 1], t - 1)
-        P_smooth = np.zeros_like(P_filt)
-        P_smooth[T_full] = P_filt[T_full]
-        for t in range(T_full - 1, -1, -1):
-            J = np.linalg.solve(P_pred[t + 1], ss.transition_map @ P_filt[t]).T
-            P_smooth[t] = _symmetrize(P_filt[t] + J @ (P_smooth[t + 1] - P_pred[t + 1]) @ J.T)
+        filt = kf_filter(ss, Panel(np.zeros((n, T_full)), None), np.zeros(ss.K), P0)
+        P_pred, P_filt = filt.predicted_covs, filt.filtered_covs
+        P_smooth = ks_smooth(filt, ss).smoothed_covs
 
         cur = slice(0, q)
         tr_pred = np.array([np.trace(P_pred[t][fb, fb]) for t in range(1, horizon + 1)])

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from nsdfm.model import ModelSpec, Panel, Params, build_state_space
-from nsdfm.kalman import kf_filter, ks_smooth, steady_state_diagnostics
+from nsdfm.kalman import _filter_step, kf_filter, ks_smooth, steady_state_diagnostics
 from conftest import random_instance, random_panel
 from oracles import joint_gaussian_moments
 
@@ -198,3 +200,65 @@ def test_one_step_trace_band_at_scale():
     d = run_diagnostics(cfg, n_grid=(100,), horizon=10, replications=20)[100]
     assert 0.8 <= d["tr_pred_over_q"][-1] <= 1.2
     assert 0.015 <= d["tr_filt_over_q"][-1] <= 0.06
+
+
+def settled_panel(rng, T_full=30):
+    """Time-invariant system; fully observed columns long enough for the
+    covariances to settle, then one partly and one fully missing column,
+    then two observed columns."""
+    spec, params = random_instance(rng, n=4, T=T_full + 4, q=2, s=0, p=1, with_states=False)
+    ss = build_state_space(spec, params)
+    data = rng.standard_normal((spec.n, spec.T))
+    data[1:, T_full] = np.nan
+    data[:, T_full + 1] = np.nan
+    return ss, Panel.from_data(data)
+
+
+def test_reused_steps_equal_fresh_steps_and_oracle():
+    rng = np.random.default_rng(101)
+    ss, panel = settled_panel(rng)
+    init_mean, init_cov = np.zeros(ss.K), np.eye(ss.K) * 10.0
+    filt = kf_filter(ss, panel, init_mean, init_cov)
+    assert np.any(filt.step_index != np.arange(panel.T + 1))
+    for t in range(1, panel.T + 1):
+        obs = np.nonzero(panel.missing_mask[:, t - 1])[0]
+        P_pred, P_filt, *_ = _filter_step(ss, np.eye(ss.K), filt.filtered_covs[t - 1], obs, t)
+        np.testing.assert_array_equal(filt.predicted_covs[t], P_pred)
+        np.testing.assert_array_equal(filt.filtered_covs[t], P_filt)
+
+    oracle = joint_gaussian_moments(ss, panel, init_mean, init_cov)
+    smooth = ks_smooth(filt, ss)
+    assert filt.loglik == pytest.approx(oracle["loglik"], rel=1e-10, abs=1e-10)
+    for t in range(panel.T + 1):
+        np.testing.assert_allclose(smooth.smoothed_means[t], oracle["state_mean"](t), rtol=1e-8, atol=1e-8)
+        np.testing.assert_allclose(smooth.smoothed_covs[t], oracle["state_cov"](t), rtol=1e-8, atol=1e-8)
+
+
+def test_step_index_shows_reuse_on_settled_panel():
+    rng = np.random.default_rng(7)
+    T_full = 60
+    ss, panel = settled_panel(rng, T_full)
+    filt = kf_filter(ss, panel, np.zeros(ss.K), np.eye(ss.K) * 10.0)
+    reused = filt.step_index != np.arange(panel.T + 1)
+    assert reused.sum() > panel.T // 2
+    # the partly and the fully missing column break the fixed point: both are computed afresh
+    assert not reused[T_full + 1] and not reused[T_full + 2]
+    # the smoother's gain reuse is exact: same output as a solve at every slot
+    smooth = ks_smooth(filt, ss)
+    solve_all = ks_smooth(dataclasses.replace(filt, step_index=np.arange(panel.T + 1)), ss)
+    np.testing.assert_array_equal(smooth.smoothed_means, solve_all.smoothed_means)
+    np.testing.assert_array_equal(smooth.smoothed_covs, solve_all.smoothed_covs)
+    np.testing.assert_array_equal(smooth.lag_one_covs, solve_all.lag_one_covs)
+
+
+def test_step_index_shows_no_reuse_with_local_trend():
+    rng = np.random.default_rng(11)
+    while True:
+        spec, params = random_instance(rng, n=4, T=60, q=1, s=0, p=1)
+        if spec.local_trend:
+            break
+    ss = build_state_space(spec, params)
+    assert ss.time_varying
+    panel = random_panel(spec, rng)
+    filt = kf_filter(ss, panel, np.zeros(ss.K), np.eye(ss.K) * 10.0)
+    np.testing.assert_array_equal(filt.step_index, np.arange(spec.T + 1))
