@@ -14,7 +14,6 @@ from .model import (
     Params,
     StateSpace,
     build_state_space,
-    common_component,
     common_component_path,
 )
 from .kalman import FilterOutput, SmootherOutput, kf_filter, ks_smooth, steady_state_diagnostics
@@ -32,7 +31,6 @@ __all__ = [
     "Params",
     "StateSpace",
     "build_state_space",
-    "common_component",
     "common_component_path",
     "FilterOutput",
     "SmootherOutput",

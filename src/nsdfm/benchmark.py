@@ -23,10 +23,10 @@ import numpy as np
 
 from .competitors import pc_diff_corrected, pc_diff_cumulate, pc_levels
 from .em import EMOptions, fit
-from .kalman import DEFAULT_KAPPA, steady_state_diagnostics
+from .kalman import DEFAULT_KAPPA, steady_state_diagnostics, steady_state_onset
 from .metrics import DEFAULT_T_MIN, mse_common
 from .model import build_state_space
-from .pre_estimate import p00_init
+from .pre_estimate import initial_state_cov
 from .simulate import MCConfig, simulate_panel
 
 __all__ = ["ReplicationResult", "CellReport", "run_replication", "run_cell", "run_diagnostics", "METHODS"]
@@ -136,24 +136,6 @@ def run_cell(
     return CellReport(config=config, replications=results, t_min=t_min, elapsed_seconds=elapsed)
 
 
-def true_param_initialization(sim, kappa: float = DEFAULT_KAPPA):
-    """Filter initialization from ground-truth parameters.
-
-    The factor block solves the shrunk Lyapunov equation; extra state
-    blocks are diffuse at kappa.
-    """
-    spec, params = sim.spec, sim.params
-    q, c = spec.q, max(spec.s + 1, spec.p)
-    comp = np.zeros((q * c, q * c))
-    for k in range(spec.p):
-        comp[:q, k * q:(k + 1) * q] = params.var_coeffs[k]
-    if c > 1:
-        comp[q:, :q * (c - 1)] = np.eye(q * (c - 1))
-    P00 = np.eye(spec.n_states) * kappa
-    P00[:q * c, :q * c] = p00_init(comp, params.gamma_u)
-    return np.zeros(spec.n_states), P00
-
-
 def run_diagnostics(
     config: MCConfig,
     n_grid: tuple[int, ...] = (25, 100),
@@ -166,18 +148,19 @@ def run_diagnostics(
 
     Uses the true simulated parameters (no estimation); the covariance
     recursion is data-free, so each replication contributes one
-    deterministic trace path per n.  The steady-state flag is evaluated
-    on the replication-averaged one-step-ahead trace.
+    deterministic trace path per n.  The filter starts from
+    :func:`initial_state_cov` at the true parameters.  The steady-state
+    flag is evaluated on the replication-averaged one-step-ahead trace.
     """
     per_n: dict[int, dict] = {}
     for n in n_grid:
+        cfg = replace(config, n=n)
         preds, filts, smooths = [], [], []
         inits, filt_scaled, smooth_scaled = [], [], []
         for rep in range(replications):
-            cfg = MCConfig(**{**{k: getattr(config, k) for k in config.__dataclass_fields__}, "n": n})
             sim = simulate_panel(cfg, rep)
             ss = build_state_space(sim.spec, sim.params)
-            _, P00 = true_param_initialization(sim, kappa)
+            P00 = initial_state_cov(sim.spec, sim.params.var_coeffs, sim.params.gamma_u, kappa)
             res = steady_state_diagnostics({n: (ss, P00)}, horizon=horizon, tol=tol, T_total=config.T)[n]
             preds.append(res["tr_pred_over_q"])
             filts.append(res["tr_filt_over_q"])
@@ -186,8 +169,6 @@ def run_diagnostics(
             filt_scaled.append(res["tr_filt_scaled"])
             smooth_scaled.append(res["tr_smooth_scaled"])
         pred = np.mean(preds, axis=0)
-        diffs = np.abs(np.diff(pred * config.q))
-        settled = np.nonzero(diffs < tol)[0]
         per_n[n] = {
             "tr_pred_over_q": pred,
             "tr_filt_over_q": np.mean(filts, axis=0),
@@ -195,6 +176,6 @@ def run_diagnostics(
             "tr_init_over_q": float(np.mean(inits)),
             "tr_filt_scaled": float(np.mean(filt_scaled)),
             "tr_smooth_scaled": float(np.mean(smooth_scaled)),
-            "steady_state_t": int(settled[0] + 1) if settled.size else None,
+            "steady_state_t": steady_state_onset(pred * config.q, tol),
         }
     return per_n

@@ -109,13 +109,16 @@ def _out_dir(args, sections) -> Path:
     return path
 
 
-def _mc_config(args, sections) -> MCConfig:
+def _mc_overrides(args) -> dict:
     overrides = {k: getattr(args, k, None) for k in
                  ("n", "T", "q", "s", "d", "n1", "nb", "tau", "theta", "mu", "replications")}
     overrides["dist"] = getattr(args, "dist", None)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    return mc_config_from_section(sections.get("mc", {}), overrides)
+    overrides["seed"] = args.seed
+    return overrides
+
+
+def _mc_config(args, sections) -> MCConfig:
+    return mc_config_from_section(sections.get("mc", {}), _mc_overrides(args))
 
 
 def _em_options(args, sections, detrend=None, standardize=False) -> EMOptions:
@@ -216,29 +219,25 @@ def cmd_estimate(args) -> int:
     return EXIT_OK if res.converged else EXIT_NONCONVERGED
 
 
-def _parse_cells(text: str, base: MCConfig) -> list[MCConfig]:
+def _parse_cells(text: str, section: dict[str, str], overrides: dict) -> list[MCConfig]:
+    """One MCConfig per ';'-separated cell of 'key=value' pairs over the [mc] section and flags."""
     cells = []
     for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
+        if not chunk.strip():
             continue
-        kwargs = {k: getattr(base, k) for k in base.__dataclass_fields__}
+        cell = dict(overrides)
         for token in chunk.split(","):
             key, _, value = token.partition("=")
-            key = key.strip()
-            if key not in base.__dataclass_fields__:
-                raise ConfigError(f"unknown cell key {key!r}")
-            caster = type(getattr(base, key))
-            kwargs[key] = caster(value) if caster is not bool else value.strip().lower() == "true"
-        cells.append(MCConfig(**kwargs))
-    return cells or [base]
+            cell[key.strip()] = value.strip()
+        cells.append(mc_config_from_section(section, cell))
+    return cells
 
 
 def cmd_benchmark(args) -> int:
     sections = _load_sections(args)
-    base = _mc_config(args, sections)
-    cells = _parse_cells(args.cells, base) if args.cells else \
-        _parse_cells(sections.get("mc", {}).get("cells", ""), base)
+    mc, overrides = sections.get("mc", {}), _mc_overrides(args)
+    base = mc_config_from_section(mc, overrides)
+    cells = _parse_cells(args.cells or mc.get("cells", ""), mc, overrides) or [base]
     out = _out_dir(args, sections)
     jobs = args.jobs or int(sections.get("io", {}).get("jobs", "1"))
     t_min = int(sections.get("io", {}).get("t_min", DEFAULT_T_MIN))

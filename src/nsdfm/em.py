@@ -35,7 +35,6 @@ __all__ = [
     "EMResult",
     "SufficientStats",
     "e_step",
-    "m_step_loadings",
     "m_step_var",
     "m_step_variances",
     "fit",
@@ -60,7 +59,6 @@ class EMOptions:
     kappa: float = DEFAULT_KAPPA
     detrend: frozenset[int] | None = None
     standardize: bool = False
-    variance_floor: float = VARIANCE_FLOOR
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -102,16 +100,6 @@ class SufficientStats:
     @property
     def r0(self) -> int:
         return self.gram_aug.shape[1] - 2
-
-    @property
-    def gram(self) -> np.ndarray:
-        """Factor-block expected Gram matrices (n, r0, r0)."""
-        return self.gram_aug[:, : self.r0, : self.r0]
-
-    @property
-    def cross(self) -> np.ndarray:
-        """Factor-block cross moments sum E[F (x - w)] per series."""
-        return self.cross_aug[:, : self.r0]
 
 
 @dataclass
@@ -264,16 +252,6 @@ def reduce_moments(
     )
 
 
-def m_step_loadings(stats: SufficientStats, i: int) -> np.ndarray:
-    """Loadings update for one series: solve its expected Gram system."""
-    try:
-        return np.linalg.solve(stats.gram[i], stats.cross[i])
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"singular expected factor Gram for series {i}; smoothed factors are collinear"
-        ) from exc
-
-
 def _solve_measurement(
     stats: SufficientStats,
     alpha_free: np.ndarray,
@@ -370,20 +348,15 @@ def m_step_variances(
     policy is set.  Everything is floored to keep the filter defined.
     """
     lay = stats.layout
-    floor = options.variance_floor
     n = spec.n
 
-    def rw_update(sl: slice, series) -> np.ndarray:
-        out = np.zeros(n)
+    def rw_update(sl: slice, series, out: np.ndarray) -> np.ndarray:
         for j, i in enumerate(series):
             k = sl.start + j
-            out[i] = max((stats.SA[k, k] + stats.SC[k, k] - 2.0 * stats.SB[k, k]) / T, floor)
+            out[i] = max((stats.SA[k, k] + stats.SC[k, k] - 2.0 * stats.SB[k, k]) / T, VARIANCE_FLOOR)
         return out
 
-    ge = np.array(params_prev.gamma_e_diag)
-    for j, i in enumerate(lay.xi_series):
-        k = lay.xi_slice.start + j
-        ge[i] = max((stats.SA[k, k] + stats.SC[k, k] - 2.0 * stats.SB[k, k]) / T, floor)
+    ge = rw_update(lay.xi_slice, lay.xi_series, np.array(params_prev.gamma_e_diag))
 
     sum_zx = stats.cross_aug + stats.sum_zw
     quad = np.einsum("nr,nrs,ns->n", coef, stats.gram_aug, coef)
@@ -394,7 +367,7 @@ def m_step_variances(
         + 2.0 * np.einsum("nr,nr->n", coef, stats.sum_zw)
     )
     denom = np.maximum(stats.n_obs, 1)
-    sig2 = np.maximum(resid / denom, floor)
+    sig2 = np.maximum(resid / denom, VARIANCE_FLOOR)
 
     im = np.zeros(n, dtype=bool)
     im[list(spec.idio_im)] = True
@@ -406,8 +379,8 @@ def m_step_variances(
     else:
         s2nu[im] = float(options.phi_policy)
 
-    s2w = rw_update(lay.alpha_slice, lay.alpha_series)
-    s2e = rw_update(lay.beta_slice, lay.beta_series)
+    s2w = rw_update(lay.alpha_slice, lay.alpha_series, np.zeros(n))
+    s2e = rw_update(lay.beta_slice, lay.beta_series, np.zeros(n))
     return ge, s2w, s2e, s2nu
 
 
@@ -425,8 +398,8 @@ def _m_step(
     r0 = (s + 1) * q
     coef = _solve_measurement(stats, alpha_free, beta_free, prev_coef)
     A, gamma_u = m_step_var(stats, spec, T)
-    if np.linalg.eigvalsh(gamma_u)[0] <= options.variance_floor:
-        gamma_u = gamma_u + options.variance_floor * np.eye(q)
+    if np.linalg.eigvalsh(gamma_u)[0] <= VARIANCE_FLOOR:
+        gamma_u = gamma_u + VARIANCE_FLOOR * np.eye(q)
     ge, s2w, s2e, s2nu = m_step_variances(stats, spec, coef, params_prev, options, T)
     params = Params(
         loadings=[coef[:, k * q:(k + 1) * q] for k in range(s + 1)],

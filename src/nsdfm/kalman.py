@@ -31,6 +31,7 @@ __all__ = [
     "kf_filter",
     "ks_smooth",
     "steady_state_diagnostics",
+    "steady_state_onset",
     "DEFAULT_KAPPA",
 ]
 
@@ -57,7 +58,6 @@ class FilterOutput:
     filtered_covs: np.ndarray        # (T+1, K, K)
     loglik_terms: np.ndarray         # (T+1,)
     step_index: np.ndarray           # (T+1,) int
-    burn_in: int = 0
 
     @property
     def T(self) -> int:
@@ -65,13 +65,7 @@ class FilterOutput:
 
     @property
     def loglik(self) -> float:
-        return float(self.loglik_terms[self.burn_in + 1:].sum())
-
-    def innovation_cov(self, ss: StateSpace, panel: Panel, t: int) -> np.ndarray:
-        """Innovation covariance of the rows observed at time t (1-based slot)."""
-        obs = np.nonzero(panel.missing_mask[:, t - 1])[0]
-        Z = ss.measurement_map(t - 1)[obs]
-        return Z @ self.predicted_covs[t] @ Z.T + np.diag(ss.measurement_cov_diag[obs])
+        return float(self.loglik_terms[1:].sum())
 
 
 @dataclass
@@ -150,7 +144,6 @@ def kf_filter(
     panel: Panel,
     init_mean: np.ndarray,
     init_cov: np.ndarray,
-    burn_in: int = 0,
 ) -> FilterOutput:
     """Run the Kalman filter over a panel with missing-data row selection.
 
@@ -214,7 +207,7 @@ def kf_filter(
 
     if not np.all(np.isfinite(ll)):
         raise FloatingPointError("non-finite log-likelihood term; filter diverged")
-    return FilterOutput(a_pred, P_pred, a_filt, P_filt, ll, step_index, burn_in=burn_in)
+    return FilterOutput(a_pred, P_pred, a_filt, P_filt, ll, step_index)
 
 
 def ks_smooth(filt: FilterOutput, ss: StateSpace) -> SmootherOutput:
@@ -253,6 +246,12 @@ def ks_smooth(filt: FilterOutput, ss: StateSpace) -> SmootherOutput:
     return SmootherOutput(s_mean, s_cov, lag1)
 
 
+def steady_state_onset(trace: np.ndarray, tol: float) -> int | None:
+    """First t (1-based) after which ``trace`` changes by less than ``tol``; None if never."""
+    settled = np.nonzero(np.abs(np.diff(trace)) < tol)[0]
+    return int(settled[0] + 1) if settled.size else None
+
+
 def steady_state_diagnostics(
     systems: dict[int, tuple[StateSpace, np.ndarray]],
     horizon: int = 10,
@@ -285,9 +284,6 @@ def steady_state_diagnostics(
         tr_pred = np.array([np.trace(P_pred[t][fb, fb]) for t in range(1, horizon + 1)])
         tr_filt = np.array([np.trace(P_filt[t][fb, fb]) for t in range(1, horizon + 1)])
         tr_smooth = np.array([np.trace(P_smooth[t][fb, fb]) for t in range(1, horizon + 1)])
-        diffs = np.abs(np.diff(tr_pred))
-        settled = np.nonzero(diffs < tol)[0]
-        flag = int(settled[0] + 1) if settled.size else None
         out[n] = {
             "tr_pred_over_q": tr_pred / q,
             "tr_filt_over_q": tr_filt / q,
@@ -295,6 +291,6 @@ def steady_state_diagnostics(
             "tr_init_over_q": float(np.trace(P_filt[0][fb, fb])) / q,
             "tr_filt_scaled": float(np.trace(P_filt[horizon][cur, cur])) * n / q,
             "tr_smooth_scaled": float(np.trace(P_smooth[horizon][cur, cur])) * n / q,
-            "steady_state_t": flag,
+            "steady_state_t": steady_state_onset(tr_pred, tol),
         }
     return out

@@ -31,7 +31,7 @@ __all__ = [
     "StateSpace",
     "StateLayout",
     "build_state_space",
-    "common_component",
+    "companion",
     "common_component_path",
 ]
 
@@ -256,13 +256,6 @@ class StateLayout:
         b0 = self.n_factor_states + len(self.xi_series) + len(self.alpha_series)
         return slice(b0, b0 + len(self.beta_series))
 
-    def describe(self) -> list[str]:
-        names = [f"f[{j}] lag {lag}" for lag in range(self.n_lags) for j in range(self.q)]
-        names += [f"xi[{i}]" for i in self.xi_series]
-        names += [f"alpha[{i}]" for i in self.alpha_series]
-        names += [f"beta[{i}]" for i in self.beta_series]
-        return names
-
 
 @dataclass(frozen=True)
 class StateSpace:
@@ -293,6 +286,21 @@ class StateSpace:
         return self.layout.K
 
 
+def companion(var_coeffs: list[np.ndarray], n_lags: int) -> np.ndarray:
+    """Companion matrix of a VAR over n_lags factor blocks (n_lags >= len(var_coeffs)).
+
+    The first block row holds the coefficients, lags beyond them load zero,
+    and the identity below the first block row shifts each lag down by one.
+    """
+    q = var_coeffs[0].shape[0]
+    r = q * n_lags
+    comp = np.zeros((r, r))
+    for k, A in enumerate(var_coeffs):
+        comp[:q, k * q:(k + 1) * q] = A
+    comp[q:, :r - q] = np.eye(r - q)
+    return comp
+
+
 def build_state_space(spec: ModelSpec, params: Params) -> StateSpace:
     """Assemble the compact state-space system for (spec, params).
 
@@ -313,10 +321,7 @@ def build_state_space(spec: ModelSpec, params: Params) -> StateSpace:
     r = layout.n_factor_states
 
     Theta = np.zeros((K, K))
-    for k, A in enumerate(params.var_coeffs):
-        Theta[0:q, layout.factor_block(k)] = A
-    if layout.n_lags > 1:
-        Theta[q:r, 0:r - q] = np.eye(r - q)
+    Theta[:r, :r] = companion(params.var_coeffs, layout.n_lags)
     for j, i in enumerate(layout.xi_series):
         Theta[layout.xi_slice.start + j, layout.xi_slice.start + j] = params.rho[i]
     for blk in (layout.alpha_slice, layout.beta_slice):
@@ -351,17 +356,6 @@ def build_state_space(spec: ModelSpec, params: Params) -> StateSpace:
         measurement_cov_diag=_frozen(R),
         time_varying=bool(layout.beta_series),
     )
-
-
-def common_component(loadings: list[np.ndarray], factors: np.ndarray, t: int, i: int) -> float:
-    """chi[i,t] = sum_k b_ik' f[:, t-k] from a q x T factor path.
-
-    ``t`` is a zero-based time index and must be >= s so every lag exists.
-    """
-    s = len(loadings) - 1
-    if not s <= t < factors.shape[1]:
-        raise ValueError(f"t={t} out of range for s={s}, T={factors.shape[1]}")
-    return float(sum(loadings[k][i] @ factors[:, t - k] for k in range(s + 1)))
 
 
 def common_component_path(loadings: list[np.ndarray], factor_states: np.ndarray, layout: StateLayout) -> np.ndarray:

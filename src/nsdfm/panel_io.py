@@ -180,7 +180,7 @@ def write_table(path, columns: list[str], rows: list[list], metadata: dict | Non
 _MODEL_KEYS = {"n", "T", "q", "s", "p", "idio_i1", "local_level", "local_trend", "detrend", "standardize"}
 _EM_KEYS = {"max_iter", "tolerance", "phi_policy", "kappa"}
 _MC_KEYS = {
-    "n", "T", "q", "s", "d", "p", "n1", "nb", "tau", "theta", "mu", "delta",
+    "n", "T", "q", "s", "d", "p", "n1", "nb", "tau", "theta", "mu",
     "dist", "replications", "seed", "cells",
 }
 _IO_KEYS = {"out_dir", "format", "jobs", "t_min"}
@@ -193,6 +193,7 @@ def load_config(path) -> dict[str, dict[str, str]]:
     Unknown sections or keys raise :class:`ConfigError`.
     """
     parser = configparser.ConfigParser()
+    parser.optionxform = str  # keys are case-sensitive: [mc] T, not t
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -223,16 +224,22 @@ def parse_index_set(text: str) -> frozenset[int]:
 
 
 def mc_config_from_section(section: dict[str, str], overrides: dict | None = None) -> MCConfig:
-    """Build an MCConfig from the [mc] section plus CLI overrides."""
+    """Build an MCConfig from the [mc] section plus overrides (CLI flags or one cell).
+
+    Override keys use the [mc] key names; ``None`` values are skipped and
+    unknown keys raise :class:`ConfigError`.
+    """
     merged = dict(section)
     for key, value in (overrides or {}).items():
+        if key not in _MC_KEYS:
+            raise ConfigError(f"unknown key {key!r} in section [mc]")
         if value is not None:
             merged[key] = str(value)
     kwargs = {}
     casts = {
         "n": int, "T": int, "q": int, "s": int, "d": int, "p": int,
         "n1": int, "nb": int, "tau": float, "theta": float, "mu": float,
-        "delta": float, "replications": int, "seed": int,
+        "replications": int, "seed": int,
     }
     for key, cast in casts.items():
         if key in merged:

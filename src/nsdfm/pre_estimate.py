@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kalman import DEFAULT_KAPPA
-from .model import ModelSpec, Panel, Params
+from .model import ModelSpec, Panel, Params, companion
 
 __all__ = [
     "PreEstimate",
@@ -30,6 +30,7 @@ __all__ = [
     "var_prefit",
     "gamma_e_init",
     "p00_init",
+    "initial_state_cov",
     "pre_estimate",
 ]
 
@@ -48,7 +49,6 @@ class PreEstimate:
     loadings: list[np.ndarray]
     f_tilde: np.ndarray              # q x T pre-factor path
     var_coeffs: list[np.ndarray]
-    companion: np.ndarray            # factor-block companion (q*c x q*c)
     gamma_u: np.ndarray
     gamma_e_diag: np.ndarray
     alpha_check: np.ndarray          # OLS intercepts (0 off the detrend set)
@@ -97,19 +97,23 @@ def _filled_differences(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _filled_levels(x: np.ndarray, mask: np.ndarray, dx_fill: np.ndarray) -> np.ndarray:
-    """Complete levels: observed cells kept, gaps walked with filled steps."""
-    n, T = x.shape
-    out = np.where(mask, x, np.nan)
-    for i in range(n):
-        if not mask[i].any():
-            out[i] = 0.0
-            continue
-        for t in range(1, T):
-            if np.isnan(out[i, t]):
-                out[i, t] = out[i, t - 1] + dx_fill[i, t - 1]
-        for t in range(T - 2, -1, -1):
-            if np.isnan(out[i, t]):
-                out[i, t] = out[i, t + 1] - dx_fill[i, t]
+    """Complete levels: observed cells kept, gaps walked with filled steps.
+
+    A gap after a series' first observation steps forward from the level
+    before it, a leading gap steps backward from the first observation, and
+    a series with no observation is all zeros.  Only the gaps are visited.
+    """
+    if mask.all():
+        return x
+    out = np.where(mask, x, 0.0)
+    first = mask.argmax(axis=1).tolist()
+    rows, cols = np.nonzero(~mask & mask.any(axis=1)[:, None])
+    for i, t in zip(rows.tolist(), cols.tolist()):
+        if t > first[i]:
+            out[i, t] = out[i, t - 1] + dx_fill[i, t - 1]
+    for i, f in enumerate(first):
+        for t in range(f - 1, -1, -1):
+            out[i, t] = out[i, t + 1] - dx_fill[i, t]
     return out
 
 
@@ -172,9 +176,9 @@ def lagged_loadings(dx: np.ndarray, B0: np.ndarray, f_tilde: np.ndarray, s: int)
 def var_prefit(f_tilde: np.ndarray, p: int):
     """Unrestricted VAR(p) in levels on the pre-factor path.
 
-    Returns (coefficient list, companion matrix, innovation covariance);
-    the innovation covariance is normalized by T as in the rest of the
-    initialization.  No cointegration-rank restriction is imposed.
+    Returns (coefficient list, innovation covariance); the innovation
+    covariance is normalized by T as in the rest of the initialization.
+    No cointegration-rank restriction is imposed.
     """
     q, T = f_tilde.shape
     if T < p * q + p + 1:
@@ -190,13 +194,7 @@ def var_prefit(f_tilde: np.ndarray, p: int):
     A = [A_stack[:, (k - 1) * q:k * q] for k in range(1, p + 1)]
     resid = Y - A_stack @ X
     gamma_u = resid @ resid.T / T
-    c = p
-    comp = np.zeros((q * c, q * c))
-    for k in range(p):
-        comp[:q, k * q:(k + 1) * q] = A[k]
-    if c > 1:
-        comp[q:, :q * (c - 1)] = np.eye(q * (c - 1))
-    return A, comp, gamma_u
+    return A, gamma_u
 
 
 def gamma_e_init(
@@ -204,17 +202,14 @@ def gamma_e_init(
     loadings: list[np.ndarray],
     f_tilde: np.ndarray,
     idio_i1: frozenset[int],
-    x_detrended: np.ndarray | None = None,
-    levels_for_stationary: bool = False,
 ) -> np.ndarray:
     """Per-series idiosyncratic variances from differenced residuals.
 
     The residual variance is normalized by 1/T for random-walk series and
     by 1/(2T) otherwise, since a differenced stationary component is an
-    MA(1) with twice the level variance.  ``levels_for_stationary``
-    switches the stationary series to the levels-based alternative.
+    MA(1) with twice the level variance.
     """
-    n, T_d = dx.shape
+    T_d = dx.shape[1]
     T = T_d + 1
     s = len(loadings) - 1
     df = np.diff(f_tilde, axis=1)
@@ -223,20 +218,9 @@ def gamma_e_init(
     for k, B in enumerate(loadings):
         resid -= B @ df[:, cols - k]
     ssq = (resid ** 2).sum(axis=1)
-    out = np.empty(n)
-    for i in range(n):
-        if i in idio_i1:
-            out[i] = ssq[i] / T
-        elif levels_for_stationary:
-            if x_detrended is None:
-                raise ValueError("levels_for_stationary requires the detrended panel")
-            lcols = np.arange(s, T)
-            lres = x_detrended[i, lcols].copy()
-            for k, B in enumerate(loadings):
-                lres -= B[i] @ f_tilde[:, lcols - k]
-            out[i] = (lres ** 2).sum() / T
-        else:
-            out[i] = ssq[i] / (2 * T)
+    out = ssq / (2 * T)
+    i1 = sorted(idio_i1)
+    out[i1] = ssq[i1] / T
     return out
 
 
@@ -260,12 +244,20 @@ def p00_init(companion: np.ndarray, gamma_u: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
+def initial_state_cov(spec: ModelSpec, var_coeffs: list[np.ndarray], gamma_u: np.ndarray,
+                      kappa: float) -> np.ndarray:
+    """kappa * I over the state, with the :func:`p00_init` block for the factor companion."""
+    c = max(spec.s + 1, spec.p)
+    P0 = np.eye(spec.n_states) * kappa
+    P0[:spec.q * c, :spec.q * c] = p00_init(companion(var_coeffs, c), gamma_u)
+    return P0
+
+
 def pre_estimate(
     spec: ModelSpec,
     panel: Panel,
     detrend: frozenset[int] | None = None,
     kappa: float = DEFAULT_KAPPA,
-    levels_gamma_e: bool = False,
 ) -> PreEstimate:
     """Full iteration-0 estimation for (spec, panel).
 
@@ -300,14 +292,11 @@ def pre_estimate(
     f_tilde = (B0.T @ x_fill) / M[:, None]      # M^{-1} B0' x
     lag = lagged_loadings(dx, B0, f_tilde, spec.s)
     loadings = [B0] + lag
-    A, companion, gamma_u = var_prefit(f_tilde, spec.p)
+    A, gamma_u = var_prefit(f_tilde, spec.p)
     gamma_u = 0.5 * (gamma_u + gamma_u.T)
     if np.linalg.eigvalsh(gamma_u)[0] <= VARIANCE_FLOOR:
         gamma_u = gamma_u + (VARIANCE_FLOOR + abs(min(0.0, np.linalg.eigvalsh(gamma_u)[0]))) * np.eye(q)
-    ge = np.maximum(
-        gamma_e_init(dx, loadings, f_tilde, spec.idio_i1, x_det, levels_gamma_e),
-        VARIANCE_FLOOR,
-    )
+    ge = np.maximum(gamma_e_init(dx, loadings, f_tilde, spec.idio_i1), VARIANCE_FLOOR)
 
     im = spec.idio_im
     s2w = np.zeros(n)
@@ -333,17 +322,7 @@ def pre_estimate(
     )
 
     c = max(spec.s + 1, spec.p)
-    comp_state = np.zeros((q * c, q * c))
-    for k in range(spec.p):
-        comp_state[:q, k * q:(k + 1) * q] = A[k]
-    if c > 1:
-        comp_state[q:, :q * (c - 1)] = np.eye(q * (c - 1))
-    P00_f = p00_init(comp_state, gamma_u)
-
-    K = spec.n_states
-    init_cov = np.eye(K) * kappa
-    init_cov[:q * c, :q * c] = P00_f
-    init_mean = np.zeros(K)
+    init_mean = np.zeros(spec.n_states)
     for k in range(c):
         init_mean[k * q:(k + 1) * q] = f_tilde[:, 0]
     off = q * c
@@ -358,7 +337,6 @@ def pre_estimate(
         loadings=loadings,
         f_tilde=f_tilde,
         var_coeffs=A,
-        companion=companion,
         gamma_u=gamma_u,
         gamma_e_diag=ge,
         alpha_check=alpha_check,
@@ -367,6 +345,6 @@ def pre_estimate(
         eigenvectors=V,
         params=params,
         init_state_mean=init_mean,
-        init_state_cov=init_cov,
+        init_state_cov=initial_state_cov(spec, A, gamma_u, kappa),
         detrend_set=D,
     )

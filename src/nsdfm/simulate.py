@@ -46,14 +46,7 @@ BURN_IN = 200
 
 @dataclass(frozen=True)
 class MCConfig:
-    """One Monte Carlo cell.
-
-    ``delta`` labels the serial correlation of the stationary
-    idiosyncratic components in reports; the generator always draws the
-    second autoregressive root from U[0.2, 0.6], and the parameter is
-    carried for table headers only because its exact generating role is
-    not pinned down by the benchmark design.
-    """
+    """One Monte Carlo cell."""
 
     n: int = 100
     T: int = 100
@@ -66,7 +59,6 @@ class MCConfig:
     tau: float = 0.5
     theta: float = 0.5
     mu: float = 0.5
-    delta: float = 0.2
     innovation_dist: str = "gaussian"
     replications: int = 100
     seed: int = 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nsdfm.em import EMOptions, SufficientStats, e_step, fit, m_step_loadings, m_step_var
+from nsdfm.em import EMOptions, SufficientStats, _solve_measurement, e_step, fit, m_step_var
 from nsdfm.model import ModelSpec, Panel, Params, build_state_space
 from nsdfm.simulate import MCConfig, simulate_from_params, simulate_panel
 from conftest import random_instance
@@ -58,7 +58,9 @@ def test_loadings_hand_solve():
         sum_ww=np.zeros(1),
         n_obs=np.array([5]), loglik=0.0, layout=layout,
     )
-    np.testing.assert_allclose(m_step_loadings(stats, 0), [2.0, 3.0])
+    no = np.zeros(1, dtype=bool)
+    coef = _solve_measurement(stats, no, no, np.zeros((1, 4)))
+    np.testing.assert_allclose(coef[0], [2.0, 3.0, 0.0, 0.0])
 
 
 def test_m_step_var_reduces_to_ols_with_zero_covariances(rng):
@@ -194,8 +196,9 @@ def test_loadings_fixed_point_with_exact_factors(rng):
     panel, states, chi = simulate_from_params(spec, params, rng, measurement_noise=False)
     ss = build_state_space(spec, params)
     stats, _ = e_step(spec, params, panel, np.zeros(ss.K), np.eye(ss.K) * 10)
-    lam = np.vstack([m_step_loadings(stats, i) for i in range(n)])
-    np.testing.assert_allclose(lam, B, atol=1e-8)
+    no = np.zeros(n, dtype=bool)
+    coef = _solve_measurement(stats, no, no, np.zeros((n, q + 2)))
+    np.testing.assert_allclose(coef[:, :q], B, atol=1e-8)
 
 
 def test_fit_monotone_loglik_and_chi_recovery():

@@ -1,11 +1,13 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nsdfm.cli import main
+from nsdfm.cli import _parse_cells, main
 from nsdfm.model import Panel
 from nsdfm.panel_io import (
     ConfigError,
@@ -50,6 +52,28 @@ def test_config_unknown_key_rejected(tmp_path):
     cfg.write_text("[weird]\nn = 10\n")
     with pytest.raises(ConfigError, match="weird"):
         load_config(cfg)
+    cfg.write_text("[mc]\ndelta = 0.2\n")
+    with pytest.raises(ConfigError, match="delta"):
+        load_config(cfg)
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    (tmp_path / "readme.ini").write_text(block, encoding="utf-8")
+    mc = load_config(tmp_path / "readme.ini")["mc"]
+    assert mc_config_from_section(mc).T == 100
+    cells = _parse_cells(mc["cells"], mc, {})
+    assert [(c.n, c.T, c.q) for c in cells] == [(75, 75, 2), (100, 100, 2), (200, 200, 2)]
+
+
+def test_cells_use_mc_key_names():
+    cell = _parse_cells("n=30, dist=student_t4", {"T": "40"}, {"q": 1, "seed": None})[0]
+    assert (cell.n, cell.T, cell.q, cell.innovation_dist) == (30, 40, 1, "student_t4")
+    with pytest.raises(ConfigError, match="innovation_dist"):
+        _parse_cells("innovation_dist=student_t4", {}, {})
+    with pytest.raises(ConfigError, match="mc.n"):
+        _parse_cells("n=ten", {}, {})
 
 
 def test_mc_config_from_section():

@@ -167,30 +167,6 @@ def test_steady_state_diagnostics_shape_and_flag():
         assert np.all(d <= 1e-8)
 
 
-def test_loglik_burn_in_excludes_terms(rng):
-    spec, params = random_instance(rng, n=3, T=8, q=1, s=0, p=1, with_states=False)
-    ss = build_state_space(spec, params)
-    panel = random_panel(spec, rng)
-    full = kf_filter(ss, panel, np.zeros(ss.K), np.eye(ss.K) * 5)
-    burned = kf_filter(ss, panel, np.zeros(ss.K), np.eye(ss.K) * 5, burn_in=3)
-    assert burned.loglik == pytest.approx(full.loglik - full.loglik_terms[1:4].sum())
-
-
-def test_innovation_cov_consistent(rng):
-    spec, params = random_instance(rng, n=4, T=5, q=1, s=0, p=1, with_states=False)
-    ss = build_state_space(spec, params)
-    data = rng.standard_normal((4, 5))
-    data[1, 2] = np.nan
-    panel = Panel.from_data(data)
-    filt = kf_filter(ss, panel, np.zeros(ss.K), np.eye(ss.K) * 5)
-    for t in (1, 3):
-        S = filt.innovation_cov(ss, panel, t)
-        obs = np.nonzero(panel.missing_mask[:, t - 1])[0]
-        Z = ss.measurement_map(t - 1)[obs]
-        expected = Z @ filt.predicted_covs[t] @ Z.T + np.diag(ss.measurement_cov_diag[obs])
-        np.testing.assert_allclose(S, expected)
-
-
 def test_one_step_trace_band_at_scale():
     # the one-step-ahead factor MSE per factor settles near one on the
     # benchmark design at n=100 (fresh draws land within [0.8, 1.2])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nsdfm.model import ModelSpec, Panel, Params, build_state_space, common_component
+from nsdfm.model import ModelSpec, Panel, Params, build_state_space
 from conftest import random_instance
 
 
@@ -185,19 +185,6 @@ def test_builder_deterministic():
     assert np.array_equal(ss1.transition_map, ss2.transition_map)
     assert np.array_equal(ss1.state_innovation_cov, ss2.state_innovation_cov)
     assert np.array_equal(ss1.measurement_map(4), ss2.measurement_map(4))
-
-
-def test_common_component_values():
-    # s=0 case
-    loadings = [np.array([[1.0, 0.0]])]
-    f = np.array([[3.0], [7.0]])
-    assert common_component(loadings, f, 0, 0) == pytest.approx(3.0)
-    # s=1 hand sum
-    loadings = [np.array([[1.0, 0.0]]), np.array([[0.0, 2.0]])]
-    f = np.array([[1.0, 3.0], [4.0, 7.0]])  # f_{t-1}=(1,4), f_t=(3,7)
-    assert common_component(loadings, f, 1, 0) == pytest.approx(3.0 + 8.0)
-    with pytest.raises(ValueError):
-        common_component(loadings, f, 0, 0)  # t < s
 
 
 def test_panel_accepts_fully_missing_columns():

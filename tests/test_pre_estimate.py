@@ -3,6 +3,7 @@ import pytest
 
 from nsdfm.model import ModelSpec, Panel
 from nsdfm.pre_estimate import (
+    _filled_levels,
     detrend_ols,
     gamma_e_init,
     lagged_loadings,
@@ -133,20 +134,20 @@ def test_var_prefit_long_path(rng):
     f = np.zeros((q, T))
     for t in range(2, T):
         f[:, t] = A1 @ f[:, t - 1] + A2 @ f[:, t - 2] + rng.standard_normal(q)
-    A, comp, gu = var_prefit(f, 2)
+    A, gu = var_prefit(f, 2)
     assert np.linalg.norm(np.hstack(A) - np.hstack([A1, A2]), 2) < 0.05
 
 
 def test_var_prefit_white_noise(rng):
     f = rng.standard_normal((2, 3000))
-    A, comp, gu = var_prefit(f, 2)
+    A, gu = var_prefit(f, 2)
     assert np.linalg.norm(np.hstack(A), 2) < 3 / np.sqrt(3000) * 10
 
 
 def test_var_prefit_random_walk_superconsistency(rng):
     T = 4000
     f = np.cumsum(rng.standard_normal((1, T)), axis=1)
-    A, comp, gu = var_prefit(f, 1)
+    A, gu = var_prefit(f, 1)
     assert abs(A[0][0, 0] - 1.0) < 20.0 / T
 
 
@@ -227,13 +228,57 @@ def test_fixed_initialization_constants(rng):
     assert np.all(pre.params.sigma2_nu[3:] == 0)
 
 
-def test_levels_based_gamma_e_alternative(rng):
-    n, T = 8, 300
-    f = np.cumsum(rng.standard_normal((1, T)), axis=1)
-    B = rng.normal(1, 1, size=(n, 1))
-    x = B @ f + rng.standard_normal((n, T))
-    spec = ModelSpec(n=n, T=T, q=1, s=0, p=1)
-    main = pre_estimate(spec, Panel.from_data(x))
-    alt = pre_estimate(spec, Panel.from_data(x), levels_gamma_e=True)
-    assert np.all(alt.gamma_e_diag > 0)
-    assert not np.allclose(main.gamma_e_diag, alt.gamma_e_diag)
+
+def test_filled_levels_hand_values():
+    nan = np.nan
+    x = np.array([
+        [nan, nan, 3.0, 4.0, 6.0],   # leading gap: walked back from t=2
+        [1.0, nan, nan, 5.0, 6.0],   # interior gap: walked forward from t=0
+        [2.0, 3.0, nan, nan, nan],   # trailing gap: walked forward from t=1
+        [nan, nan, nan, nan, nan],   # never observed: zeros
+    ])
+    dx = np.array([
+        [1.0, 2.0, 1.0, 2.0],
+        [0.5, 1.0, 2.0, 1.0],
+        [1.0, 0.25, 0.5, 4.0],
+        [1.0, 1.0, 1.0, 1.0],
+    ])
+    out = _filled_levels(x, np.isfinite(x), dx)
+    np.testing.assert_array_equal(out, [
+        [0.0, 1.0, 3.0, 4.0, 6.0],
+        [1.0, 1.5, 2.5, 5.0, 6.0],
+        [2.0, 3.0, 3.25, 3.75, 7.75],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+    ])
+    # a complete mask returns the levels bit for bit
+    full = np.array([[-0.0, 1e-300, 2.5], [np.pi, -7.0, 1e300]])
+    assert _filled_levels(full, np.ones(full.shape, dtype=bool), np.ones((2, 2))).tobytes() == full.tobytes()
+
+
+def _walk_every_cell(x, mask, dx_fill):
+    """Reference fill: visit every cell forward, then every cell backward."""
+    n, T = x.shape
+    out = np.where(mask, x, np.nan)
+    for i in range(n):
+        if not mask[i].any():
+            out[i] = 0.0
+            continue
+        for t in range(1, T):
+            if np.isnan(out[i, t]):
+                out[i, t] = out[i, t - 1] + dx_fill[i, t - 1]
+        for t in range(T - 2, -1, -1):
+            if np.isnan(out[i, t]):
+                out[i, t] = out[i, t + 1] - dx_fill[i, t]
+    return out
+
+
+def test_filled_levels_matches_full_walk(rng):
+    n, T = 12, 40
+    x = rng.standard_normal((n, T)).cumsum(axis=1)
+    mask = rng.random((n, T)) > 0.2
+    mask[0, :7] = False          # long leading gap
+    mask[1, -9:] = False         # ragged edge
+    mask[2] = False              # never observed
+    mask[3, 1:-1] = False        # observed only at both ends
+    dx = rng.standard_normal((n, T - 1))
+    assert np.array_equal(_filled_levels(x, mask, dx), _walk_every_cell(x, mask, dx))
