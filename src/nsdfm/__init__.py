@@ -19,9 +19,9 @@ from .model import (
 from .kalman import FilterOutput, SmootherOutput, kf_filter, ks_smooth, steady_state_diagnostics
 from .pre_estimate import PreEstimate, pre_estimate
 from .em import EMOptions, EMResult, fit
-from .simulate import MCConfig, SimulatedPanel, simulate_panel, simulate_from_params
+from .simulate import MCConfig, SimulatedPanel, simulate_panel
 from .competitors import CompetitorEstimate, pc_levels, pc_diff_cumulate, pc_diff_corrected
-from .metrics import mse_common, relative_mse
+from .metrics import mse_common
 
 __version__ = "0.1.0"
 
@@ -45,12 +45,10 @@ __all__ = [
     "MCConfig",
     "SimulatedPanel",
     "simulate_panel",
-    "simulate_from_params",
     "CompetitorEstimate",
     "pc_levels",
     "pc_diff_cumulate",
     "pc_diff_corrected",
     "mse_common",
-    "relative_mse",
     "__version__",
 ]

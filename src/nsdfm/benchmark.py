@@ -161,7 +161,7 @@ def run_diagnostics(
             sim = simulate_panel(cfg, rep)
             ss = build_state_space(sim.spec, sim.params)
             P00 = initial_state_cov(sim.spec, sim.params.var_coeffs, sim.params.gamma_u, kappa)
-            res = steady_state_diagnostics({n: (ss, P00)}, horizon=horizon, tol=tol, T_total=config.T)[n]
+            res = steady_state_diagnostics(ss, P00, horizon=horizon, tol=tol, T_total=config.T)
             preds.append(res["tr_pred_over_q"])
             filts.append(res["tr_filt_over_q"])
             smooths.append(res["tr_smooth_over_q"])

@@ -45,9 +45,7 @@ EXIT_NUMERIC = 5
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=str, default=None, help="INI config file")
     p.add_argument("--seed", type=int, default=None, help="master seed override")
-    p.add_argument("--jobs", type=int, default=None, help="parallel workers")
     p.add_argument("--out-dir", type=str, default=None, help="output directory")
-    p.add_argument("--format", choices=("csv", "json"), default=None, help="table output format")
 
 
 def _add_mc_overrides(p: argparse.ArgumentParser) -> None:
@@ -86,6 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("benchmark", help="run Monte Carlo cells against the PC competitors")
     _add_common(p_bench)
     _add_mc_overrides(p_bench)
+    p_bench.add_argument("--jobs", type=int, default=None, help="parallel workers")
+    p_bench.add_argument("--format", choices=("csv", "json"), default=None, help="table output format")
     p_bench.add_argument("--cells", type=str, default=None,
                          help="semicolon list of cell overrides, e.g. 'n=75,T=75;n=100,T=100'")
 
@@ -267,9 +267,8 @@ def cmd_benchmark(args) -> int:
                 rec.converged, rec.iterations, rec.error or "",
             ])
     echo = _config_echo(sections, args, {"seed": base.seed, "jobs": jobs, "t_min": t_min})
-    if fmt == "json":
-        (out / "report.json").write_text(json.dumps({"cells": reports, "config": echo}), encoding="utf-8")
-    else:
+    (out / "report.json").write_text(json.dumps({"cells": reports, "config": echo}), encoding="utf-8")
+    if fmt != "json":
         write_table(
             out / "report.csv",
             ["n", "T", "n1", "nb", "q", "s", "dist", "tau",
@@ -278,7 +277,6 @@ def cmd_benchmark(args) -> int:
              "failed", "valid"],
             table_rows, metadata=echo,
         )
-        (out / "report.json").write_text(json.dumps({"cells": reports, "config": echo}), encoding="utf-8")
     write_table(
         out / "replications.csv",
         ["n", "T", "n1", "nb", "dist", "replication", "mse_em",

@@ -22,13 +22,13 @@ state term of the expected complete-data log-likelihood.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kalman import DEFAULT_KAPPA, SmootherOutput, kf_filter, ks_smooth
 from .model import ModelSpec, Panel, Params, StateLayout, build_state_space, common_component_path
-from .pre_estimate import VARIANCE_FLOOR, PreEstimate, pre_estimate
+from .pre_estimate import VARIANCE_FLOOR, pre_estimate
 
 __all__ = [
     "EMOptions",
@@ -114,17 +114,9 @@ class EMResult:
     loglik_path: list[float]
     iterations: int
     converged: bool
-    pre: PreEstimate
-    options: EMOptions
     trend_alpha: np.ndarray          # estimated deterministic intercepts
     trend_beta: np.ndarray           # estimated deterministic slopes
-    layout: StateLayout = field(repr=False, default=None)
-
-    def fitted_deterministic(self) -> np.ndarray:
-        """The deterministic component excluded from the common component."""
-        T = self.chi.shape[1]
-        t = np.arange(1, T + 1)
-        return self.trend_alpha[:, None] + self.trend_beta[:, None] * t
+    layout: StateLayout
 
     def smoothed_state_paths(self) -> dict[str, np.ndarray]:
         """xi/alpha/beta smoothed paths as n x T arrays (zero off their sets)."""
@@ -209,18 +201,11 @@ def reduce_moments(
     sum_xw = np.zeros(n)
     sum_zw = np.zeros((n, r0 + 2))
     if im:
-        sentinel = K
-        pos: dict[int, dict[str, int]] = {}
-        for name, sl, series in (
-            ("xi", layout.xi_slice, layout.xi_series),
-            ("alpha", layout.alpha_slice, layout.alpha_series),
-            ("beta", layout.beta_slice, layout.beta_series),
-        ):
-            for j, i in enumerate(series):
-                pos.setdefault(i, {})[name] = sl.start + j
-        mxi = np.array([pos[i].get("xi", sentinel) for i in im])
-        mal = np.array([pos[i].get("alpha", sentinel) for i in im])
-        mbe = np.array([pos[i].get("beta", sentinel) for i in im])
+        # state column of each im series in the xi, alpha and beta blocks; K indexes the zero pad
+        blocks = ((layout.xi_slice, layout.xi_series), (layout.alpha_slice, layout.alpha_series),
+                  (layout.beta_slice, layout.beta_series))
+        cols = [dict(zip(series, range(sl.start, sl.stop))) for sl, series in blocks]
+        mxi, mal, mbe = (np.array([col.get(i, K) for i in im]) for col in cols)
 
         tcol = tlab[:, None]
         Spad = np.concatenate([S[1:], np.zeros((T, 1))], axis=1)
@@ -455,8 +440,8 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
     coef[:, :r0] = np.hstack([np.asarray(B) for B in pre.params.loadings])
     alpha_free = detrend_mask & ~np.isin(np.arange(n), list(spec.local_level))
     beta_free = detrend_mask & ~np.isin(np.arange(n), list(spec.local_trend))
-    coef[alpha_free, r0] = pre.alpha_check[alpha_free]
-    coef[beta_free, r0 + 1] = pre.beta_check[beta_free]
+    coef[alpha_free, r0] = pre.params.alpha0[alpha_free]
+    coef[beta_free, r0 + 1] = pre.params.beta0[beta_free]
 
     params = pre.params
     init_mean = pre.init_state_mean
@@ -482,8 +467,7 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
     final_stats, smooth = e_step(spec, params, panel, init_mean, init_cov, det)
     logliks.append(final_stats.loglik)
 
-    layout = build_state_space(spec, params).layout
-    chi = common_component_path(params.loadings, smooth.smoothed_means[1:], layout)
+    chi = common_component_path(params.loadings, smooth.smoothed_means[1:], final_stats.layout)
     factors = smooth.smoothed_means[1:, :spec.q].T
     trend_alpha = coef[:, r0].copy()
     trend_beta = coef[:, r0 + 1].copy()
@@ -503,11 +487,9 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
         loglik_path=logliks,
         iterations=iterations,
         converged=converged,
-        pre=pre,
-        options=options,
         trend_alpha=trend_alpha,
         trend_beta=trend_beta,
-        layout=layout,
+        layout=final_stats.layout,
     )
 
 

@@ -253,44 +253,42 @@ def steady_state_onset(trace: np.ndarray, tol: float) -> int | None:
 
 
 def steady_state_diagnostics(
-    systems: dict[int, tuple[StateSpace, np.ndarray]],
+    ss: StateSpace,
+    P0: np.ndarray,
     horizon: int = 10,
     tol: float = 1.0e-6,
     T_total: int | None = None,
-) -> dict[int, dict]:
-    """Per-t traces of the filter/smoother MSE matrices over an n-grid.
+) -> dict:
+    """Per-t traces of the filter/smoother MSE matrices of one system.
 
-    ``systems`` maps a cross-section size to (state space, initial state
-    covariance).  The covariances do not depend on the data, so the filter
-    and smoother run on an all-observed panel of zeros.  For each
-    n the result holds tr(P_{t|t-1})/q, tr(P_{t|t})/q and tr(P_{t|T})/q
-    over the factor companion block for t = 1..horizon, n-scaled variants
-    at t = horizon computed on the current-factor block (whose MSE decays
-    at rate n), and ``steady_state_t``: the first t after which the
-    one-step-ahead trace changes by less than ``tol``.  The smoother runs
-    back from ``T_total`` (default: the horizon) so the smoothed traces
-    condition on the full sample length.
+    ``P0`` is the initial state covariance.  The covariances do not depend
+    on the data, so the filter and smoother run on an all-observed panel of
+    zeros.  The result holds tr(P_{t|t-1})/q, tr(P_{t|t})/q and
+    tr(P_{t|T})/q over the factor companion block for t = 1..horizon,
+    n-scaled variants at t = horizon computed on the current-factor block
+    (whose MSE decays at rate n), and ``steady_state_t``: the first t after
+    which the one-step-ahead trace changes by less than ``tol``.  The
+    smoother runs back from ``T_total`` (default: the horizon) so the
+    smoothed traces condition on the full sample length.
     """
     T_full = max(T_total or horizon, horizon)
-    out: dict[int, dict] = {}
-    for n, (ss, P0) in systems.items():
-        q = ss.layout.q
-        fb = slice(0, ss.layout.n_factor_states)
-        filt = kf_filter(ss, Panel(np.zeros((n, T_full)), None), np.zeros(ss.K), P0)
-        P_pred, P_filt = filt.predicted_covs, filt.filtered_covs
-        P_smooth = ks_smooth(filt, ss).smoothed_covs
+    n = ss.measurement_base.shape[0]
+    q = ss.layout.q
+    fb = slice(0, ss.layout.n_factor_states)
+    filt = kf_filter(ss, Panel(np.zeros((n, T_full)), None), np.zeros(ss.K), P0)
+    P_pred, P_filt = filt.predicted_covs, filt.filtered_covs
+    P_smooth = ks_smooth(filt, ss).smoothed_covs
 
-        cur = slice(0, q)
-        tr_pred = np.array([np.trace(P_pred[t][fb, fb]) for t in range(1, horizon + 1)])
-        tr_filt = np.array([np.trace(P_filt[t][fb, fb]) for t in range(1, horizon + 1)])
-        tr_smooth = np.array([np.trace(P_smooth[t][fb, fb]) for t in range(1, horizon + 1)])
-        out[n] = {
-            "tr_pred_over_q": tr_pred / q,
-            "tr_filt_over_q": tr_filt / q,
-            "tr_smooth_over_q": tr_smooth / q,
-            "tr_init_over_q": float(np.trace(P_filt[0][fb, fb])) / q,
-            "tr_filt_scaled": float(np.trace(P_filt[horizon][cur, cur])) * n / q,
-            "tr_smooth_scaled": float(np.trace(P_smooth[horizon][cur, cur])) * n / q,
-            "steady_state_t": steady_state_onset(tr_pred, tol),
-        }
-    return out
+    cur = slice(0, q)
+    tr_pred = np.array([np.trace(P_pred[t][fb, fb]) for t in range(1, horizon + 1)])
+    tr_filt = np.array([np.trace(P_filt[t][fb, fb]) for t in range(1, horizon + 1)])
+    tr_smooth = np.array([np.trace(P_smooth[t][fb, fb]) for t in range(1, horizon + 1)])
+    return {
+        "tr_pred_over_q": tr_pred / q,
+        "tr_filt_over_q": tr_filt / q,
+        "tr_smooth_over_q": tr_smooth / q,
+        "tr_init_over_q": float(np.trace(P_filt[0][fb, fb])) / q,
+        "tr_filt_scaled": float(np.trace(P_filt[horizon][cur, cur])) * n / q,
+        "tr_smooth_scaled": float(np.trace(P_smooth[horizon][cur, cur])) * n / q,
+        "steady_state_t": steady_state_onset(tr_pred, tol),
+    }

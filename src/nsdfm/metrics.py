@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["mse_common", "relative_mse", "DEFAULT_T_MIN"]
+__all__ = ["mse_common", "DEFAULT_T_MIN"]
 
 # First evaluated period (one-based); the filter warm-up is excluded.
 DEFAULT_T_MIN = 3
@@ -21,9 +21,3 @@ def mse_common(chi_hat: np.ndarray, chi: np.ndarray, t_min: int = DEFAULT_T_MIN)
     d = chi_hat[:, t_min - 1:] - chi[:, t_min - 1:]
     return float(np.mean(d ** 2))
 
-
-def relative_mse(mse_a: float, mse_b: float) -> float:
-    """Ratio of two MSEs; below one means the first estimator wins."""
-    if mse_b <= 0:
-        raise ValueError("reference MSE must be positive")
-    return float(mse_a / mse_b)

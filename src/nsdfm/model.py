@@ -7,7 +7,8 @@ The observation model for series i at time t is
 with a VAR(p) factor process, random-walk idiosyncratic components for a
 subset of series, and local level / local linear trend states for further
 subsets.  ``build_state_space`` packs the model into a compact linear
-state-space form whose state vector is
+state-space form whose state vector, laid out by ``ModelSpec.layout``
+alone, is
 
     [ factor companion block | xi_i, i in idio_i1 | alpha_i, i in local_level
       | beta_i, i in local_trend ]
@@ -80,26 +81,20 @@ class ModelSpec:
                 raise ValueError(f"{name} contains indices outside 0..{self.n - 1}")
 
     @property
-    def n1(self) -> int:
-        return len(self.idio_i1)
-
-    @property
-    def n_a(self) -> int:
-        return len(self.local_level)
-
-    @property
-    def n_b(self) -> int:
-        return len(self.local_trend)
-
-    @property
     def idio_im(self) -> frozenset[int]:
         """Series with any extra latent state (measurement error is phi-tiny)."""
         return self.idio_i1 | self.local_level | self.local_trend
 
     @property
-    def n_states(self) -> int:
-        """Total state dimension q*max(s+1, p) + n1 + n_a + n_b."""
-        return self.q * max(self.s + 1, self.p) + self.n1 + self.n_a + self.n_b
+    def layout(self) -> StateLayout:
+        """The state vector's layout; the factor companion has max(s+1, p) lags."""
+        return StateLayout(
+            q=self.q,
+            n_lags=max(self.s + 1, self.p),
+            xi_series=tuple(sorted(self.idio_i1)),
+            alpha_series=tuple(sorted(self.local_level)),
+            beta_series=tuple(sorted(self.local_trend)),
+        )
 
 
 @dataclass
@@ -223,7 +218,7 @@ class StateLayout:
     """Maps state-vector positions to model components."""
 
     q: int
-    n_lags: int            # companion length max(s+1, p)
+    n_lags: int            # factor lags held in the companion block
     xi_series: tuple[int, ...]
     alpha_series: tuple[int, ...]
     beta_series: tuple[int, ...]
@@ -304,19 +299,13 @@ def companion(var_coeffs: list[np.ndarray], n_lags: int) -> np.ndarray:
 def build_state_space(spec: ModelSpec, params: Params) -> StateSpace:
     """Assemble the compact state-space system for (spec, params).
 
-    The factor companion block uses q*max(s+1, p) states so one block
-    serves both the measurement lags and the VAR lags; slots beyond the
+    The state follows ``spec.layout``, whose factor companion block holds
+    enough lags for both the measurement and the VAR; slots beyond the
     available coefficients load zeros.  Deterministic given its inputs.
     """
     params.validate(spec)
-    q, s, p = spec.q, spec.s, spec.p
-    layout = StateLayout(
-        q=q,
-        n_lags=max(s + 1, p),
-        xi_series=tuple(sorted(spec.idio_i1)),
-        alpha_series=tuple(sorted(spec.local_level)),
-        beta_series=tuple(sorted(spec.local_trend)),
-    )
+    q, s = spec.q, spec.s
+    layout = spec.layout
     K = layout.K
     r = layout.n_factor_states
 

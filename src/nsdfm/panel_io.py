@@ -177,7 +177,7 @@ def write_table(path, columns: list[str], rows: list[list], metadata: dict | Non
 
 # configuration files ------------------------------------------------------
 
-_MODEL_KEYS = {"n", "T", "q", "s", "p", "idio_i1", "local_level", "local_trend", "detrend", "standardize"}
+_MODEL_KEYS = {"q", "s", "p", "idio_i1", "local_level", "local_trend", "detrend", "standardize"}
 _EM_KEYS = {"max_iter", "tolerance", "phi_policy", "kappa"}
 _MC_KEYS = {
     "n", "T", "q", "s", "d", "p", "n1", "nb", "tau", "theta", "mu",

@@ -44,33 +44,28 @@ VARIANCE_FLOOR = 1.0e-12
 
 @dataclass
 class PreEstimate:
-    """Iteration-0 estimates plus the Kalman filter initialization."""
+    """Iteration-0 estimates plus the Kalman filter initialization.
 
-    loadings: list[np.ndarray]
-    f_tilde: np.ndarray              # q x T pre-factor path
-    var_coeffs: list[np.ndarray]
-    gamma_u: np.ndarray
-    gamma_e_diag: np.ndarray
-    alpha_check: np.ndarray          # OLS intercepts (0 off the detrend set)
-    beta_check: np.ndarray           # OLS slopes (0 off the detrend set)
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    ``params`` holds every iteration-0 parameter; its ``alpha0`` and
+    ``beta0`` are the OLS intercepts and slopes (0 off ``detrend_set``).
+    ``init_state_mean`` and ``init_state_cov`` follow ``spec.layout``.
+    """
+
     params: Params
+    f_tilde: np.ndarray              # q x T pre-factor path
     init_state_mean: np.ndarray
     init_state_cov: np.ndarray
     detrend_set: frozenset[int]
 
 
-def detrend_ols(series: np.ndarray, in_trend_set: bool, mask: np.ndarray | None = None):
-    """OLS of a series on (1, t) with t = 1..T; identity if not flagged.
+def detrend_ols(series: np.ndarray, mask: np.ndarray | None = None):
+    """OLS of a series on (1, t) with t = 1..T.
 
     Returns (alpha, beta, residual series).  Only observed cells enter the
     regression when a mask is given; residuals at missing cells are NaN.
     """
     y = np.asarray(series, dtype=float)
     T = y.shape[0]
-    if not in_trend_set:
-        return 0.0, 0.0, y.copy()
     if T < 3:
         raise ValueError("detrending needs T >= 3")
     t = np.arange(1, T + 1, dtype=float)
@@ -247,9 +242,10 @@ def p00_init(companion: np.ndarray, gamma_u: np.ndarray) -> np.ndarray:
 def initial_state_cov(spec: ModelSpec, var_coeffs: list[np.ndarray], gamma_u: np.ndarray,
                       kappa: float) -> np.ndarray:
     """kappa * I over the state, with the :func:`p00_init` block for the factor companion."""
-    c = max(spec.s + 1, spec.p)
-    P0 = np.eye(spec.n_states) * kappa
-    P0[:spec.q * c, :spec.q * c] = p00_init(companion(var_coeffs, c), gamma_u)
+    layout = spec.layout
+    r = layout.n_factor_states
+    P0 = np.eye(layout.K) * kappa
+    P0[:r, :r] = p00_init(companion(var_coeffs, layout.n_lags), gamma_u)
     return P0
 
 
@@ -279,16 +275,13 @@ def pre_estimate(
     alpha_check = np.zeros(n)
     beta_check = np.zeros(n)
     x_det = np.array(x)
-    tgrid = np.arange(1, T + 1, dtype=float)
-    for i in range(n):
-        a, b, _ = detrend_ols(x[i], i in D, mask[i])
-        alpha_check[i], beta_check[i] = a, b
-        x_det[i] = x[i] - a - b * tgrid
+    for i in sorted(D):
+        alpha_check[i], beta_check[i], x_det[i] = detrend_ols(x[i], mask[i])
 
     dx = _filled_differences(x_det, mask)
     x_fill = _filled_levels(x_det, mask, dx)
 
-    B0, M, V = pc_first_differences(dx, q)
+    B0, M, _ = pc_first_differences(dx, q)
     f_tilde = (B0.T @ x_fill) / M[:, None]      # M^{-1} B0' x
     lag = lagged_loadings(dx, B0, f_tilde, spec.s)
     loadings = [B0] + lag
@@ -321,29 +314,15 @@ def pre_estimate(
         beta0=beta_check,
     )
 
-    c = max(spec.s + 1, spec.p)
-    init_mean = np.zeros(spec.n_states)
-    for k in range(c):
-        init_mean[k * q:(k + 1) * q] = f_tilde[:, 0]
-    off = q * c
-    off += spec.n1  # xi states start at zero
-    for j, i in enumerate(sorted(spec.local_level)):
-        init_mean[off + j] = alpha_check[i]
-    off += spec.n_a
-    for j, i in enumerate(sorted(spec.local_trend)):
-        init_mean[off + j] = beta_check[i]
+    layout = spec.layout
+    init_mean = np.zeros(layout.K)  # xi states start at zero
+    init_mean[:layout.n_factor_states] = np.tile(f_tilde[:, 0], layout.n_lags)
+    init_mean[layout.alpha_slice] = alpha_check[list(layout.alpha_series)]
+    init_mean[layout.beta_slice] = beta_check[list(layout.beta_series)]
 
     return PreEstimate(
-        loadings=loadings,
-        f_tilde=f_tilde,
-        var_coeffs=A,
-        gamma_u=gamma_u,
-        gamma_e_diag=ge,
-        alpha_check=alpha_check,
-        beta_check=beta_check,
-        eigenvalues=M,
-        eigenvectors=V,
         params=params,
+        f_tilde=f_tilde,
         init_state_mean=init_mean,
         init_state_cov=initial_state_cov(spec, A, gamma_u, kappa),
         detrend_set=D,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, Panel, Params, build_state_space, common_component_path
+from .model import ModelSpec, Panel, Params
 
 __all__ = [
     "MCConfig",
@@ -37,7 +37,6 @@ __all__ = [
     "gen_innovations",
     "apply_trends_and_rescale",
     "simulate_panel",
-    "simulate_from_params",
     "replication_rng",
 ]
 
@@ -289,33 +288,3 @@ def simulate_panel(config: MCConfig, replication: int = 0) -> SimulatedPanel:
         replication=replication,
     )
 
-
-def simulate_from_params(
-    spec: ModelSpec,
-    params: Params,
-    rng: np.random.Generator,
-    init_state: np.ndarray | None = None,
-    measurement_noise: bool = True,
-):
-    """Draw a panel exactly from the compact state-space model.
-
-    Useful for fixed-point and oracle-style tests where the data must be
-    model-consistent.  Returns (Panel, states (T+1) x K, chi).
-    """
-    ss = build_state_space(spec, params)
-    K = ss.K
-    T = spec.T
-    states = np.zeros((T + 1, K))
-    states[0] = np.zeros(K) if init_state is None else np.asarray(init_state, dtype=float)
-    cQ = np.zeros((K, K))
-    pos = np.diag(ss.state_innovation_cov) > 0
-    sub = ss.state_innovation_cov[np.ix_(pos, pos)]
-    cQ[np.ix_(pos, pos)] = np.linalg.cholesky(sub)
-    x = np.zeros((spec.n, T))
-    for t in range(1, T + 1):
-        states[t] = ss.transition_map @ states[t - 1] + cQ @ rng.standard_normal(K)
-        x[:, t - 1] = ss.measurement_map(t - 1) @ states[t]
-    if measurement_noise:
-        x += np.sqrt(ss.measurement_cov_diag)[:, None] * rng.standard_normal((spec.n, T))
-    chi = common_component_path(params.loadings, states[1:], ss.layout)
-    return Panel.from_data(x), states, chi

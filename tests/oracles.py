@@ -3,13 +3,14 @@
 The joint-Gaussian oracle stacks every state and every observed cell of a
 small instance into one multivariate normal and computes conditional
 moments and the log-density directly, with no Kalman recursion involved.
+``simulate_from_params`` draws model-consistent panels for these checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from nsdfm.model import Panel, StateSpace
+from nsdfm.model import ModelSpec, Panel, Params, StateSpace, build_state_space, common_component_path
 
 
 def joint_gaussian_moments(ss: StateSpace, panel: Panel, init_mean, init_cov):
@@ -154,3 +155,34 @@ def var2_polynomial_roots(A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
     eig = np.linalg.eigvals(comp)
     nz = eig[np.abs(eig) > 1e-12]
     return 1.0 / nz
+
+
+def simulate_from_params(
+    spec: ModelSpec,
+    params: Params,
+    rng: np.random.Generator,
+    init_state: np.ndarray | None = None,
+    measurement_noise: bool = True,
+):
+    """Draw a panel exactly from the compact state-space model.
+
+    Useful for fixed-point and oracle-style tests where the data must be
+    model-consistent.  Returns (Panel, states (T+1) x K, chi).
+    """
+    ss = build_state_space(spec, params)
+    K = ss.K
+    T = spec.T
+    states = np.zeros((T + 1, K))
+    states[0] = np.zeros(K) if init_state is None else np.asarray(init_state, dtype=float)
+    cQ = np.zeros((K, K))
+    pos = np.diag(ss.state_innovation_cov) > 0
+    sub = ss.state_innovation_cov[np.ix_(pos, pos)]
+    cQ[np.ix_(pos, pos)] = np.linalg.cholesky(sub)
+    x = np.zeros((spec.n, T))
+    for t in range(1, T + 1):
+        states[t] = ss.transition_map @ states[t - 1] + cQ @ rng.standard_normal(K)
+        x[:, t - 1] = ss.measurement_map(t - 1) @ states[t]
+    if measurement_noise:
+        x += np.sqrt(ss.measurement_cov_diag)[:, None] * rng.standard_normal((spec.n, T))
+    chi = common_component_path(params.loadings, states[1:], ss.layout)
+    return Panel.from_data(x), states, chi

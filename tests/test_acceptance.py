@@ -30,7 +30,7 @@ def test_criterion_1_oracle_equivalence():
     worst = 0.0
     while checked < 50:
         spec, params = random_instance(rng)
-        if spec.n_states * spec.T > 30:
+        if spec.layout.K * spec.T > 30:
             continue
         ss = build_state_space(spec, params)
         panel = random_panel(spec, rng, missing_frac=0.15 if checked % 3 == 0 else 0.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nsdfm.competitors import pc_diff_corrected, pc_diff_cumulate, pc_levels
-from nsdfm.metrics import mse_common, relative_mse
+from nsdfm.metrics import mse_common
 from nsdfm.model import Panel
 
 
@@ -80,8 +80,5 @@ def test_metrics_values():
     a = np.array([[0.0, 1.0], [2.0, 2.0]])
     b = np.array([[0.0, 0.0], [0.0, 2.0]])
     assert mse_common(a, b, t_min=1) == pytest.approx(1.25)
-    assert relative_mse(0.5, 2.0) == pytest.approx(0.25)
     with pytest.raises(ValueError):
         mse_common(np.zeros((2, 3)), np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        relative_mse(1.0, 0.0)

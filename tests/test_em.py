@@ -3,9 +3,9 @@ import pytest
 
 from nsdfm.em import EMOptions, SufficientStats, _solve_measurement, e_step, fit, m_step_var
 from nsdfm.model import ModelSpec, Panel, Params, build_state_space
-from nsdfm.simulate import MCConfig, simulate_from_params, simulate_panel
+from nsdfm.simulate import MCConfig, simulate_panel
 from conftest import random_instance
-from oracles import joint_gaussian_moments
+from oracles import joint_gaussian_moments, simulate_from_params
 
 
 def stats_from_states(F: np.ndarray, x: np.ndarray, layout, spec):
@@ -124,7 +124,7 @@ def test_e_step_moments_match_oracle(seed):
     rng = np.random.default_rng(seed + 100)
     while True:
         spec, params = random_instance(rng)
-        if spec.n_states * spec.T <= 30:
+        if spec.layout.K * spec.T <= 30:
             break
     ss = build_state_space(spec, params)
     data = rng.standard_normal((spec.n, spec.T))
@@ -305,10 +305,10 @@ def test_result_accessors(rng):
     cfg = MCConfig(n=20, T=40, q=1, s=0, n1=3, nb=3, tau=0.0, seed=13, replications=1)
     sim = simulate_panel(cfg, 0)
     res = fit(sim.spec, sim.panel, EMOptions(max_iter=20, detrend=sim.trend_set))
-    det = res.fitted_deterministic()
-    assert det.shape == (20, 40)
+    assert res.trend_alpha.shape == res.trend_beta.shape == (20,)
     off = [i for i in range(20) if i not in sim.trend_set]
-    np.testing.assert_array_equal(det[off], 0.0)
+    np.testing.assert_array_equal(res.trend_alpha[off], 0.0)
+    np.testing.assert_array_equal(res.trend_beta[off], 0.0)
     paths = res.smoothed_state_paths()
     assert set(paths) == {"xi", "alpha", "beta"}
     for i in range(20):

@@ -55,6 +55,10 @@ def test_config_unknown_key_rejected(tmp_path):
     cfg.write_text("[mc]\ndelta = 0.2\n")
     with pytest.raises(ConfigError, match="delta"):
         load_config(cfg)
+    for key in ("n", "T"):  # [model] takes n and T from the panel
+        cfg.write_text(f"[model]\n{key} = 5\n")
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            load_config(cfg)
 
 
 def test_readme_config_example_loads(tmp_path):
@@ -168,6 +172,15 @@ def test_cli_bad_config_exit_code(tmp_path):
     cfg.write_text("[mc]\nnot_a_key = 3\n")
     rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)])
     assert rc == 2
+
+
+def test_cli_benchmark_only_flags_rejected_elsewhere(tmp_path):
+    # only benchmark runs workers or writes a cell table
+    for flag, value in (("--jobs", "2"), ("--format", "json")):
+        rc = main(["simulate", "--n", "10", "--T", "20", "--tau", "0", flag, value,
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+    assert not (tmp_path / "panel.csv").exists()
 
 
 def test_cli_entrypoint_subprocess(tmp_path):

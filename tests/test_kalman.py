@@ -60,7 +60,7 @@ def test_filter_and_smoother_match_joint_gaussian_oracle(seed):
     rng = np.random.default_rng(seed)
     while True:
         spec, params = random_instance(rng)
-        if spec.n_states * spec.T <= 30:
+        if spec.layout.K * spec.T <= 30:
             break
     ss = build_state_space(spec, params)
     panel = random_panel(spec, rng, missing_frac=0.2 if seed % 2 else 0.0)
@@ -153,17 +153,14 @@ def test_update_branches_agree():
 
 def test_steady_state_diagnostics_shape_and_flag():
     rng = np.random.default_rng(3)
-    systems = {}
     for n in (5, 10):
         spec, params = random_instance(rng, n=n, T=4, q=1, s=0, p=1, with_states=False)
         ss = build_state_space(spec, params)
-        systems[n] = (ss, np.eye(ss.K) * 100.0)
-    res = steady_state_diagnostics(systems, horizon=12)
-    for n in (5, 10):
-        assert res[n]["tr_pred_over_q"].shape == (12,)
-        assert res[n]["steady_state_t"] is not None
+        res = steady_state_diagnostics(ss, np.eye(ss.K) * 100.0, horizon=12)
+        assert res["tr_pred_over_q"].shape == (12,)
+        assert res["steady_state_t"] is not None
         # one-step-ahead trace decreasing toward its steady state
-        d = np.diff(res[n]["tr_pred_over_q"])
+        d = np.diff(res["tr_pred_over_q"])
         assert np.all(d <= 1e-8)
 
 

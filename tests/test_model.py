@@ -173,8 +173,10 @@ def test_state_dim_formula():
     for _ in range(30):
         spec, params = random_instance(rng)
         ss = build_state_space(spec, params)
-        expected = spec.q * max(spec.s + 1, spec.p) + spec.n1 + spec.n_a + spec.n_b
-        assert ss.K == expected == spec.n_states
+        expected = (spec.q * max(spec.s + 1, spec.p) + len(spec.idio_i1) + len(spec.local_level)
+                    + len(spec.local_trend))
+        assert ss.K == expected == spec.layout.K
+        assert spec.layout == ss.layout
 
 
 def test_builder_deterministic():

@@ -17,23 +17,16 @@ from oracles import lyapunov_fixed_point, ols_line_fit, power_iteration_leading_
 
 def test_detrend_exact_line():
     t = np.arange(1, 21, dtype=float)
-    a, b, resid = detrend_ols(2 + 3 * t, True)
+    a, b, resid = detrend_ols(2 + 3 * t)
     assert a == pytest.approx(2.0, abs=1e-10)
     assert b == pytest.approx(3.0, abs=1e-10)
     np.testing.assert_allclose(resid, 0.0, atol=1e-10)
 
 
-def test_detrend_not_flagged_is_identity():
-    y = np.array([1.0, 5.0, 2.0, 4.0])
-    a, b, resid = detrend_ols(y, False)
-    assert (a, b) == (0.0, 0.0)
-    np.testing.assert_array_equal(resid, y)
-
-
 def test_detrend_matches_normal_equations(rng):
     t = np.arange(1, 201, dtype=float)
     y = 1.0 + 0.5 * t + rng.standard_normal(200)
-    a, b, _ = detrend_ols(y, True)
+    a, b, _ = detrend_ols(y)
     a0, b0 = ols_line_fit(y)
     assert a == pytest.approx(a0, abs=1e-10)
     assert b == pytest.approx(b0, abs=1e-10)
@@ -107,8 +100,8 @@ def test_lagged_loadings_noiseless_recovery(rng):
     pre = pre_estimate(spec, Panel.from_data(x))
     dxf = np.diff(pre.f_tilde, axis=1)
     dx = np.diff(x, axis=1)
-    fit_dchi = pre.loadings[0] @ dxf
-    fit_dchi[:, 1:] += pre.loadings[1] @ dxf[:, :-1]
+    fit_dchi = pre.params.loadings[0] @ dxf
+    fit_dchi[:, 1:] += pre.params.loadings[1] @ dxf[:, :-1]
     resid = fit_dchi[:, 1:] - dx[:, 1:]
     r2 = 1 - resid.var() / dx[:, 1:].var()
     assert r2 > 0.999
@@ -210,8 +203,8 @@ def test_pre_estimate_runs_with_missing_cells(rng):
     spec = ModelSpec(n=n, T=T, q=2, s=0, p=2)
     pre = pre_estimate(spec, panel)
     assert np.all(np.isfinite(pre.f_tilde))
-    assert np.all(pre.gamma_e_diag > 0)
-    assert pre.init_state_cov.shape == (spec.n_states, spec.n_states)
+    assert np.all(pre.params.gamma_e_diag > 0)
+    assert pre.init_state_cov.shape == (spec.layout.K, spec.layout.K)
 
 
 def test_fixed_initialization_constants(rng):
@@ -226,6 +219,26 @@ def test_fixed_initialization_constants(rng):
     assert pre.params.sigma2_eta[2] == 1e-2
     np.testing.assert_allclose(pre.params.sigma2_nu[[0, 1, 2]], 1e-5)
     assert np.all(pre.params.sigma2_nu[3:] == 0)
+
+
+def test_init_state_mean_follows_layout(rng):
+    # q = 2 with max(s+1, p) = 3 lags, then 2 xi, 2 local-level and 2 local-trend states
+    n, T = 12, 80
+    t = np.arange(1, T + 1)
+    x = np.cumsum(rng.standard_normal((n, T)), axis=1) + 0.3 * t + 2.0
+    spec = ModelSpec(
+        n=n, T=T, q=2, s=1, p=3,
+        idio_i1=frozenset({6, 1}), local_level=frozenset({9, 3}), local_trend=frozenset({4, 8}),
+    )
+    pre = pre_estimate(spec, Panel.from_data(x))
+    m = pre.init_state_mean
+    assert m.shape == (12,)
+    np.testing.assert_array_equal(m[:6], np.concatenate([pre.f_tilde[:, 0]] * 3))
+    np.testing.assert_array_equal(m[6:8], 0.0)
+    np.testing.assert_array_equal(m[8:10], pre.params.alpha0[[3, 9]])
+    np.testing.assert_array_equal(m[10:12], pre.params.beta0[[4, 8]])
+    assert np.all(pre.params.alpha0[[3, 4, 8, 9]] != 0)
+    assert np.all(pre.params.beta0[[3, 4, 8, 9]] != 0)
 
 
 
