@@ -25,7 +25,7 @@ m_em = mse_common(res.chi, sim.chi)
 print(f"\ncommon-component MSE (t >= 3): EM = {m_em:.4f}")
 r = cfg.q * (cfg.s + 1)
 for name, est in [
-    ("PC on levels", pc_levels(sim.panel, r, demean=True)),
+    ("PC on levels", pc_levels(sim.panel, r)),
     ("PC on differences, cumulated", pc_diff_cumulate(sim.panel, r)),
     ("PC on differences, corrected", pc_diff_corrected(sim.panel, r)),
 ]:

@@ -21,7 +21,7 @@ print(f"{cfg.nb} series have linear trends, slopes in [0.3, 0.5]")
 res = fit(sim.spec, sim.panel, EMOptions(max_iter=100, detrend=sim.trend_set))
 
 m_em = mse_common(res.chi, sim.chi)
-m_b = mse_common(pc_levels(sim.panel, 2, demean=True).chi, sim.chi)
+m_b = mse_common(pc_levels(sim.panel, 2).chi, sim.chi)
 print(f"\ncommon-component MSE: EM = {m_em:.3f}, PC on levels = {m_b:.1f} "
       f"(relative {m_em / m_b:.4f}; levels PCs fail under idiosyncratic unit roots)")
 

@@ -107,7 +107,7 @@ def run_replication(
         r = config.q * (config.s + 1)
         panel = sim.panel
         rec.mse_competitors = {
-            "pc_levels": mse_common(pc_levels(panel, r, demean=True).chi, sim.chi, t_min),
+            "pc_levels": mse_common(pc_levels(panel, r).chi, sim.chi, t_min),
             "pc_diff_cumulate": mse_common(pc_diff_cumulate(panel, r).chi, sim.chi, t_min),
             "pc_diff_corrected": mse_common(pc_diff_corrected(panel, r).chi, sim.chi, t_min),
         }

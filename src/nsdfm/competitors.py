@@ -48,24 +48,17 @@ def _dense(panel: Panel) -> np.ndarray:
     return x
 
 
-def pc_levels(panel: Panel, r: int, demean: bool = False) -> CompetitorEstimate:
-    """Project the levels onto the span of the r leading eigenvectors.
+def pc_levels(panel: Panel, r: int) -> CompetitorEstimate:
+    """Project the demeaned levels onto the span of the r leading eigenvectors.
 
-    With ``demean`` the eigenvectors come from the covariance of the
-    per-series demeaned levels and the means are added back to the
-    projection; the default works off the raw second-moment matrix.
+    The eigenvectors come from the covariance of the per-series demeaned
+    levels, and the means are added back to the projection.
     """
     x = _dense(panel)
-    if demean:
-        xbar = x.mean(axis=1, keepdims=True)
-        xc = x - xbar
-        G = xc @ xc.T / x.shape[1]
-        V = _leading_eigvecs(G, r, strict=True)
-        chi = xbar + V @ (V.T @ xc)
-    else:
-        G = x @ x.T / x.shape[1]
-        V = _leading_eigvecs(G, r, strict=True)
-        chi = V @ (V.T @ x)
+    xbar = x.mean(axis=1, keepdims=True)
+    xc = x - xbar
+    V = _leading_eigvecs(xc @ xc.T / x.shape[1], r, strict=True)
+    chi = xbar + V @ (V.T @ xc)
     return CompetitorEstimate(chi=chi, method="pc_levels", r=r)
 
 

@@ -110,7 +110,7 @@ class EMResult:
     params: Params
     chi: np.ndarray                  # n x T estimated common component
     factors: np.ndarray              # q x T smoothed factors
-    smoothed: SmootherOutput
+    smoothed_means: np.ndarray       # (T+1, K) smoothed state means, slot 0 = initial state
     loglik_path: list[float]
     iterations: int
     converged: bool
@@ -129,7 +129,7 @@ class EMResult:
             ("beta", lay.beta_series, lay.beta_slice),
         ):
             path = np.zeros((n, T))
-            block = self.smoothed.smoothed_means[1:, sl]
+            block = self.smoothed_means[1:, sl]
             for j, i in enumerate(series):
                 path[i] = block[:, j]
             out[name] = path
@@ -483,7 +483,7 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
         params=params,
         chi=chi,
         factors=factors,
-        smoothed=smooth,
+        smoothed_means=smooth.smoothed_means,
         loglik_path=logliks,
         iterations=iterations,
         converged=converged,

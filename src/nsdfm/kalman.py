@@ -4,11 +4,13 @@ Handles missing observations by row selection, accumulates the Gaussian
 log-likelihood over observed rows only, and returns the lag-one smoothed
 covariances needed by the EM sufficient statistics.
 
-Two algebraically equivalent measurement updates are used: a direct
-update that factorizes the innovation covariance when few rows are
-observed, and a Woodbury-style gain for wide panels, which costs
-O(n K^2) instead of O(n^3) per step.  Either way the filtered covariance
-is formed in Joseph form and re-symmetrized, which keeps the recursion
+The measurement update is in information form: the gain comes from the
+Cholesky factor of P_{t|t-1}^{-1} + Z'R^{-1}Z, which costs O(n K^2) per
+step with the diagonal measurement covariance.  The innovation's
+quadratic form is a sum of two squares, e'R^{-1}e + m'P_{t|t-1}^{-1}m with
+m the gain times the innovation and e = v - Z m, so no term cancels
+however small a measurement variance is.  The filtered covariance is
+formed in Joseph form and re-symmetrized, which keeps the recursion
 stable under the near-diffuse initialization used for unit-root states.
 
 The covariance step does not depend on the data.  With a fixed measurement
@@ -93,50 +95,39 @@ def _chol_lower_inv(c: np.ndarray) -> np.ndarray:
     return np.linalg.solve(c, np.eye(c.shape[0]))
 
 
-def _filter_step(ss: StateSpace, eye_K: np.ndarray, P_prev: np.ndarray, obs: np.ndarray, t: int) -> tuple:
+def _filter_step(ss: StateSpace, P_prev: np.ndarray, obs: np.ndarray, t: int) -> tuple:
     """The data-free part of filter step t (1-based slot), from P_{t-1|t-1} and the observed rows.
 
-    Returns (P_{t|t-1}, P_{t|t}, Z, r_diag, gain, logdet_S, ci, Zr, M) with
-    Z and r_diag on the observed rows; the innovation's quadratic form needs
-    ci on the direct branch and Zr, M on the Woodbury branch.
+    Returns (P_{t|t-1}, P_{t|t}, Z, r_diag, gain, logdet_S, cPi) with Z and
+    r_diag on the observed rows and cPi the inverse Cholesky factor of
+    P_{t|t-1}, which the innovation's quadratic form needs.
     """
     P = _symmetrize(ss.transition_map @ P_prev @ ss.transition_map.T + ss.state_innovation_cov)
     if obs.size == 0:
-        return P, P, None, None, None, 0.0, None, None, None
+        return P, P, None, None, None, 0.0, None
     Z = ss.measurement_map(t - 1)[obs]
     r_diag = ss.measurement_cov_diag[obs]
-    ci = Zr = M = None
     try:
-        if obs.size <= len(eye_K):
-            # direct update: factorize the n_obs x n_obs innovation covariance
-            S = Z @ P @ Z.T + np.diag(r_diag)
-            cS = np.linalg.cholesky(S)
-            ci = _chol_lower_inv(cS)
-            gain = P @ Z.T @ (ci.T @ ci)
-            logdet_S = 2.0 * np.log(np.diag(cS)).sum()
-        else:
-            # Woodbury gain: O(n K^2) using the diagonal measurement covariance
-            Zr = Z.T / r_diag                        # K x n_obs
-            C = Zr @ Z
-            cP = np.linalg.cholesky(P)
-            cPi = _chol_lower_inv(cP)
-            M_inv = _symmetrize(cPi.T @ cPi + C)     # P^{-1} + Z' R^{-1} Z
-            cM = np.linalg.cholesky(M_inv)
-            cMi = _chol_lower_inv(cM)
-            M = cMi.T @ cMi
-            gain = M @ Zr
-            logdet_S = (
-                np.log(r_diag).sum()
-                + 2.0 * np.log(np.diag(cP)).sum()
-                + 2.0 * np.log(np.diag(cM)).sum()
-            )
+        Zr = Z.T / r_diag                        # K x n_obs
+        cP = np.linalg.cholesky(P)
+        cPi = _chol_lower_inv(cP)
+        M_inv = _symmetrize(cPi.T @ cPi + Zr @ Z)  # P^{-1} + Z' R^{-1} Z
+        cM = np.linalg.cholesky(M_inv)
+        cMi = _chol_lower_inv(cM)
+        gain = (cMi.T @ cMi) @ Zr
+        logdet_S = (
+            np.log(r_diag).sum()
+            + 2.0 * np.log(np.diag(cP)).sum()
+            + 2.0 * np.log(np.diag(cM)).sum()
+        )
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
-            f"innovation covariance singular at t={t}; check measurement variances"
+            f"P_{{t|t-1}} or P_{{t|t-1}}^-1 + Z'R^-1 Z not positive definite at t={t}; check the variances"
         ) from exc
-    IKZ = eye_K - gain @ Z
+    IKZ = -(gain @ Z)
+    IKZ.flat[::P.shape[0] + 1] += 1.0            # I - gain Z without a K x K identity per step
     P_filt = _symmetrize(IKZ @ P @ IKZ.T + (gain * r_diag) @ gain.T)
-    return P, P_filt, Z, r_diag, gain, logdet_S, ci, Zr, M
+    return P, P_filt, Z, r_diag, gain, logdet_S, cPi
 
 
 def kf_filter(
@@ -149,8 +140,9 @@ def kf_filter(
 
     At a fully missing time index the update is skipped and the
     log-likelihood contribution is zero.  Raises on non-finite inputs and
-    on a numerically singular innovation covariance (which usually
-    signals a degenerate measurement variance).
+    when the predicted covariance P_{t|t-1} at an observed time index is
+    not numerically positive definite (which usually signals a degenerate
+    state or measurement variance); every update factorizes it.
     """
     x, mask = panel.data, panel.missing_mask
     n, T = x.shape
@@ -165,7 +157,6 @@ def kf_filter(
         raise ValueError("initial moments must be finite")
 
     Theta = ss.transition_map
-    eye_K = np.eye(K)
 
     a_pred = np.zeros((T + 1, K))
     P_pred = np.zeros((T + 1, K, K))
@@ -184,10 +175,10 @@ def kf_filter(
         if hits:
             _, _, step_index[t], step = hits[0]
         else:
-            step_index[t], step = t, _filter_step(ss, eye_K, P_filt[t - 1], obs, t)
+            step_index[t], step = t, _filter_step(ss, P_filt[t - 1], obs, t)
             if not ss.time_varying:  # a step can repeat only while Z does not change with t
                 recent = recent[-1:] + [(P_filt[t - 1], obs, t, step)]
-        P, Pf, Z, r_diag, gain, logdet_S, ci, Zr, M = step
+        P, Pf, Z, r_diag, gain, logdet_S, cPi = step
 
         a = Theta @ a_filt[t - 1]
         a_pred[t], P_pred[t], P_filt[t] = a, P, Pf
@@ -196,13 +187,12 @@ def kf_filter(
             continue
 
         v = x[obs, t - 1] - Z @ a
-        if ci is not None:
-            half = ci @ v
-            quad = half @ half
-        else:
-            zv = Zr @ v
-            quad = v @ (v / r_diag) - zv @ M @ zv
-        a_filt[t] = a + gain @ v
+        m = gain @ v
+        a_filt[t] = a + m
+        # v'S^{-1}v = e'R^{-1}e + m'P^{-1}m: m minimizes (v - Zm)'R^{-1}(v - Zm) + m'P^{-1}m
+        e = v - Z @ m
+        w = cPi @ m
+        quad = e @ (e / r_diag) + w @ w
         ll[t] = -0.5 * (obs.size * _LOG_2PI + logdet_S + quad)
 
     if not np.all(np.isfinite(ll)):

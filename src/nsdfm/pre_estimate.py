@@ -123,9 +123,10 @@ def _ordered_eigh(G: np.ndarray):
 def pc_first_differences(dx: np.ndarray, q: int):
     """Loadings from the q leading eigenpairs of the differenced covariance.
 
-    Returns (B0, eigenvalues, eigenvectors) with B0 = V M^{1/2}, columns
-    ordered by descending eigenvalue and signed so the first row of V is
-    positive (falling back to the first nonzero entry of a column).
+    Returns (B0, M) with M the q leading eigenvalues and B0 = V M^{1/2} for
+    their eigenvectors V, columns ordered by descending eigenvalue and
+    signed so the first row of V is positive (falling back to the first
+    nonzero entry of a column).
     """
     T_d = dx.shape[1]
     centered = dx - dx.mean(axis=1, keepdims=True)
@@ -141,8 +142,7 @@ def pc_first_differences(dx: np.ndarray, q: int):
         lead = col[0] if col[0] != 0 else (col[nz[0]] if nz.size else 1.0)
         if lead < 0:
             V[:, j] = -col
-    B0 = V * np.sqrt(M)
-    return B0, M, V
+    return V * np.sqrt(M), M
 
 
 def lagged_loadings(dx: np.ndarray, B0: np.ndarray, f_tilde: np.ndarray, s: int) -> list[np.ndarray]:
@@ -281,7 +281,7 @@ def pre_estimate(
     dx = _filled_differences(x_det, mask)
     x_fill = _filled_levels(x_det, mask, dx)
 
-    B0, M, _ = pc_first_differences(dx, q)
+    B0, M = pc_first_differences(dx, q)
     f_tilde = (B0.T @ x_fill) / M[:, None]      # M^{-1} B0' x
     lag = lagged_loadings(dx, B0, f_tilde, spec.s)
     loadings = [B0] + lag

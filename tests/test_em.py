@@ -252,6 +252,16 @@ def test_fixed_phi_policy_not_updated():
     assert np.all(res2.params.sigma2_nu[im] > 0)
 
 
+def test_fixed_tiny_phi_loglik_never_falls():
+    # EM is monotone in the exact log-likelihood; with phi fixed at 1e-8 any
+    # fall beyond criterion 2's slack is an evaluation error in the filter
+    cfg = MCConfig(n=40, T=60, n1=5, seed=3, replications=1)
+    sim = simulate_panel(cfg, 0)
+    res = fit(sim.spec, sim.panel, EMOptions(max_iter=50, tolerance=1e-12, phi_policy=1e-8))
+    ll = np.array(res.loglik_path)
+    assert np.all(np.diff(ll) + 1e-8 * np.maximum(1.0, np.abs(ll[:-1])) >= 0.0)
+
+
 def test_sigma2_omega_recovery_at_truth(rng):
     # pure random-walk intercept with innovation variance 0.25: one E-step at
     # the truth recovers it from the smoothed second moments

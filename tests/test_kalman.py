@@ -5,8 +5,10 @@ import pytest
 
 from nsdfm.model import ModelSpec, Panel, Params, build_state_space
 from nsdfm.kalman import _filter_step, kf_filter, ks_smooth, steady_state_diagnostics
+from nsdfm.pre_estimate import pre_estimate
+from nsdfm.simulate import MCConfig, simulate_panel
 from conftest import random_instance, random_panel
-from oracles import joint_gaussian_moments
+from oracles import joint_gaussian_moments, prediction_error_loglik
 
 
 def local_level_system(sigma_u=1.0, sigma_nu=1.0):
@@ -138,13 +140,14 @@ def test_mask_equals_deletion():
 
 
 def test_update_branches_agree():
-    # n_obs <= K (direct) and n_obs > K (Woodbury) must give identical results
+    # a step with one observed row (n_obs <= K) goes through the single
+    # information-form update and must match the joint-Gaussian oracle
     rng = np.random.default_rng(31)
     spec, params = random_instance(rng, n=4, T=6, q=1, s=0, p=1, with_states=False)
     ss = build_state_space(spec, params)
     data = rng.standard_normal((4, 6))
     mask = np.ones((4, 6), dtype=bool)
-    mask[1:, 0] = False  # first step: one observed row -> direct branch
+    mask[1:, 0] = False  # first step: one observed row
     panel = Panel(np.where(mask, data, np.nan), mask)
     filt = kf_filter(ss, panel, np.zeros(ss.K), np.eye(ss.K) * 8)
     oracle = joint_gaussian_moments(ss, panel, np.zeros(ss.K), np.eye(ss.K) * 8)
@@ -195,7 +198,7 @@ def test_reused_steps_equal_fresh_steps_and_oracle():
     assert np.any(filt.step_index != np.arange(panel.T + 1))
     for t in range(1, panel.T + 1):
         obs = np.nonzero(panel.missing_mask[:, t - 1])[0]
-        P_pred, P_filt, *_ = _filter_step(ss, np.eye(ss.K), filt.filtered_covs[t - 1], obs, t)
+        P_pred, P_filt, *_ = _filter_step(ss, filt.filtered_covs[t - 1], obs, t)
         np.testing.assert_array_equal(filt.predicted_covs[t], P_pred)
         np.testing.assert_array_equal(filt.filtered_covs[t], P_filt)
 
@@ -235,3 +238,17 @@ def test_step_index_shows_no_reuse_with_local_trend():
     panel = random_panel(spec, rng)
     filt = kf_filter(ss, panel, np.zeros(ss.K), np.eye(ss.K) * 10.0)
     np.testing.assert_array_equal(filt.step_index, np.arange(spec.T + 1))
+
+
+@pytest.mark.parametrize("phi, rel", [(1e-5, 1e-12), (1e-8, 1e-9)])
+def test_loglik_matches_prediction_errors_at_tiny_phi(phi, rel):
+    # a tiny measurement variance phi on the series with extra states makes
+    # v'R^{-1}v and its Woodbury correction both O(1/phi); their difference
+    # must not lose the log-likelihood to cancellation
+    sim = simulate_panel(MCConfig(n=40, T=60, n1=5, seed=3, replications=1), 0)
+    pre = pre_estimate(sim.spec, sim.panel)
+    s2nu = pre.params.sigma2_nu.copy()
+    s2nu[sorted(sim.spec.idio_im)] = phi
+    ss = build_state_space(sim.spec, dataclasses.replace(pre.params, sigma2_nu=s2nu))
+    filt = kf_filter(ss, sim.panel, pre.init_state_mean, pre.init_state_cov)
+    assert filt.loglik == pytest.approx(prediction_error_loglik(ss, sim.panel, filt), rel=rel)

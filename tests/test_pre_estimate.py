@@ -37,7 +37,7 @@ def test_pc_recovers_exact_factor_structure(rng):
     B = np.linalg.qr(rng.standard_normal((n, q)))[0] * 3.0
     f = rng.standard_normal((q, T))
     dx = B @ f
-    B0, M, V = pc_first_differences(dx, q)
+    B0, M = pc_first_differences(dx, q)
     # principal angles between span(B0) and span(B)
     Qa = np.linalg.qr(B0)[0]
     Qb = np.linalg.qr(B)[0]
@@ -47,14 +47,16 @@ def test_pc_recovers_exact_factor_structure(rng):
 
 def test_pc_orthogonality_identity(rng):
     dx = rng.standard_normal((12, 300))
-    B0, M, V = pc_first_differences(dx, 3)
+    B0, M = pc_first_differences(dx, 3)
+    V = B0 / np.sqrt(M)
     np.testing.assert_allclose(B0.T @ B0, np.diag(M), atol=1e-10)
     assert np.all(V[0] > 0)
 
 
 def test_pc_leading_pair_matches_power_iteration(rng):
     dx = rng.standard_normal((20, 200))
-    B0, M, V = pc_first_differences(dx, 2)
+    B0, M = pc_first_differences(dx, 2)
+    V = B0 / np.sqrt(M)
     centered = dx - dx.mean(axis=1, keepdims=True)
     G = centered @ centered.T / dx.shape[1]
     lam, vec = power_iteration_leading_eig(G)
@@ -70,10 +72,10 @@ def test_sign_convention_flip_invariance(rng):
     B = rng.normal(1, 1, size=(n, q))
     x = B @ f + 0.1 * rng.standard_normal((n, T))
     dx = np.diff(x, axis=1)
-    B0a, _, _ = pc_first_differences(dx, q)
+    B0a, _ = pc_first_differences(dx, q)
     x2 = x.copy()
     x2[3] = -x2[3]
-    B0b, _, _ = pc_first_differences(np.diff(x2, axis=1), q)
+    B0b, _ = pc_first_differences(np.diff(x2, axis=1), q)
     keep = [i for i in range(n) if i != 3]
     np.testing.assert_allclose(B0a[keep], B0b[keep], atol=1e-8)
     np.testing.assert_allclose(B0a[3], -B0b[3], atol=1e-8)
@@ -81,7 +83,7 @@ def test_sign_convention_flip_invariance(rng):
 
 def test_lagged_loadings_skipped_for_s0(rng):
     dx = rng.standard_normal((5, 50))
-    B0, M, V = pc_first_differences(dx, 1)
+    B0, M = pc_first_differences(dx, 1)
     assert lagged_loadings(dx, B0, np.zeros((1, 51)), 0) == []
 
 
