@@ -45,7 +45,7 @@ print(f"steady-state one-step variance: {filt.predicted_covs[-1][0, 0]:.6f}"
 print(f"log-likelihood: {filt.loglik:.2f}")
 
 # during the gap the filter variance grows linearly, then snaps back
-gap_var = [filt.filtered_covs[t][0, 0] for t in range(59, 75)]
+gap_var = filt.filtered_covs[59:75, 0, 0]
 print("filtered variance around the gap:")
 print(np.array2string(np.array(gap_var), precision=3))
 

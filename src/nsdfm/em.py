@@ -176,18 +176,17 @@ def reduce_moments(
     K = layout.K
     r0 = (spec.s + 1) * spec.q
     S = smooth.smoothed_means          # (T+1, K)
-    P = smooth.smoothed_covs           # (T+1, K, K)
-    L1 = smooth.lag_one_covs           # (T+1, K, K)
+    P, slot = smooth.cov_bank, smooth.cov_index[1:]
 
-    SA = S[1:].T @ S[1:] + P[1:].sum(axis=0)
-    SB = np.einsum("ti,tj->ij", S[1:], S[:-1]) + L1[1:].sum(axis=0)
-    SC = S[:-1].T @ S[:-1] + P[:-1].sum(axis=0)
+    SA = S[1:].T @ S[1:] + _slot_sum(P, smooth.cov_index, slice(1, None))
+    SB = np.einsum("ti,tj->ij", S[1:], S[:-1]) + _slot_sum(smooth.lag_bank, smooth.lag_index, slice(1, None))
+    SC = S[:-1].T @ S[:-1] + _slot_sum(P, smooth.cov_index, slice(None, -1))
 
     tlab = np.arange(1, T + 1, dtype=float)
     F = S[1:, :r0]
     Z = np.concatenate([F, np.ones((T, 1)), tlab[:, None]], axis=1)      # (T, r0+2)
     EZZ = Z[:, :, None] * Z[:, None, :]
-    EZZ[:, :r0, :r0] += P[1:, :r0, :r0]
+    EZZ[:, :r0, :r0] += P[:, :r0, :r0][slot]
     m = mask.astype(float)
     gram_aug = np.einsum("it,tjk->ijk", m, EZZ)
     xz = np.where(mask, x, 0.0)
@@ -209,8 +208,8 @@ def reduce_moments(
 
         tcol = tlab[:, None]
         Spad = np.concatenate([S[1:], np.zeros((T, 1))], axis=1)
-        Ppad = np.pad(P[1:], ((0, 0), (0, 1), (0, 1)))
-        tt = np.arange(T)[:, None]
+        Ppad = np.pad(P, ((0, 0), (0, 1), (0, 1)))
+        tt = slot[:, None]
         wbar = Spad[:, mxi] + Spad[:, mal] + tcol * Spad[:, mbe]          # (T, n_m)
         var_w = (
             Ppad[tt, mxi, mxi] + Ppad[tt, mal, mal] + tcol ** 2 * Ppad[tt, mbe, mbe]
@@ -218,7 +217,7 @@ def reduce_moments(
             + 2.0 * tcol * Ppad[tt, mal, mbe]
         )
         cov_Fw = (
-            Ppad[:, :r0, mxi] + Ppad[:, :r0, mal] + tcol[:, None] * Ppad[:, :r0, mbe]
+            (Ppad[:, :r0, mxi] + Ppad[:, :r0, mal])[slot] + tcol[:, None] * Ppad[:, :r0, mbe][slot]
         )                                                                 # (T, r0, n_m)
         mask_m = m[im].T                                                  # (T, n_m)
         xz_m = xz[im].T
@@ -235,6 +234,21 @@ def reduce_moments(
         sum_xx=sum_xx, sum_xw=sum_xw, sum_ww=sum_ww,
         n_obs=n_obs, loglik=float(loglik), layout=layout,
     )
+
+
+def _slot_sum(bank: np.ndarray, index: np.ndarray, slots: slice) -> np.ndarray:
+    """Sum of ``bank[index[t]]`` over the given slots, added in slot order.
+
+    That is bitwise the per-slot array's ``sum(axis=0)``, which is what runs
+    when the bank has one entry per slot.
+    """
+    if len(bank) == len(index):
+        return bank[slots].sum(axis=0)
+    entries = index[slots].tolist()
+    acc = bank[entries[0]].copy()
+    for j in entries[1:]:
+        acc += bank[j]
+    return acc
 
 
 def _solve_measurement(
@@ -458,7 +472,7 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
         iterations = k + 1
         params, coef = _m_step(stats, spec, params, options, alpha_free, beta_free, coef, T)
         init_mean = smooth.smoothed_means[0]
-        init_cov = smooth.smoothed_covs[0]
+        init_cov = smooth.cov_bank[smooth.cov_index[0]]
         if k >= 1 and _relative_change(logliks[-1], logliks[-2]) < options.tolerance:
             converged = True
             break

@@ -16,7 +16,11 @@ stable under the near-diffuse initialization used for unit-root states.
 The covariance step does not depend on the data.  With a fixed measurement
 map the filter reuses either of its last two steps when P_{t-1|t-1} and the
 observed rows repeat bitwise, and the smoother solves its gain once per
-distinct step, so every result is bit-identical to the full recursion.
+distinct step and forms P_{t|T} and the lag-one covariance once per
+distinct (step, P_{t+1|T}) pair, so every result is bit-identical to the
+full recursion.  Each pass therefore keeps its covariances in a bank of
+distinct matrices with a per-slot index into it; the per-slot
+(T+1, K, K) arrays are built from the bank only when read.
 """
 
 from __future__ import annotations
@@ -45,21 +49,27 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass
 class FilterOutput:
-    """Filter pass results; arrays are indexed 0..T with slot 0 = initial state.
+    """Filter pass results; per-slot arrays are indexed 0..T with slot 0 = initial state.
 
     ``predicted_means[t]`` is a_{t|t-1} and ``filtered_means[t]`` a_{t|t}
-    for t >= 1; slot 0 of both holds the initial mean/covariance.
-    ``loglik_terms[t]`` is the prediction-error log-density of the rows
-    observed at t (zero at fully missing time points).  ``step_index[t]`` is the
-    slot whose covariance step gave slot t its covariances (t unless reused).
+    for t >= 1; slot 0 of both holds the initial mean.  ``loglik_terms[t]``
+    is the prediction-error log-density of the rows observed at t (zero at
+    fully missing time points).
+
+    The covariances are banked: ``cov_bank[j]`` is the pair
+    (P_{t|t-1}, P_{t|t}) of the j-th covariance step computed, entry 0
+    holding the initial covariance twice, and ``step_index[t]`` is the entry
+    of slot t.  A slot reuses an earlier step exactly when its entry is not
+    new; with no reuse the bank has one entry per slot and ``step_index`` is
+    0..T.  ``predicted_covs`` and ``filtered_covs`` build the per-slot
+    (T+1, K, K) arrays from the bank when read.
     """
 
     predicted_means: np.ndarray      # (T+1, K)
-    predicted_covs: np.ndarray       # (T+1, K, K)
     filtered_means: np.ndarray       # (T+1, K)
-    filtered_covs: np.ndarray        # (T+1, K, K)
     loglik_terms: np.ndarray         # (T+1,)
-    step_index: np.ndarray           # (T+1,) int
+    step_index: np.ndarray           # (T+1,) int, entry of cov_bank per slot
+    cov_bank: np.ndarray             # (steps, 2, K, K)
 
     @property
     def T(self) -> int:
@@ -69,30 +79,48 @@ class FilterOutput:
     def loglik(self) -> float:
         return float(self.loglik_terms[1:].sum())
 
+    @property
+    def predicted_covs(self) -> np.ndarray:
+        return self.cov_bank[self.step_index, 0]
+
+    @property
+    def filtered_covs(self) -> np.ndarray:
+        return self.cov_bank[self.step_index, 1]
+
 
 @dataclass
 class SmootherOutput:
     """Fixed-interval smoother results, indexed like :class:`FilterOutput`.
 
-    ``lag_one_covs[t]`` holds Cov(s_t, s_{t-1} | all data) for t >= 1.
+    ``cov_bank`` holds the distinct smoothed covariances, ``cov_index[t]``
+    the entry of P_{t|T}; ``lag_bank`` and ``lag_index`` do the same for
+    Cov(s_t, s_{t-1} | all data), t >= 1, whose slot 0 is a zero matrix.  A
+    bank with one entry per slot is in slot order, its index 0..T.
+    ``smoothed_covs`` and ``lag_one_covs`` build the per-slot (T+1, K, K)
+    arrays from the banks when read.
     """
 
     smoothed_means: np.ndarray       # (T+1, K)
-    smoothed_covs: np.ndarray        # (T+1, K, K)
-    lag_one_covs: np.ndarray         # (T+1, K, K); slot 0 unused (zeros)
+    cov_bank: np.ndarray             # (distinct, K, K)
+    cov_index: np.ndarray            # (T+1,) int
+    lag_bank: np.ndarray             # (distinct, K, K)
+    lag_index: np.ndarray            # (T+1,) int
 
     @property
     def T(self) -> int:
         return self.smoothed_means.shape[0] - 1
 
+    @property
+    def smoothed_covs(self) -> np.ndarray:
+        return self.cov_bank[self.cov_index]
+
+    @property
+    def lag_one_covs(self) -> np.ndarray:
+        return self.lag_bank[self.lag_index]
+
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.T)
-
-
-def _chol_lower_inv(c: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular Cholesky factor."""
-    return np.linalg.solve(c, np.eye(c.shape[0]))
 
 
 def _filter_step(ss: StateSpace, P_prev: np.ndarray, obs: np.ndarray, t: int) -> tuple:
@@ -110,10 +138,10 @@ def _filter_step(ss: StateSpace, P_prev: np.ndarray, obs: np.ndarray, t: int) ->
     try:
         Zr = Z.T / r_diag                        # K x n_obs
         cP = np.linalg.cholesky(P)
-        cPi = _chol_lower_inv(cP)
+        cPi = np.linalg.inv(cP)
         M_inv = _symmetrize(cPi.T @ cPi + Zr @ Z)  # P^{-1} + Z' R^{-1} Z
         cM = np.linalg.cholesky(M_inv)
-        cMi = _chol_lower_inv(cM)
+        cMi = np.linalg.inv(cM)
         gain = (cMi.T @ cMi) @ Zr
         logdet_S = (
             np.log(r_diag).sum()
@@ -159,29 +187,43 @@ def kf_filter(
     Theta = ss.transition_map
 
     a_pred = np.zeros((T + 1, K))
-    P_pred = np.zeros((T + 1, K, K))
     a_filt = np.zeros((T + 1, K))
-    P_filt = np.zeros((T + 1, K, K))
     ll = np.zeros(T + 1)
     step_index = np.zeros(T + 1, dtype=np.intp)
 
     a_pred[0] = a_filt[0] = init_mean
-    P_pred[0] = P_filt[0] = _symmetrize(init_cov)
+    bank = np.empty((T + 1, 2, K, K))  # an entry per step computed, trimmed at the end
+    bank[0] = _symmetrize(init_cov)
+    size = 1
 
-    recent: list[tuple] = []  # (P_{t-1|t-1}, observed rows, slot, step) of the last two steps computed
+    # a step can repeat only while Z does not change with t; columns with
+    # equal observed rows share a pattern id
+    pattern = None if ss.time_varying else _column_patterns(mask)
+    recent: list[tuple] = []  # (entry of P_{t-1|t-1}, pattern, entry, step) of the last two steps computed
+    equal_inputs: dict[tuple[int, int], bool] = {}
+
+    def same_input(j: int, i: int) -> bool:
+        if (j, i) not in equal_inputs:
+            equal_inputs[j, i] = np.array_equal(bank[j, 1], bank[i, 1])
+        return equal_inputs[j, i]
+
+    k = 0  # bank entry of slot t-1
     for t in range(1, T + 1):
         obs = np.nonzero(mask[:, t - 1])[0]
-        hits = [e for e in recent if np.array_equal(e[1], obs) and np.array_equal(e[0], P_filt[t - 1])]
-        if hits:
-            _, _, step_index[t], step = hits[0]
+        hit = next((e for e in recent if e[1] == pattern[t - 1] and same_input(k, e[0])), None)
+        if hit is not None:
+            _, _, k, step = hit
         else:
-            step_index[t], step = t, _filter_step(ss, P_filt[t - 1], obs, t)
-            if not ss.time_varying:  # a step can repeat only while Z does not change with t
-                recent = recent[-1:] + [(P_filt[t - 1], obs, t, step)]
-        P, Pf, Z, r_diag, gain, logdet_S, cPi = step
+            step = _filter_step(ss, bank[k, 1], obs, t)
+            if pattern is not None:
+                recent = recent[-1:] + [(k, pattern[t - 1], size, step)]
+            k, size = size, size + 1
+            bank[k, 0], bank[k, 1] = step[0], step[1]
+        step_index[t] = k
+        _, _, Z, r_diag, gain, logdet_S, cPi = step
 
         a = Theta @ a_filt[t - 1]
-        a_pred[t], P_pred[t], P_filt[t] = a, P, Pf
+        a_pred[t] = a
         if obs.size == 0:
             a_filt[t] = a
             continue
@@ -197,7 +239,18 @@ def kf_filter(
 
     if not np.all(np.isfinite(ll)):
         raise FloatingPointError("non-finite log-likelihood term; filter diverged")
-    return FilterOutput(a_pred, P_pred, a_filt, P_filt, ll, step_index)
+    return FilterOutput(a_pred, a_filt, ll, step_index, _trim(bank, 0, size))
+
+
+def _trim(buffer: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Entries start..stop-1 of a bank buffer; a copy, so the buffer is freed, unless that is all of it."""
+    return buffer if stop - start == len(buffer) else buffer[start:stop].copy()
+
+
+def _column_patterns(mask: np.ndarray) -> list[int]:
+    """Per column, an id shared by exactly the columns with the same observed rows."""
+    ids: dict[bytes, int] = {}
+    return [ids.setdefault(col.tobytes(), len(ids)) for col in mask.T]
 
 
 def ks_smooth(filt: FilterOutput, ss: StateSpace) -> SmootherOutput:
@@ -205,35 +258,67 @@ def ks_smooth(filt: FilterOutput, ss: StateSpace) -> SmootherOutput:
 
     The smoothed cross-covariance uses Cov(s_t, s_{t-1} | data) =
     P_{t|T} J_{t-1}', with J the usual smoother gain; slot 0 of the output
-    arrays carries the smoothed initial state, which re-seeds the filter
-    across EM iterations.  J_t depends on P_{t|t} alone, so it is solved
-    once per distinct ``filt.step_index``.
+    carries the smoothed initial state, which re-seeds the filter across EM
+    iterations.  J_t depends on P_{t|t} alone, so for a step that repeats it
+    is solved once, and P_{t|T} with the lag-one covariance of slot t+1 is
+    formed once per P_{t+1|T} entry.  A P_{t|T} bitwise equal to P_{t+1|T}
+    or P_{t+2|T} shares its entry, so a smoother that has settled, to a
+    fixed point or a two-cycle like the filter's, stops forming anything.
     """
     Theta = ss.transition_map
     T = filt.T
     K = Theta.shape[0]
+    bank = filt.cov_bank
     s_mean = np.zeros((T + 1, K))
-    s_cov = np.zeros((T + 1, K, K))
-    lag1 = np.zeros((T + 1, K, K))
 
-    steps = filt.step_index[:T].tolist()
-    repeated = (np.bincount(steps) > 1).tolist()
+    steps = filt.step_index.tolist()
+    repeated = (np.bincount(steps[:T], minlength=len(bank)) > 1).tolist()
     gains: dict[int, np.ndarray] = {}
+    formed: dict[tuple[int, int], tuple[int, int]] = {}  # (step, entry of P_{t+1|T}) -> entries of slot t
+    # both banks fill downward from entry T as the pass runs backward, and are trimmed at the end
+    covs = np.empty((T + 1, K, K))
+    lags = np.empty((T + 1, K, K))
+    covs[T] = bank[steps[T], 1]
+    c_low, l_low = T, T + 1
+    cov_index = [0] * T + [T]
+    lag_index = [0] * (T + 1)
     s_mean[T] = filt.filtered_means[T]
-    s_cov[T] = filt.filtered_covs[T]
     for t in range(T - 1, -1, -1):
-        Pf = filt.filtered_covs[t]
-        Pp = filt.predicted_covs[t + 1]
-        J = gains.get(steps[t])
+        k = steps[t]
+        Pf, Pp = bank[k, 1], bank[steps[t + 1], 0]
+        J = gains.get(k)
         if J is None:
             # J_t = P_{t|t} Theta' P_{t+1|t}^{-1}, via a solve on the symmetric Pp
             J = np.linalg.solve(Pp, Theta @ Pf).T
-            if repeated[steps[t]]:
-                gains[steps[t]] = J
+            if repeated[k]:
+                gains[k] = J
         s_mean[t] = filt.filtered_means[t] + J @ (s_mean[t + 1] - filt.predicted_means[t + 1])
-        s_cov[t] = _symmetrize(Pf + J @ (s_cov[t + 1] - Pp) @ J.T)
-        lag1[t + 1] = s_cov[t + 1] @ J.T
-    return SmootherOutput(s_mean, s_cov, lag1)
+        key = (k, cov_index[t + 1])
+        entries = formed.get(key)
+        if entries is None:
+            P_next = covs[key[1]]
+            P = _symmetrize(Pf + J @ (P_next - Pp) @ J.T)
+            l_low -= 1
+            lags[l_low] = P_next @ J.T
+            # a settled P_{t|T} shares the entry of P_{t+1|T} or, in a two-cycle, of P_{t+2|T}
+            same = (e for e in cov_index[t + 1:t + 3] if np.array_equal(P, covs[e]))
+            entry = next(same, None) if repeated[k] else None
+            if entry is None:
+                c_low -= 1
+                covs[c_low] = P
+                entry = c_low
+            entries = (entry, l_low)
+            if repeated[k]:
+                formed[key] = entries
+        cov_index[t], lag_index[t + 1] = entries
+    l_low -= 1
+    lags[l_low] = 0.0
+    lag_index[0] = l_low
+    return SmootherOutput(
+        s_mean,
+        _trim(covs, c_low, T + 1), np.array(cov_index) - c_low,
+        _trim(lags, l_low, T + 1), np.array(lag_index) - l_low,
+    )
 
 
 def steady_state_onset(trace: np.ndarray, tol: float) -> int | None:

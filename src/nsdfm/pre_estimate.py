@@ -116,7 +116,9 @@ def _ordered_eigh(G: np.ndarray):
     """Eigenpairs in descending eigenvalue order with a lexicographic tie-break."""
     vals, vecs = np.linalg.eigh(G)
     vals, vecs = vals[::-1], vecs[:, ::-1]
-    order = sorted(range(len(vals)), key=lambda j: (-vals[j], tuple(-vecs[:, j])))
+    order = np.arange(len(vals))
+    if not np.all(vals[:-1] > vals[1:]):  # strictly decreasing needs no sort; ties go by the eigenvectors
+        order = sorted(order, key=lambda j: (-vals[j], tuple(-vecs[:, j])))
     return vals[order], vecs[:, order]
 
 

@@ -1,7 +1,15 @@
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# One BLAS/OpenMP thread per process unless the caller chose otherwise: the
+# Monte Carlo tests run worker processes, and threads on top of them
+# oversubscribe the cores.  numpy reads these when it is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -80,3 +88,19 @@ def random_panel(spec: ModelSpec, rng, missing_frac: float = 0.0) -> Panel:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def settled_panel(rng, T_full=30, with_states=False):
+    """Time-invariant system and panel: fully observed columns long enough
+    for the covariances to settle, then one partly and one fully missing
+    column, then two observed columns.  With ``with_states`` the system
+    carries I(1) idiosyncratic or local-level states, never a local trend.
+    Returns (spec, params, panel)."""
+    while True:
+        spec, params = random_instance(rng, n=4, T=T_full + 4, q=2, s=0, p=1, with_states=with_states)
+        if not spec.local_trend and (spec.idio_im or not with_states):
+            break
+    data = rng.standard_normal((spec.n, spec.T))
+    data[1:, T_full] = np.nan
+    data[:, T_full + 1] = np.nan
+    return spec, params, Panel.from_data(data)

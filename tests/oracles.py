@@ -4,13 +4,18 @@ The joint-Gaussian oracle stacks every state and every observed cell of a
 small instance into one multivariate normal and computes conditional
 moments and the log-density directly, with no Kalman recursion involved.
 ``simulate_from_params`` draws model-consistent panels for these checks.
+``per_slot_smooth`` and ``per_slot_reduce_moments`` are the smoother and
+the moment reduction as plain per-slot recursions over (T+1, K, K) arrays,
+the references for the banked versions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from nsdfm.model import ModelSpec, Panel, Params, StateSpace, build_state_space, common_component_path
+from nsdfm.em import SufficientStats
+from nsdfm.model import (ModelSpec, Panel, Params, StateLayout, StateSpace, build_state_space,
+                         common_component_path)
 
 
 def joint_gaussian_moments(ss: StateSpace, panel: Panel, init_mean, init_cov):
@@ -122,6 +127,104 @@ def prediction_error_loglik(ss: StateSpace, panel: Panel, filt) -> float:
         z = np.linalg.solve(c, panel.data[obs, t - 1] - Z @ filt.predicted_means[t])
         total += -0.5 * (obs.size * np.log(2 * np.pi) + 2.0 * np.log(np.diag(c)).sum() + z @ z)
     return float(total)
+
+
+def per_slot_smooth(filt, ss: StateSpace):
+    """RTS smoother forming P_{t|T} and the lag-one covariance at every slot.
+
+    Returns per-slot (smoothed_means, smoothed_covs, lag_one_covs), slot 0
+    of the lag-one array zero.  Like the package's smoother it solves the
+    gain J_t once per distinct ``filt.step_index``, so forcing a distinct
+    step per slot makes it solve at every slot.
+    """
+    Theta = ss.transition_map
+    T = filt.T
+    K = Theta.shape[0]
+    P_pred, P_filt = filt.predicted_covs, filt.filtered_covs
+    s_mean = np.zeros((T + 1, K))
+    s_cov = np.zeros((T + 1, K, K))
+    lag1 = np.zeros((T + 1, K, K))
+
+    steps = filt.step_index[:T].tolist()
+    repeated = (np.bincount(steps) > 1).tolist()
+    gains: dict[int, np.ndarray] = {}
+    s_mean[T] = filt.filtered_means[T]
+    s_cov[T] = P_filt[T]
+    for t in range(T - 1, -1, -1):
+        Pf = P_filt[t]
+        Pp = P_pred[t + 1]
+        J = gains.get(steps[t])
+        if J is None:
+            J = np.linalg.solve(Pp, Theta @ Pf).T
+            if repeated[steps[t]]:
+                gains[steps[t]] = J
+        s_mean[t] = filt.filtered_means[t] + J @ (s_mean[t + 1] - filt.predicted_means[t + 1])
+        X = Pf + J @ (s_cov[t + 1] - Pp) @ J.T
+        s_cov[t] = 0.5 * (X + X.T)
+        lag1[t + 1] = s_cov[t + 1] @ J.T
+    return s_mean, s_cov, lag1
+
+
+def per_slot_reduce_moments(spec: ModelSpec, layout: StateLayout, panel: Panel, S, P, L1,
+                            loglik: float) -> SufficientStats:
+    """M-step sufficient statistics from per-slot smoothed means, covariances and lag-one covariances."""
+    x, mask = panel.data, panel.missing_mask
+    n, T = x.shape
+    K = layout.K
+    r0 = (spec.s + 1) * spec.q
+
+    SA = S[1:].T @ S[1:] + P[1:].sum(axis=0)
+    SB = np.einsum("ti,tj->ij", S[1:], S[:-1]) + L1[1:].sum(axis=0)
+    SC = S[:-1].T @ S[:-1] + P[:-1].sum(axis=0)
+
+    tlab = np.arange(1, T + 1, dtype=float)
+    F = S[1:, :r0]
+    Z = np.concatenate([F, np.ones((T, 1)), tlab[:, None]], axis=1)
+    EZZ = Z[:, :, None] * Z[:, None, :]
+    EZZ[:, :r0, :r0] += P[1:, :r0, :r0]
+    m = mask.astype(float)
+    gram_aug = np.einsum("it,tjk->ijk", m, EZZ)
+    xz = np.where(mask, x, 0.0)
+    cross_aug = xz @ Z
+    sum_xx = (xz ** 2).sum(axis=1)
+    n_obs = mask.sum(axis=1)
+
+    im = sorted(spec.idio_im)
+    sum_ww = np.zeros(n)
+    sum_xw = np.zeros(n)
+    sum_zw = np.zeros((n, r0 + 2))
+    if im:
+        blocks = ((layout.xi_slice, layout.xi_series), (layout.alpha_slice, layout.alpha_series),
+                  (layout.beta_slice, layout.beta_series))
+        cols = [dict(zip(series, range(sl.start, sl.stop))) for sl, series in blocks]
+        mxi, mal, mbe = (np.array([col.get(i, K) for i in im]) for col in cols)
+
+        tcol = tlab[:, None]
+        Spad = np.concatenate([S[1:], np.zeros((T, 1))], axis=1)
+        Ppad = np.pad(P[1:], ((0, 0), (0, 1), (0, 1)))
+        tt = np.arange(T)[:, None]
+        wbar = Spad[:, mxi] + Spad[:, mal] + tcol * Spad[:, mbe]
+        var_w = (
+            Ppad[tt, mxi, mxi] + Ppad[tt, mal, mal] + tcol ** 2 * Ppad[tt, mbe, mbe]
+            + 2.0 * Ppad[tt, mxi, mal] + 2.0 * tcol * Ppad[tt, mxi, mbe]
+            + 2.0 * tcol * Ppad[tt, mal, mbe]
+        )
+        cov_Fw = Ppad[:, :r0, mxi] + Ppad[:, :r0, mal] + tcol[:, None] * Ppad[:, :r0, mbe]
+        mask_m = m[im].T
+        xz_m = xz[im].T
+        sum_ww[im] = (mask_m * (wbar ** 2 + var_w)).sum(axis=0)
+        sum_xw[im] = (mask_m * xz_m * wbar).sum(axis=0)
+        sum_zw_m = np.einsum("tn,tr->nr", mask_m * wbar, Z)
+        sum_zw_m[:, :r0] += np.einsum("tn,trn->nr", mask_m, cov_Fw)
+        sum_zw[im] = sum_zw_m
+
+    cross_aug -= sum_zw
+    return SufficientStats(
+        SA=SA, SB=SB, SC=SC,
+        gram_aug=gram_aug, cross_aug=cross_aug, sum_zw=sum_zw,
+        sum_xx=sum_xx, sum_xw=sum_xw, sum_ww=sum_ww,
+        n_obs=n_obs, loglik=float(loglik), layout=layout,
+    )
 
 
 def ols_line_fit(y: np.ndarray):

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from nsdfm.em import EMOptions, SufficientStats, _solve_measurement, e_step, fit, m_step_var
+from nsdfm.kalman import kf_filter
 from nsdfm.model import ModelSpec, Panel, Params, build_state_space
 from nsdfm.simulate import MCConfig, simulate_panel
-from conftest import random_instance
-from oracles import joint_gaussian_moments, simulate_from_params
+from conftest import random_instance, random_panel, settled_panel
+from oracles import joint_gaussian_moments, per_slot_reduce_moments, per_slot_smooth, simulate_from_params
 
 
 def stats_from_states(F: np.ndarray, x: np.ndarray, layout, spec):
@@ -173,6 +176,49 @@ def test_e_step_moments_match_oracle(seed):
             exp_Fw += mt[:r0] * w_mean + Pt[:r0] @ sel
         assert stats.sum_ww[i] == pytest.approx(exp_ww, rel=1e-8, abs=1e-8)
         np.testing.assert_allclose(stats.sum_zw[i, :r0], exp_Fw, rtol=1e-8, atol=1e-8)
+
+
+def ragged_local_trend_panel(rng):
+    """A system with a local-trend series (time-varying Z) on a panel with
+    random gaps and two series that end early."""
+    while True:
+        spec, params = random_instance(rng, n=5, T=50, q=2, s=1, p=1)
+        if spec.local_trend:
+            break
+    panel = random_panel(spec, rng, missing_frac=0.1)
+    mask = panel.missing_mask.copy()
+    mask[0, -3:] = mask[1, -5:] = False
+    return spec, params, Panel(np.where(mask, panel.data, np.nan), mask)
+
+
+@pytest.mark.parametrize("case", ["settled", "ragged_local_trend"])
+def test_banked_e_step_equals_per_slot_oracle(case):
+    # the covariance banks change where each covariance is stored, not one bit of what is computed
+    rng = np.random.default_rng(1)
+    if case == "settled":
+        spec, params, panel = settled_panel(rng, T_full=60, with_states=True)
+    else:
+        spec, params, panel = ragged_local_trend_panel(rng)
+    ss = build_state_space(spec, params)
+    init_mean, init_cov = np.zeros(ss.K), np.eye(ss.K) * 10.0
+    stats, smooth = e_step(spec, params, panel, init_mean, init_cov)
+
+    filt = kf_filter(ss, panel, init_mean, init_cov)
+    S, P, L1 = per_slot_smooth(filt, ss)
+    np.testing.assert_array_equal(smooth.smoothed_means, S)
+    np.testing.assert_array_equal(smooth.smoothed_covs, P)
+    np.testing.assert_array_equal(smooth.lag_one_covs, L1)
+    oracle = per_slot_reduce_moments(spec, ss.layout, panel, S, P, L1, filt.loglik)
+    for field in dataclasses.fields(SufficientStats):
+        if field.name != "layout":
+            np.testing.assert_array_equal(getattr(stats, field.name), getattr(oracle, field.name),
+                                          err_msg=field.name)
+
+    if case == "settled":
+        # the banks hold fewer matrices than slots, so the reduction ran over bank entries
+        assert len(smooth.cov_bank) < panel.T and len(smooth.lag_bank) < panel.T
+    else:
+        assert len(filt.cov_bank) == len(smooth.cov_bank) == len(smooth.lag_bank) == panel.T + 1
 
 
 def test_loadings_fixed_point_with_exact_factors(rng):

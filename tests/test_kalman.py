@@ -7,8 +7,8 @@ from nsdfm.model import ModelSpec, Panel, Params, build_state_space
 from nsdfm.kalman import _filter_step, kf_filter, ks_smooth, steady_state_diagnostics
 from nsdfm.pre_estimate import pre_estimate
 from nsdfm.simulate import MCConfig, simulate_panel
-from conftest import random_instance, random_panel
-from oracles import joint_gaussian_moments, prediction_error_loglik
+from conftest import random_instance, random_panel, settled_panel
+from oracles import joint_gaussian_moments, per_slot_smooth, prediction_error_loglik
 
 
 def local_level_system(sigma_u=1.0, sigma_nu=1.0):
@@ -178,21 +178,10 @@ def test_one_step_trace_band_at_scale():
     assert 0.015 <= d["tr_filt_over_q"][-1] <= 0.06
 
 
-def settled_panel(rng, T_full=30):
-    """Time-invariant system; fully observed columns long enough for the
-    covariances to settle, then one partly and one fully missing column,
-    then two observed columns."""
-    spec, params = random_instance(rng, n=4, T=T_full + 4, q=2, s=0, p=1, with_states=False)
-    ss = build_state_space(spec, params)
-    data = rng.standard_normal((spec.n, spec.T))
-    data[1:, T_full] = np.nan
-    data[:, T_full + 1] = np.nan
-    return ss, Panel.from_data(data)
-
-
 def test_reused_steps_equal_fresh_steps_and_oracle():
     rng = np.random.default_rng(101)
-    ss, panel = settled_panel(rng)
+    spec, params, panel = settled_panel(rng)
+    ss = build_state_space(spec, params)
     init_mean, init_cov = np.zeros(ss.K), np.eye(ss.K) * 10.0
     filt = kf_filter(ss, panel, init_mean, init_cov)
     assert np.any(filt.step_index != np.arange(panel.T + 1))
@@ -213,18 +202,22 @@ def test_reused_steps_equal_fresh_steps_and_oracle():
 def test_step_index_shows_reuse_on_settled_panel():
     rng = np.random.default_rng(7)
     T_full = 60
-    ss, panel = settled_panel(rng, T_full)
+    spec, params, panel = settled_panel(rng, T_full)
+    ss = build_state_space(spec, params)
     filt = kf_filter(ss, panel, np.zeros(ss.K), np.eye(ss.K) * 10.0)
-    reused = filt.step_index != np.arange(panel.T + 1)
+    # bank entries are numbered as computed: a slot reuses a step when the running maximum stays put
+    reused = np.r_[False, np.diff(np.maximum.accumulate(filt.step_index)) == 0]
     assert reused.sum() > panel.T // 2
     # the partly and the fully missing column break the fixed point: both are computed afresh
     assert not reused[T_full + 1] and not reused[T_full + 2]
-    # the smoother's gain reuse is exact: same output as a solve at every slot
+    # the smoother's reuse is exact: same output as a per-slot smoother solving at every slot
     smooth = ks_smooth(filt, ss)
-    solve_all = ks_smooth(dataclasses.replace(filt, step_index=np.arange(panel.T + 1)), ss)
-    np.testing.assert_array_equal(smooth.smoothed_means, solve_all.smoothed_means)
-    np.testing.assert_array_equal(smooth.smoothed_covs, solve_all.smoothed_covs)
-    np.testing.assert_array_equal(smooth.lag_one_covs, solve_all.lag_one_covs)
+    every_slot = dataclasses.replace(filt, step_index=np.arange(panel.T + 1),
+                                     cov_bank=np.stack([filt.predicted_covs, filt.filtered_covs], axis=1))
+    means, covs, lag_one = per_slot_smooth(every_slot, ss)
+    np.testing.assert_array_equal(smooth.smoothed_means, means)
+    np.testing.assert_array_equal(smooth.smoothed_covs, covs)
+    np.testing.assert_array_equal(smooth.lag_one_covs, lag_one)
 
 
 def test_step_index_shows_no_reuse_with_local_trend():
