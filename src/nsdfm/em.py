@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kalman import DEFAULT_KAPPA, SmootherOutput, kf_filter, ks_smooth
-from .model import ModelSpec, Panel, Params, StateLayout, build_state_space, common_component_path
+from .kalman import DEFAULT_KAPPA, FilterOutput, SmootherOutput, kf_filter, ks_smooth
+from .model import ModelSpec, Panel, Params, StateLayout, StateSpace, build_state_space, common_component_path
 from .pre_estimate import VARIANCE_FLOOR, pre_estimate
 
 __all__ = [
@@ -151,6 +151,20 @@ def e_step(
     original data so the M-step can re-estimate the per-series intercept
     and slope.
     """
+    ss, filt, smooth = _filter_and_smooth(spec, params, panel, init_mean, init_cov, deterministic)
+    stats = reduce_moments(spec, ss.layout, panel, smooth, filt.loglik)
+    return stats, smooth
+
+
+def _filter_and_smooth(
+    spec: ModelSpec,
+    params: Params,
+    panel: Panel,
+    init_mean: np.ndarray,
+    init_cov: np.ndarray,
+    deterministic: np.ndarray | None,
+) -> tuple[StateSpace, FilterOutput, SmootherOutput]:
+    """The system of ``params`` with its filter and smoother passes over the detrended panel."""
     ss = build_state_space(spec, params)
     if deterministic is None:
         panel_f = panel
@@ -158,9 +172,7 @@ def e_step(
         shifted = panel.data - deterministic
         panel_f = Panel(np.where(panel.missing_mask, shifted, np.nan), panel.missing_mask)
     filt = kf_filter(ss, panel_f, init_mean, init_cov)
-    smooth = ks_smooth(filt, ss)
-    stats = reduce_moments(spec, ss.layout, panel, smooth, filt.loglik)
-    return stats, smooth
+    return ss, filt, ks_smooth(filt, ss)
 
 
 def reduce_moments(
@@ -477,11 +489,12 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
             converged = True
             break
 
+    # the final pass refreshes the states; no M-step follows, so no moments are reduced
     det = coef[:, r0][:, None] + coef[:, r0 + 1][:, None] * tgrid
-    final_stats, smooth = e_step(spec, params, panel, init_mean, init_cov, det)
-    logliks.append(final_stats.loglik)
+    ss, filt, smooth = _filter_and_smooth(spec, params, panel, init_mean, init_cov, det)
+    logliks.append(filt.loglik)
 
-    chi = common_component_path(params.loadings, smooth.smoothed_means[1:], final_stats.layout)
+    chi = common_component_path(params.loadings, smooth.smoothed_means[1:], ss.layout)
     factors = smooth.smoothed_means[1:, :spec.q].T
     trend_alpha = coef[:, r0].copy()
     trend_beta = coef[:, r0 + 1].copy()
@@ -503,7 +516,7 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
         converged=converged,
         trend_alpha=trend_alpha,
         trend_beta=trend_beta,
-        layout=final_stats.layout,
+        layout=ss.layout,
     )
 
 

@@ -14,11 +14,14 @@ formed in Joseph form and re-symmetrized, which keeps the recursion
 stable under the near-diffuse initialization used for unit-root states.
 
 The covariance step does not depend on the data.  With a fixed measurement
-map the filter reuses either of its last two steps when P_{t-1|t-1} and the
-observed rows repeat bitwise, and the smoother solves its gain once per
-distinct step and forms P_{t|T} and the lag-one covariance once per
-distinct (step, P_{t+1|T}) pair, so every result is bit-identical to the
-full recursion.  Each pass therefore keeps its covariances in a bank of
+map the filter builds one measurement block per pattern of observed rows
+and reuses any earlier step with the same pattern and bitwise the same
+P_{t-1|t-1}, so a recursion that settles into a fixed point or a cycle of
+any period computes each step of it once.  The smoother solves its gain
+once per distinct step, forms P_{t|T} and the lag-one covariance once per
+distinct (step, P_{t+1|T}) pair, and lets a P_{t|T} bitwise equal to any
+earlier one share its entry, so every result is bit-identical to the full
+recursion.  Each pass therefore keeps its covariances in a bank of
 distinct matrices with a per-slot index into it; the per-slot
 (T+1, K, K) arrays are built from the bank only when read.
 """
@@ -59,10 +62,11 @@ class FilterOutput:
     The covariances are banked: ``cov_bank[j]`` is the pair
     (P_{t|t-1}, P_{t|t}) of the j-th covariance step computed, entry 0
     holding the initial covariance twice, and ``step_index[t]`` is the entry
-    of slot t.  A slot reuses an earlier step exactly when its entry is not
-    new; with no reuse the bank has one entry per slot and ``step_index`` is
-    0..T.  ``predicted_covs`` and ``filtered_covs`` build the per-slot
-    (T+1, K, K) arrays from the bank when read.
+    of slot t.  A slot reuses an earlier step, any earlier one with the same
+    observed rows and bitwise the same P_{t-1|t-1}, exactly when its entry is
+    not new; with no reuse the bank has one entry per slot and
+    ``step_index`` is 0..T.  ``predicted_covs`` and ``filtered_covs`` build
+    the per-slot (T+1, K, K) arrays from the bank when read.
     """
 
     predicted_means: np.ndarray      # (T+1, K)
@@ -123,31 +127,40 @@ def _symmetrize(P: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
-def _filter_step(ss: StateSpace, P_prev: np.ndarray, obs: np.ndarray, t: int) -> tuple:
-    """The data-free part of filter step t (1-based slot), from P_{t-1|t-1} and the observed rows.
+def _measurement_block(ss: StateSpace, obs: np.ndarray, t: int) -> tuple | None:
+    """What a filter step needs of the measurement equation on the observed rows at zero-based t.
 
-    Returns (P_{t|t-1}, P_{t|t}, Z, r_diag, gain, logdet_S, cPi) with Z and
-    r_diag on the observed rows and cPi the inverse Cholesky factor of
-    P_{t|t-1}, which the innovation's quadratic form needs.
+    Returns (Z, r_diag, Z'R^{-1}, Z'R^{-1}Z, log det R) on the rows ``obs``,
+    or None when no row is observed.
+    """
+    if obs.size == 0:
+        return None
+    Z = ss.measurement_map(t, obs)
+    r_diag = ss.measurement_cov_diag[obs]
+    Zr = Z.T / r_diag                            # K x n_obs
+    return Z, r_diag, Zr, Zr @ Z, np.log(r_diag).sum()
+
+
+def _filter_step(ss: StateSpace, P_prev: np.ndarray, block: tuple | None, t: int) -> tuple:
+    """The data-free part of filter step t (1-based slot), from P_{t-1|t-1} and the measurement block.
+
+    ``block`` is :func:`_measurement_block` of the rows observed at t.
+    Returns (P_{t|t-1}, P_{t|t}, gain, logdet_S, cPi) with cPi the inverse
+    Cholesky factor of P_{t|t-1}, which the innovation's quadratic form
+    needs.
     """
     P = _symmetrize(ss.transition_map @ P_prev @ ss.transition_map.T + ss.state_innovation_cov)
-    if obs.size == 0:
-        return P, P, None, None, None, 0.0, None
-    Z = ss.measurement_map(t - 1)[obs]
-    r_diag = ss.measurement_cov_diag[obs]
+    if block is None:
+        return P, P, None, 0.0, None
+    Z, r_diag, Zr, ZrZ, logdet_R = block
     try:
-        Zr = Z.T / r_diag                        # K x n_obs
         cP = np.linalg.cholesky(P)
         cPi = np.linalg.inv(cP)
-        M_inv = _symmetrize(cPi.T @ cPi + Zr @ Z)  # P^{-1} + Z' R^{-1} Z
+        M_inv = _symmetrize(cPi.T @ cPi + ZrZ)   # P^{-1} + Z' R^{-1} Z
         cM = np.linalg.cholesky(M_inv)
         cMi = np.linalg.inv(cM)
         gain = (cMi.T @ cMi) @ Zr
-        logdet_S = (
-            np.log(r_diag).sum()
-            + 2.0 * np.log(np.diag(cP)).sum()
-            + 2.0 * np.log(np.diag(cM)).sum()
-        )
+        logdet_S = logdet_R + 2.0 * np.log(np.diag(cP)).sum() + 2.0 * np.log(np.diag(cM)).sum()
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"P_{{t|t-1}} or P_{{t|t-1}}^-1 + Z'R^-1 Z not positive definite at t={t}; check the variances"
@@ -155,7 +168,7 @@ def _filter_step(ss: StateSpace, P_prev: np.ndarray, obs: np.ndarray, t: int) ->
     IKZ = -(gain @ Z)
     IKZ.flat[::P.shape[0] + 1] += 1.0            # I - gain Z without a K x K identity per step
     P_filt = _symmetrize(IKZ @ P @ IKZ.T + (gain * r_diag) @ gain.T)
-    return P, P_filt, Z, r_diag, gain, logdet_S, cPi
+    return P, P_filt, gain, logdet_S, cPi
 
 
 def kf_filter(
@@ -197,30 +210,38 @@ def kf_filter(
     size = 1
 
     # a step can repeat only while Z does not change with t; columns with
-    # equal observed rows share a pattern id
-    pattern = None if ss.time_varying else _column_patterns(mask)
-    recent: list[tuple] = []  # (entry of P_{t-1|t-1}, pattern, entry, step) of the last two steps computed
-    equal_inputs: dict[tuple[int, int], bool] = {}
-
-    def same_input(j: int, i: int) -> bool:
-        if (j, i) not in equal_inputs:
-            equal_inputs[j, i] = np.array_equal(bank[j, 1], bank[i, 1])
-        return equal_inputs[j, i]
+    # equal observed rows share a pattern id and one measurement block
+    reuse = not ss.time_varying
+    if reuse:
+        pattern, observed = _column_patterns(mask)
+        blocks = [_measurement_block(ss, obs, 0) for obs in observed]
+        # a step's input is its pattern and the class of P_{t-1|t-1}: the
+        # first bank entry whose P_{t|t} has the same bytes
+        classes = {bank[0, 1].tobytes(): 0}
+        entry_class = [0]
+        computed: dict[tuple[int, int], tuple] = {}  # (pattern, class) -> (entry, step)
 
     k = 0  # bank entry of slot t-1
     for t in range(1, T + 1):
-        obs = np.nonzero(mask[:, t - 1])[0]
-        hit = next((e for e in recent if e[1] == pattern[t - 1] and same_input(k, e[0])), None)
-        if hit is not None:
-            _, _, k, step = hit
+        if reuse:
+            key = (pattern[t - 1], entry_class[k])
+            obs, block = observed[key[0]], blocks[key[0]]
+            hit = computed.get(key)
         else:
-            step = _filter_step(ss, bank[k, 1], obs, t)
-            if pattern is not None:
-                recent = recent[-1:] + [(k, pattern[t - 1], size, step)]
+            obs = np.nonzero(mask[:, t - 1])[0]
+            block = _measurement_block(ss, obs, t - 1)
+            hit = None
+        if hit is not None:
+            k, step = hit
+        else:
+            step = _filter_step(ss, bank[k, 1], block, t)
             k, size = size, size + 1
             bank[k, 0], bank[k, 1] = step[0], step[1]
+            if reuse:
+                computed[key] = (k, step)
+                entry_class.append(classes.setdefault(step[1].tobytes(), k))
         step_index[t] = k
-        _, _, Z, r_diag, gain, logdet_S, cPi = step
+        _, _, gain, logdet_S, cPi = step
 
         a = Theta @ a_filt[t - 1]
         a_pred[t] = a
@@ -228,6 +249,7 @@ def kf_filter(
             a_filt[t] = a
             continue
 
+        Z, r_diag = block[0], block[1]
         v = x[obs, t - 1] - Z @ a
         m = gain @ v
         a_filt[t] = a + m
@@ -247,10 +269,18 @@ def _trim(buffer: np.ndarray, start: int, stop: int) -> np.ndarray:
     return buffer if stop - start == len(buffer) else buffer[start:stop].copy()
 
 
-def _column_patterns(mask: np.ndarray) -> list[int]:
-    """Per column, an id shared by exactly the columns with the same observed rows."""
+def _column_patterns(mask: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
+    """Per column, an id shared by exactly the columns with the same observed rows, and each id's rows."""
     ids: dict[bytes, int] = {}
-    return [ids.setdefault(col.tobytes(), len(ids)) for col in mask.T]
+    rows: list[np.ndarray] = []
+    pattern = []
+    for col in mask.T:
+        key = col.tobytes()
+        if key not in ids:
+            ids[key] = len(rows)
+            rows.append(np.nonzero(col)[0])
+        pattern.append(ids[key])
+    return pattern, rows
 
 
 def ks_smooth(filt: FilterOutput, ss: StateSpace) -> SmootherOutput:
@@ -261,9 +291,10 @@ def ks_smooth(filt: FilterOutput, ss: StateSpace) -> SmootherOutput:
     carries the smoothed initial state, which re-seeds the filter across EM
     iterations.  J_t depends on P_{t|t} alone, so for a step that repeats it
     is solved once, and P_{t|T} with the lag-one covariance of slot t+1 is
-    formed once per P_{t+1|T} entry.  A P_{t|T} bitwise equal to P_{t+1|T}
-    or P_{t+2|T} shares its entry, so a smoother that has settled, to a
-    fixed point or a two-cycle like the filter's, stops forming anything.
+    formed once per P_{t+1|T} entry.  Once the filter has repeated a step, a
+    P_{t|T} bitwise equal to any earlier entry shares it, so a smoother that
+    has settled, to a fixed point or a cycle of any period like the
+    filter's, stops forming anything.
     """
     Theta = ss.transition_map
     T = filt.T
@@ -280,6 +311,8 @@ def ks_smooth(filt: FilterOutput, ss: StateSpace) -> SmootherOutput:
     lags = np.empty((T + 1, K, K))
     covs[T] = bank[steps[T], 1]
     c_low, l_low = T, T + 1
+    # once a step repeats, smoothed covariances can repeat too: bytes of a banked P_{t|T} -> its entry
+    seen = {covs[T].tobytes(): T} if len(bank) <= T else None
     cov_index = [0] * T + [T]
     lag_index = [0] * (T + 1)
     s_mean[T] = filt.filtered_means[T]
@@ -300,13 +333,10 @@ def ks_smooth(filt: FilterOutput, ss: StateSpace) -> SmootherOutput:
             P = _symmetrize(Pf + J @ (P_next - Pp) @ J.T)
             l_low -= 1
             lags[l_low] = P_next @ J.T
-            # a settled P_{t|T} shares the entry of P_{t+1|T} or, in a two-cycle, of P_{t+2|T}
-            same = (e for e in cov_index[t + 1:t + 3] if np.array_equal(P, covs[e]))
-            entry = next(same, None) if repeated[k] else None
-            if entry is None:
+            entry = c_low - 1 if seen is None else seen.setdefault(P.tobytes(), c_low - 1)
+            if entry == c_low - 1:
                 c_low -= 1
                 covs[c_low] = P
-                entry = c_low
             entries = (entry, l_low)
             if repeated[k]:
                 formed[key] = entries

@@ -258,7 +258,8 @@ class StateSpace:
 
     ``measurement_base`` holds the time-invariant part of the measurement
     matrix; the loading on a trend-slope state is the (one-based) time
-    index, so callers must go through :meth:`measurement_map`.
+    index, which :meth:`measurement_map` applies, to the requested rows
+    only.
     """
 
     layout: StateLayout
@@ -268,11 +269,12 @@ class StateSpace:
     measurement_cov_diag: np.ndarray  # n
     time_varying: bool
 
-    def measurement_map(self, t: int) -> np.ndarray:
-        """Measurement matrix at zero-based time index t (label t+1)."""
+    def measurement_map(self, t: int, rows: np.ndarray | None = None) -> np.ndarray:
+        """Measurement matrix at zero-based time index t (label t+1), on ``rows`` when given."""
+        Z = self.measurement_base if rows is None else self.measurement_base[rows]
         if not self.time_varying:
-            return self.measurement_base
-        Z = self.measurement_base.copy()
+            return Z
+        Z = Z.copy() if rows is None else Z
         Z[:, self.layout.beta_slice] *= float(t + 1)
         return Z
 

@@ -308,6 +308,40 @@ def test_fixed_tiny_phi_loglik_never_falls():
     assert np.all(np.diff(ll) + 1e-8 * np.maximum(1.0, np.abs(ll[:-1])) >= 0.0)
 
 
+def _robustness_panel(case):
+    """The (40, 60, 5) seed-3 probe panel, degraded one way; series 1, 8 and 22 carry I(1) states."""
+    if case == "n1000":
+        sim = simulate_panel(MCConfig(n=1000, T=40, q=1, n1=5, seed=3, replications=1), 0)
+        return sim.spec, sim.panel
+    sim = simulate_panel(MCConfig(n=40, T=60, n1=5, seed=3, replications=1), 0)
+    x = sim.panel.data.copy()
+    rng = np.random.default_rng(3)
+    if case == "constant":
+        x[1] = 1.0
+    elif case == "duplicate":
+        x[8] = x[9]
+    elif case == "all_missing":
+        x[22] = np.nan
+    elif case == "random_50pct":
+        x[rng.random(x.shape) < 0.5] = np.nan
+    elif case == "ragged_60pct":
+        # 24 of the 40 series end 1 to 12 periods early
+        for i, k in zip(rng.choice(40, size=24, replace=False), rng.integers(1, 13, size=24)):
+            x[i, -k:] = np.nan
+    return sim.spec, Panel.from_data(x)
+
+
+@pytest.mark.parametrize("case", ["constant", "duplicate", "all_missing", "random_50pct", "ragged_60pct",
+                                  "n1000"])
+def test_fit_survives_degenerate_and_sparse_panels(case):
+    spec, panel = _robustness_panel(case)
+    res = fit(spec, panel)
+    assert np.all(np.isfinite(res.chi))
+    assert res.converged
+    ll = np.array(res.loglik_path)
+    assert np.all(np.diff(ll) + 1e-8 * np.maximum(1.0, np.abs(ll[:-1])) >= 0.0)
+
+
 def test_sigma2_omega_recovery_at_truth(rng):
     # pure random-walk intercept with innovation variance 0.25: one E-step at
     # the truth recovers it from the smoothed second moments

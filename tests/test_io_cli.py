@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nsdfm
 from nsdfm.cli import _parse_cells, main
 from nsdfm.model import Panel
 from nsdfm.panel_io import (
@@ -184,10 +186,12 @@ def test_cli_benchmark_only_flags_rejected_elsewhere(tmp_path):
 
 
 def test_cli_entrypoint_subprocess(tmp_path):
-    # console entry through python -m equivalent path
+    # console entry through python -m equivalent path, importing the package this process imported
+    src = str(Path(nsdfm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from nsdfm.cli import main; sys.exit(main(['--version']))"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
 

@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+import nsdfm.em
+from nsdfm.em import fit
 from nsdfm.model import ModelSpec, Panel, Params, build_state_space
-from nsdfm.kalman import _filter_step, kf_filter, ks_smooth, steady_state_diagnostics
+from nsdfm.kalman import _filter_step, _measurement_block, kf_filter, ks_smooth, steady_state_diagnostics
 from nsdfm.pre_estimate import pre_estimate
 from nsdfm.simulate import MCConfig, simulate_panel
 from conftest import random_instance, random_panel, settled_panel
@@ -187,7 +189,7 @@ def test_reused_steps_equal_fresh_steps_and_oracle():
     assert np.any(filt.step_index != np.arange(panel.T + 1))
     for t in range(1, panel.T + 1):
         obs = np.nonzero(panel.missing_mask[:, t - 1])[0]
-        P_pred, P_filt, *_ = _filter_step(ss, filt.filtered_covs[t - 1], obs, t)
+        P_pred, P_filt, *_ = _filter_step(ss, filt.filtered_covs[t - 1], _measurement_block(ss, obs, t - 1), t)
         np.testing.assert_array_equal(filt.predicted_covs[t], P_pred)
         np.testing.assert_array_equal(filt.filtered_covs[t], P_filt)
 
@@ -218,6 +220,43 @@ def test_step_index_shows_reuse_on_settled_panel():
     np.testing.assert_array_equal(smooth.smoothed_means, means)
     np.testing.assert_array_equal(smooth.smoothed_covs, covs)
     np.testing.assert_array_equal(smooth.lag_one_covs, lag_one)
+
+
+def test_cycles_longer_than_two_are_reused(monkeypatch):
+    # on this fit the filter's covariances settle into cycles longer than two
+    # from its 8th filter call on; every step of a cycle is computed once
+    calls = []
+    kf = nsdfm.em.kf_filter
+
+    def spy(ss, panel, init_mean, init_cov):
+        calls.append((ss, panel, kf(ss, panel, init_mean, init_cov)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(nsdfm.em, "kf_filter", spy)
+    sim = simulate_panel(MCConfig(n=30, T=40, q=2, s=0, n1=6, nb=6, tau=0.5, seed=20241), 1)
+    fit(sim.spec, sim.panel)
+    assert len(calls) >= 8
+    for ss, panel, filt in calls:
+        assert not ss.time_varying
+        index = filt.step_index
+        computed = set()
+        for t in range(1, panel.T + 1):
+            obs = np.nonzero(panel.missing_mask[:, t - 1])[0]
+            if index[t] > index[:t].max():  # a new bank entry: the step was computed at t
+                key = (obs.tobytes(), filt.cov_bank[index[t - 1], 1].tobytes())
+                assert key not in computed, f"step at t={t} was computed before"
+                computed.add(key)
+            P_pred, P_filt, *_ = _filter_step(ss, filt.filtered_covs[t - 1], _measurement_block(ss, obs, t - 1), t)
+            np.testing.assert_array_equal(filt.predicted_covs[t], P_pred)
+            np.testing.assert_array_equal(filt.filtered_covs[t], P_filt)
+        smooth = ks_smooth(filt, ss)
+        assert len({P.tobytes() for P in smooth.cov_bank}) == len(smooth.cov_bank)
+        every_slot = dataclasses.replace(filt, step_index=np.arange(panel.T + 1),
+                                         cov_bank=np.stack([filt.predicted_covs, filt.filtered_covs], axis=1))
+        means, covs, lag_one = per_slot_smooth(every_slot, ss)
+        np.testing.assert_array_equal(smooth.smoothed_means, means)
+        np.testing.assert_array_equal(smooth.smoothed_covs, covs)
+        np.testing.assert_array_equal(smooth.lag_one_covs, lag_one)
 
 
 def test_step_index_shows_no_reuse_with_local_trend():
