@@ -1,10 +1,12 @@
 """Command-line interface: simulate, estimate, benchmark, diagnose.
 
 Every command accepts ``--config`` (an INI file with sections [model],
-[em], [mc], [io]) plus flags that override individual keys; outputs
-embed the effective configuration and master seed.  Exit codes: 0
-success (estimate: converged), 2 usage/configuration error, 3 data
-error, 4 non-convergence, 5 numeric failure.
+[em], [mc], [io]) plus one flag per config key it reads, declared once
+with its parser in ``panel_io.SCHEMA``.  Flags win over the file; the
+merged text is what a command parses and what its outputs echo.  Exit
+codes: 0 success (estimate: converged), 2 usage/configuration error (a
+bad value names its ``section.key``), 3 data error, 4 non-convergence,
+5 numeric failure.
 """
 
 from __future__ import annotations
@@ -21,12 +23,14 @@ from .benchmark import METHODS, run_cell, run_diagnostics
 from .em import EMOptions, fit
 from .metrics import DEFAULT_T_MIN, mse_common
 from .panel_io import (
+    SCHEMA,
     ConfigError,
     params_to_dict,
     load_config,
     mc_config_from_section,
     model_spec_from_section,
-    parse_index_set,
+    parse_boolean,
+    parse_section,
     read_panel,
     read_truth,
     write_panel,
@@ -41,19 +45,20 @@ EXIT_DATA = 3
 EXIT_NONCONVERGED = 4
 EXIT_NUMERIC = 5
 
+# [mc] keys with a flag on simulate, benchmark and diagnose
+_MC_FLAGS = ("n", "T", "q", "s", "d", "n1", "nb", "tau", "theta", "mu", "replications", "dist", "seed")
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=str, default=None, help="INI config file")
-    p.add_argument("--seed", type=int, default=None, help="master seed override")
     p.add_argument("--out-dir", type=str, default=None, help="output directory")
 
 
-def _add_mc_overrides(p: argparse.ArgumentParser) -> None:
-    for name, typ in [("n", int), ("T", int), ("q", int), ("s", int), ("d", int),
-                      ("n1", int), ("nb", int), ("tau", float), ("theta", float),
-                      ("mu", float), ("replications", int)]:
-        p.add_argument(f"--{name}", type=typ, default=None)
-    p.add_argument("--dist", choices=("gaussian", "student_t4"), default=None)
+def _add_keys(p: argparse.ArgumentParser, section: str, keys) -> None:
+    """One flag per config key: ``--max-iter EM.MAX_ITER`` sets em.max_iter, kept as text."""
+    for key in keys:
+        flag = {"action": "store_const", "const": "true"} if SCHEMA[section][key] is parse_boolean else {}
+        p.add_argument(f"--{key.replace('_', '-')}", dest=f"{section}.{key}", **flag)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,43 +68,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="generate a benchmark panel plus its truth sidecar")
     _add_common(p_sim)
-    _add_mc_overrides(p_sim)
+    _add_keys(p_sim, "mc", _MC_FLAGS)
     p_sim.add_argument("--replication", type=int, default=0, help="replication index to write")
 
     p_est = sub.add_parser("estimate", help="fit the model to a CSV panel")
     _add_common(p_est)
     p_est.add_argument("--input", type=str, required=True, help="panel CSV path")
     p_est.add_argument("--truth", type=str, default=None, help="truth sidecar for MSE reporting")
-    p_est.add_argument("--q", type=int, default=None)
-    p_est.add_argument("--s", type=int, default=None)
-    p_est.add_argument("--p", type=int, default=None)
-    p_est.add_argument("--idio-i1", type=str, default=None, help="comma list of zero-based indices")
-    p_est.add_argument("--local-level", type=str, default=None)
-    p_est.add_argument("--local-trend", type=str, default=None)
-    p_est.add_argument("--detrend", type=str, default=None)
-    p_est.add_argument("--standardize", action="store_true", default=None)
-    p_est.add_argument("--max-iter", type=int, default=None)
-    p_est.add_argument("--tolerance", type=float, default=None)
+    _add_keys(p_est, "model", SCHEMA["model"])
+    _add_keys(p_est, "em", ("max_iter", "tolerance"))
 
     p_bench = sub.add_parser("benchmark", help="run Monte Carlo cells against the PC competitors")
     _add_common(p_bench)
-    _add_mc_overrides(p_bench)
-    p_bench.add_argument("--jobs", type=int, default=None, help="parallel workers")
-    p_bench.add_argument("--format", choices=("csv", "json"), default=None, help="table output format")
-    p_bench.add_argument("--cells", type=str, default=None,
-                         help="semicolon list of cell overrides, e.g. 'n=75,T=75;n=100,T=100'")
+    _add_keys(p_bench, "mc", _MC_FLAGS + ("cells",))
+    _add_keys(p_bench, "io", ("jobs", "format"))
 
     p_diag = sub.add_parser("diagnose", help="filter/smoother MSE traces at true parameters")
     _add_common(p_diag)
-    _add_mc_overrides(p_diag)
+    _add_keys(p_diag, "mc", _MC_FLAGS)
     p_diag.add_argument("--n-grid", type=str, default="25,100", help="comma list of panel sizes")
     p_diag.add_argument("--horizon", type=int, default=10)
     p_diag.add_argument("--ss-tol", type=float, default=1e-6, help="steady-state flag tolerance")
     return parser
 
 
-def _load_sections(args) -> dict:
-    return load_config(args.config) if args.config else {}
+def _sections(args) -> dict[str, dict[str, str]]:
+    """The config file's sections with the flags laid over them, checked but kept as text."""
+    sections = load_config(args.config) if args.config else {}
+    for dest, text in vars(args).items():
+        if "." in dest and text is not None:
+            section, _, key = dest.partition(".")
+            parse_section(section, {key: text})
+            sections.setdefault(section, {})[key] = text
+    return sections
 
 
 def _out_dir(args, sections) -> Path:
@@ -109,52 +110,19 @@ def _out_dir(args, sections) -> Path:
     return path
 
 
-def _mc_overrides(args) -> dict:
-    overrides = {k: getattr(args, k, None) for k in
-                 ("n", "T", "q", "s", "d", "n1", "nb", "tau", "theta", "mu", "replications")}
-    overrides["dist"] = getattr(args, "dist", None)
-    overrides["seed"] = args.seed
-    return overrides
-
-
-def _mc_config(args, sections) -> MCConfig:
-    return mc_config_from_section(sections.get("mc", {}), _mc_overrides(args))
-
-
-def _em_options(args, sections, detrend=None, standardize=False) -> EMOptions:
-    em = sections.get("em", {})
-    kwargs = {}
-    if "max_iter" in em:
-        kwargs["max_iter"] = int(em["max_iter"])
-    if "tolerance" in em:
-        kwargs["tolerance"] = float(em["tolerance"])
-    if "kappa" in em:
-        kwargs["kappa"] = float(em["kappa"])
-    if "phi_policy" in em:
-        raw = em["phi_policy"]
-        kwargs["phi_policy"] = raw if raw == "estimated" else float(raw)
-    if getattr(args, "max_iter", None) is not None:
-        kwargs["max_iter"] = args.max_iter
-    if getattr(args, "tolerance", None) is not None:
-        kwargs["tolerance"] = args.tolerance
-    return EMOptions(detrend=detrend, standardize=standardize, **kwargs)
-
-
-def _config_echo(sections, args, extra=None) -> dict:
+def _config_echo(sections, extra=None) -> dict:
     echo = {f"{sec}.{k}": v for sec, kv in sections.items() for k, v in kv.items()}
-    if args.seed is not None:
-        echo["seed"] = args.seed
     echo["version"] = __version__
     echo.update(extra or {})
     return echo
 
 
 def cmd_simulate(args) -> int:
-    sections = _load_sections(args)
-    cfg = _mc_config(args, sections)
+    sections = _sections(args)
+    cfg = mc_config_from_section(sections.get("mc", {}))
     out = _out_dir(args, sections)
     sim = simulate_panel(cfg, args.replication)
-    meta = _config_echo(sections, args, {
+    meta = _config_echo(sections, {
         **{f"mc.{k}": getattr(cfg, k) for k in cfg.__dataclass_fields__},
         "replication": args.replication,
     })
@@ -165,7 +133,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    sections = _load_sections(args)
+    sections = _sections(args)
     out = _out_dir(args, sections)
     try:
         panel, names, meta = read_panel(args.input)
@@ -173,26 +141,14 @@ def cmd_estimate(args) -> int:
         print(f"error: cannot read panel: {exc}", file=sys.stderr)
         return EXIT_DATA
 
-    model_sec = dict(sections.get("model", {}))
-    for key, flag in (("q", "q"), ("s", "s"), ("p", "p")):
-        if getattr(args, flag, None) is not None:
-            model_sec[key] = str(getattr(args, flag))
-    for key, flag in (("idio_i1", "idio_i1"), ("local_level", "local_level"), ("local_trend", "local_trend")):
-        if getattr(args, flag, None) is not None:
-            model_sec[key] = getattr(args, flag)
-    spec = model_spec_from_section(model_sec, panel.n, panel.T)
-
-    detrend = None
-    if args.detrend is not None:
-        detrend = parse_index_set(args.detrend)
-    elif "detrend" in model_sec:
-        detrend = parse_index_set(model_sec["detrend"])
-    standardize = bool(args.standardize) or model_sec.get("standardize", "false").lower() == "true"
-    options = _em_options(args, sections, detrend=detrend, standardize=standardize)
+    spec = model_spec_from_section(sections.get("model", {}), panel.n, panel.T)
+    model = parse_section("model", sections.get("model", {}))
+    options = EMOptions(detrend=model.get("detrend"), standardize=model.get("standardize", False),
+                        **parse_section("em", sections.get("em", {})))
 
     res = fit(spec, panel, options)
 
-    echo = _config_echo(sections, args, {"input": args.input})
+    echo = _config_echo(sections, {"input": args.input})
     write_table(out / "chi.csv", names, res.chi.T.tolist(), metadata=echo)
     write_table(out / "factors.csv", [f"f{j}" for j in range(spec.q)], res.factors.T.tolist(), metadata=echo)
     write_table(out / "loglik.csv", ["iteration", "loglik"],
@@ -212,7 +168,8 @@ def cmd_estimate(args) -> int:
         except (OSError, ValueError, KeyError) as exc:
             print(f"error: cannot read truth sidecar: {exc}", file=sys.stderr)
             return EXIT_DATA
-        summary["mse_common"] = mse_common(res.chi, truth["chi"])
+        t_min = parse_section("io", sections.get("io", {})).get("t_min", DEFAULT_T_MIN)
+        summary["mse_common"] = mse_common(res.chi, truth["chi"], t_min)
     (out / "estimate.json").write_text(json.dumps(summary), encoding="utf-8")
     msg = "converged" if res.converged else f"NOT converged after {res.iterations} iterations"
     print(f"estimate: {msg}; loglik={res.loglik_path[-1]:.3f}; outputs in {out}")
@@ -220,7 +177,7 @@ def cmd_estimate(args) -> int:
 
 
 def _parse_cells(text: str, section: dict[str, str], overrides: dict) -> list[MCConfig]:
-    """One MCConfig per ';'-separated cell of 'key=value' pairs over the [mc] section and flags."""
+    """One MCConfig per ';'-separated cell of 'key=value' pairs over the [mc] section and overrides."""
     cells = []
     for chunk in text.split(";"):
         if not chunk.strip():
@@ -234,15 +191,14 @@ def _parse_cells(text: str, section: dict[str, str], overrides: dict) -> list[MC
 
 
 def cmd_benchmark(args) -> int:
-    sections = _load_sections(args)
-    mc, overrides = sections.get("mc", {}), _mc_overrides(args)
-    base = mc_config_from_section(mc, overrides)
-    cells = _parse_cells(args.cells or mc.get("cells", ""), mc, overrides) or [base]
+    sections = _sections(args)
+    mc = sections.get("mc", {})
+    base = mc_config_from_section(mc)
+    cells = _parse_cells(mc.get("cells", ""), mc, {}) or [base]
     out = _out_dir(args, sections)
-    jobs = args.jobs or int(sections.get("io", {}).get("jobs", "1"))
-    t_min = int(sections.get("io", {}).get("t_min", DEFAULT_T_MIN))
-    em_options = _em_options(args, sections)
-    fmt = args.format or sections.get("io", {}).get("format", "csv")
+    io = parse_section("io", sections.get("io", {}))
+    jobs, t_min = io.get("jobs", 1), io.get("t_min", DEFAULT_T_MIN)
+    em_options = EMOptions(**parse_section("em", sections.get("em", {})))
 
     table_rows = []
     raw_rows = []
@@ -266,9 +222,9 @@ def cmd_benchmark(args) -> int:
                 *[rec.mse_competitors.get(m, float("nan")) for m in METHODS],
                 rec.converged, rec.iterations, rec.error or "",
             ])
-    echo = _config_echo(sections, args, {"seed": base.seed, "jobs": jobs, "t_min": t_min})
+    echo = _config_echo(sections, {"seed": base.seed, "jobs": jobs, "t_min": t_min})
     (out / "report.json").write_text(json.dumps({"cells": reports, "config": echo}), encoding="utf-8")
-    if fmt != "json":
+    if io.get("format", "csv") != "json":
         write_table(
             out / "report.csv",
             ["n", "T", "n1", "nb", "q", "s", "dist", "tau",
@@ -294,8 +250,8 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    sections = _load_sections(args)
-    cfg = _mc_config(args, sections)
+    sections = _sections(args)
+    cfg = mc_config_from_section(sections.get("mc", {}))
     out = _out_dir(args, sections)
     try:
         n_grid = tuple(int(tok) for tok in args.n_grid.split(",") if tok.strip())
@@ -304,7 +260,7 @@ def cmd_diagnose(args) -> int:
         return EXIT_USAGE
     diag = run_diagnostics(cfg, n_grid=n_grid, horizon=args.horizon,
                            replications=cfg.replications, tol=args.ss_tol)
-    echo = _config_echo(sections, args, {"seed": cfg.seed, "horizon": args.horizon})
+    echo = _config_echo(sections, {"seed": cfg.seed, "horizon": args.horizon})
     rows = []
     for n in n_grid:
         d = diag[n]

@@ -177,20 +177,61 @@ def write_table(path, columns: list[str], rows: list[list], metadata: dict | Non
 
 # configuration files ------------------------------------------------------
 
-_MODEL_KEYS = {"q", "s", "p", "idio_i1", "local_level", "local_trend", "detrend", "standardize"}
-_EM_KEYS = {"max_iter", "tolerance", "phi_policy", "kappa"}
-_MC_KEYS = {
-    "n", "T", "q", "s", "d", "p", "n1", "nb", "tau", "theta", "mu",
-    "dist", "replications", "seed", "cells",
+
+def parse_index_set(text: str) -> frozenset[int]:
+    """Parse a comma-separated list of zero-based series indices."""
+    return frozenset(int(tok) for tok in text.split(",") if tok.strip())
+
+
+def parse_boolean(text: str) -> bool:
+    """configparser's spellings: 1/yes/true/on and 0/no/false/off, in any case."""
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+
+
+def _one_of(*choices):
+    """Parser of one word of ``choices``; ``tuple.index`` raises ValueError on any other."""
+    return lambda text: choices[choices.index(text)]
+
+
+# The one config schema: section -> key -> parser of the key's text.  The CLI
+# adds one flag per key a command reads, so a flag and its key never differ.
+SCHEMA = {
+    "model": {
+        "q": int, "s": int, "p": int, "idio_i1": parse_index_set, "local_level": parse_index_set,
+        "local_trend": parse_index_set, "detrend": parse_index_set, "standardize": parse_boolean,
+    },
+    "em": {
+        "max_iter": int, "tolerance": float, "kappa": float,
+        "phi_policy": lambda text: text if text == "estimated" else float(text),
+    },
+    "mc": {
+        "n": int, "T": int, "q": int, "s": int, "d": int, "p": int, "n1": int, "nb": int, "tau": float,
+        "theta": float, "mu": float, "dist": str, "replications": int, "seed": int, "cells": str,
+    },
+    "io": {"out_dir": str, "format": _one_of("csv", "json"), "jobs": int, "t_min": int},
 }
-_IO_KEYS = {"out_dir", "format", "jobs", "t_min"}
-_SECTIONS = {"model": _MODEL_KEYS, "em": _EM_KEYS, "mc": _MC_KEYS, "io": _IO_KEYS}
+
+
+def parse_section(name: str, section: dict[str, str]) -> dict:
+    """Typed values of one config section; a bad section, key or value raises ConfigError."""
+    if name not in SCHEMA:
+        raise ConfigError(f"unknown config section [{name}]")
+    out = {}
+    for key, text in section.items():
+        if key not in SCHEMA[name]:
+            raise ConfigError(f"unknown key {key!r} in section [{name}]")
+        try:
+            out[key] = SCHEMA[name][key](text)
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"bad value for {name}.{key}: {text!r}") from exc
+    return out
 
 
 def load_config(path) -> dict[str, dict[str, str]]:
     """Parse an INI-style config with sections [model], [em], [mc], [io].
 
-    Unknown sections or keys raise :class:`ConfigError`.
+    Every key and value is checked against :data:`SCHEMA`, but the values
+    stay the file's text, so an echo writes what the user wrote.
     """
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys are case-sensitive: [mc] T, not t
@@ -199,77 +240,34 @@ def load_config(path) -> dict[str, dict[str, str]]:
             parser.read_file(fh)
     except (OSError, configparser.Error) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    out: dict[str, dict[str, str]] = {}
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown config section [{section}]")
-        allowed = _SECTIONS[section]
-        out[section] = {}
-        for key, value in parser.items(section):
-            if key not in allowed:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            out[section][key] = value
+    out = {section: dict(parser.items(section)) for section in parser.sections()}
+    for name, section in out.items():
+        parse_section(name, section)
     return out
 
 
-def parse_index_set(text: str) -> frozenset[int]:
-    """Parse a comma-separated list of zero-based series indices."""
-    text = text.strip()
-    if not text:
-        return frozenset()
-    try:
-        return frozenset(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad index set {text!r}") from exc
-
-
 def mc_config_from_section(section: dict[str, str], overrides: dict | None = None) -> MCConfig:
-    """Build an MCConfig from the [mc] section plus overrides (CLI flags or one cell).
+    """Build an MCConfig from the [mc] section plus overrides (one benchmark cell).
 
     Override keys use the [mc] key names; ``None`` values are skipped and
     unknown keys raise :class:`ConfigError`.
     """
-    merged = dict(section)
-    for key, value in (overrides or {}).items():
-        if key not in _MC_KEYS:
-            raise ConfigError(f"unknown key {key!r} in section [mc]")
-        if value is not None:
-            merged[key] = str(value)
-    kwargs = {}
-    casts = {
-        "n": int, "T": int, "q": int, "s": int, "d": int, "p": int,
-        "n1": int, "nb": int, "tau": float, "theta": float, "mu": float,
-        "replications": int, "seed": int,
-    }
-    for key, cast in casts.items():
-        if key in merged:
-            try:
-                kwargs[key] = cast(merged[key])
-            except ValueError as exc:
-                raise ConfigError(f"bad value for mc.{key}: {merged[key]!r}") from exc
-    if "dist" in merged:
-        kwargs["innovation_dist"] = merged["dist"]
+    merged = {**section, **{k: str(v) for k, v in (overrides or {}).items() if v is not None}}
+    values = parse_section("mc", merged)
+    values.pop("cells", None)
+    if "dist" in values:
+        values["innovation_dist"] = values.pop("dist")
     try:
-        return MCConfig(**kwargs)
+        return MCConfig(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def model_spec_from_section(section: dict[str, str], n: int, T: int) -> ModelSpec:
-    """Build a ModelSpec from the [model] section for an n x T panel."""
-    def geti(key, default):
-        return int(section[key]) if key in section else default
-
+    """Build a ModelSpec from the [model] section for an n x T panel; the EM keys are skipped."""
+    values = parse_section("model", section)
+    fields = {k: v for k, v in values.items() if k in ModelSpec.__dataclass_fields__}
     try:
-        return ModelSpec(
-            n=n,
-            T=T,
-            q=geti("q", 1),
-            s=geti("s", 0),
-            p=geti("p", 2),
-            idio_i1=parse_index_set(section.get("idio_i1", "")),
-            local_level=parse_index_set(section.get("local_level", "")),
-            local_trend=parse_index_set(section.get("local_trend", "")),
-        )
+        return ModelSpec(n=n, T=T, **{"q": 1, "p": 2, **fields})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -10,6 +10,7 @@ import pytest
 
 import nsdfm
 from nsdfm.cli import _parse_cells, main
+from nsdfm.metrics import mse_common
 from nsdfm.model import Panel
 from nsdfm.panel_io import (
     ConfigError,
@@ -18,6 +19,7 @@ from nsdfm.panel_io import (
     read_panel,
     read_truth,
     write_panel,
+    write_truth,
 )
 from nsdfm.simulate import MCConfig, simulate_panel
 
@@ -183,6 +185,10 @@ def test_cli_benchmark_only_flags_rejected_elsewhere(tmp_path):
                    "--out-dir", str(tmp_path)])
         assert rc == 2
     assert not (tmp_path / "panel.csv").exists()
+    # the fit draws no random numbers, so estimate takes no seed
+    rc = main(["estimate", "--input", str(tmp_path / "p.csv"), "--seed", "3",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
 
 
 def test_cli_entrypoint_subprocess(tmp_path):
@@ -204,3 +210,82 @@ def test_cli_benchmark_json_format(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["cells"][0]["elapsed_seconds"] > 0
     assert not (tmp_path / "report.csv").exists()
+
+
+def _small_panel(tmp_path):
+    """Writes p.csv and truth.json of a 12 x 30 simulated panel; returns the panel's path."""
+    sim = simulate_panel(MCConfig(n=12, T=30, q=1, s=0, tau=0.0, seed=4, replications=1), 0)
+    write_panel(tmp_path / "p.csv", sim.panel)
+    write_truth(tmp_path / "truth.json", sim)
+    return tmp_path / "p.csv"
+
+
+def test_cli_standardize_key_takes_boolean_spellings(tmp_path):
+    panel = _small_panel(tmp_path)
+    base = ["estimate", "--input", str(panel), "--q", "1", "--max-iter", "5"]
+
+    def loglik(out, *extra):
+        assert main(base + ["--out-dir", str(out), *extra]) in (0, 4)
+        return json.loads((out / "estimate.json").read_text())["loglik"]
+
+    flagged = loglik(tmp_path / "flag", "--standardize")
+    assert flagged != loglik(tmp_path / "plain")
+    cfg = tmp_path / "c.ini"
+    for spelling in ("yes", "True", "1", "on"):
+        cfg.write_text(f"[model]\nstandardize = {spelling}\n")
+        assert loglik(tmp_path / spelling, "--config", str(cfg)) == flagged
+    cfg.write_text("[model]\nstandardize = maybe\n")
+    assert main(base + ["--config", str(cfg), "--out-dir", str(tmp_path / "maybe")]) == 2
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("io", "format", "xml"),
+    ("em", "tolerance", "abc"),
+    ("io", "jobs", "two"),
+])
+def test_cli_bad_config_value_rejected_and_named(tmp_path, capsys, section, key, value):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    rc = main(["benchmark", "--n", "15", "--T", "25", "--q", "1", "--tau", "0",
+               "--replications", "1", "--seed", "2", "--config", str(cfg),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.csv").exists()
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        load_config(cfg)
+
+
+def test_cli_estimate_echoes_flags(tmp_path):
+    panel = _small_panel(tmp_path)
+    out = tmp_path / "out"
+    main(["estimate", "--input", str(panel), "--q", "1", "--idio-i1", "1,2", "--max-iter", "7",
+          "--out-dir", str(out)])
+    header = [l for l in (out / "chi.csv").read_text().splitlines() if l.startswith("#")]
+    expected = {"model.q": "1", "model.idio_i1": "1,2", "em.max_iter": "7"}
+    for key, value in expected.items():
+        assert f"# {key}={value}" in header
+    config = json.loads((out / "estimate.json").read_text())["config"]
+    assert {k: config[k] for k in expected} == expected
+
+
+def test_cli_estimate_reads_io_t_min(tmp_path):
+    panel = _small_panel(tmp_path)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[io]\nt_min = 20\n")
+    main(["estimate", "--input", str(panel), "--truth", str(tmp_path / "truth.json"),
+          "--q", "1", "--max-iter", "5", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    chi, _, _ = read_panel(tmp_path / "out" / "chi.csv")
+    summary = json.loads((tmp_path / "out" / "estimate.json").read_text())
+    truth = read_truth(tmp_path / "truth.json")["chi"]
+    assert summary["mse_common"] == mse_common(chi.data, truth, 20) != mse_common(chi.data, truth)
+
+
+def test_demo_cli_pipeline_runs(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(nsdfm.__file__).resolve().parents[1])
+    env = {**os.environ, "TMPDIR": str(tmp_path),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(root / "demos" / "05_cli_pipeline.py")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
