@@ -29,12 +29,17 @@ from .model import build_state_space
 from .pre_estimate import initial_state_cov
 from .simulate import MCConfig, simulate_panel
 
-__all__ = ["ReplicationResult", "CellReport", "run_replication", "run_cell", "run_diagnostics", "METHODS"]
+__all__ = ["ReplicationResult", "CellReport", "run_replication", "run_cell", "run_diagnostics", "METHODS",
+           "MC_EM_OPTIONS"]
 
 METHODS = ("pc_levels", "pc_diff_cumulate", "pc_diff_corrected")
 
 # Share of failed replications beyond which a cell is marked invalid
 MAX_FAILURE_SHARE = 0.05
+
+# EM options of a Monte Carlo fit when none are given; ``nsdfm benchmark``
+# lays its [em] keys over these
+MC_EM_OPTIONS = EMOptions(max_iter=100)
 
 
 @dataclass
@@ -98,7 +103,7 @@ def run_replication(
     rec = ReplicationResult(replication=replication)
     try:
         sim = simulate_panel(config, replication)
-        base = em_options or EMOptions(max_iter=100)
+        base = em_options or MC_EM_OPTIONS
         opts = replace(base, detrend=frozenset(sim.trend_set | sim.spec.local_level | sim.spec.local_trend))
         res = fit(sim.spec, sim.panel, opts)
         rec.mse_em = mse_common(res.chi, sim.chi, t_min)

@@ -3,7 +3,8 @@
 Every command accepts ``--config`` (an INI file with sections [model],
 [em], [mc], [io]) plus one flag per config key it reads, declared once
 with its parser in ``panel_io.SCHEMA``.  Flags win over the file; the
-merged text is what a command parses and what its outputs echo.  Exit
+merged text of the sections a command reads is what it parses and what
+its outputs echo, and the file's other sections are checked but left out.  Exit
 codes: 0 success (estimate: converged), 2 usage/configuration error (a
 bad value names its ``section.key``), 3 data error, 4 non-convergence,
 5 numeric failure.
@@ -14,12 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .benchmark import METHODS, run_cell, run_diagnostics
+from .benchmark import MC_EM_OPTIONS, METHODS, run_cell, run_diagnostics
 from .em import EMOptions, fit
 from .metrics import DEFAULT_T_MIN, mse_common
 from .panel_io import (
@@ -47,6 +49,14 @@ EXIT_NUMERIC = 5
 
 # [mc] keys with a flag on simulate, benchmark and diagnose
 _MC_FLAGS = ("n", "T", "q", "s", "d", "n1", "nb", "tau", "theta", "mu", "replications", "dist", "seed")
+
+# the config sections each command reads
+_READS = {
+    "simulate": ("mc", "io"),
+    "estimate": ("model", "em", "io"),
+    "benchmark": ("mc", "em", "io"),
+    "diagnose": ("mc", "io"),
+}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -93,14 +103,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _sections(args) -> dict[str, dict[str, str]]:
-    """The config file's sections with the flags laid over them, checked but kept as text."""
+    """The config file's sections with the flags laid over them, checked but kept as text.
+
+    Only the sections the command reads are returned, so they alone are echoed.
+    """
     sections = load_config(args.config) if args.config else {}
     for dest, text in vars(args).items():
         if "." in dest and text is not None:
             section, _, key = dest.partition(".")
             parse_section(section, {key: text})
             sections.setdefault(section, {})[key] = text
-    return sections
+    return {sec: kv for sec, kv in sections.items() if sec in _READS[args.command]}
 
 
 def _out_dir(args, sections) -> Path:
@@ -198,7 +211,7 @@ def cmd_benchmark(args) -> int:
     out = _out_dir(args, sections)
     io = parse_section("io", sections.get("io", {}))
     jobs, t_min = io.get("jobs", 1), io.get("t_min", DEFAULT_T_MIN)
-    em_options = EMOptions(**parse_section("em", sections.get("em", {})))
+    em_options = replace(MC_EM_OPTIONS, **parse_section("em", sections.get("em", {})))
 
     table_rows = []
     raw_rows = []

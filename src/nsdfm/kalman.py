@@ -8,10 +8,21 @@ The measurement update is in information form: the gain comes from the
 Cholesky factor of P_{t|t-1}^{-1} + Z'R^{-1}Z, which costs O(n K^2) per
 step with the diagonal measurement covariance.  The innovation's
 quadratic form is a sum of two squares, e'R^{-1}e + m'P_{t|t-1}^{-1}m with
-m the gain times the innovation and e = v - Z m, so no term cancels
+m the gain times the innovation and e = x - Z a_{t|t}, so no term cancels
 however small a measurement variance is.  The filtered covariance is
 formed in Joseph form and re-symmetrized, which keeps the recursion
 stable under the near-diffuse initialization used for unit-root states.
+
+The per-slot loops carry the recursion and little else.  The filter's
+loop updates the mean and keeps w_t = cPi m_t, with cPi the inverse
+Cholesky factor of P_{t|t-1}, so that m'P^{-1}m = w'w; that is one
+matrix-vector product, where keeping every cPi for after the pass would
+cost a (T+1) x K x K buffer.  The other log-likelihood terms, which the
+recursion never reads, are evaluated for all slots at once after the
+pass: e_t in one product over the observed cells, and log det S_t from
+the Cholesky diagonals kept once per distinct step.  The smoother solves every distinct gain J_t in one stacked solve
+before its backward pass and forms the lag-one covariances in one stacked
+product after it.
 
 The covariance step does not depend on the data.  With a fixed measurement
 map the filter builds one measurement block per pattern of observed rows
@@ -57,7 +68,9 @@ class FilterOutput:
     ``predicted_means[t]`` is a_{t|t-1} and ``filtered_means[t]`` a_{t|t}
     for t >= 1; slot 0 of both holds the initial mean.  ``loglik_terms[t]``
     is the prediction-error log-density of the rows observed at t (zero at
-    fully missing time points).
+    slot 0 and at fully missing time points).  The filter evaluates these
+    terms for all slots after its pass, so their sums are ordered unlike a
+    per-step evaluation's; nothing the recursion produces depends on them.
 
     The covariances are banked: ``cov_bank[j]`` is the pair
     (P_{t|t-1}, P_{t|t}) of the j-th covariance step computed, entry 0
@@ -124,51 +137,61 @@ class SmootherOutput:
 
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
-    return 0.5 * (P + P.T)
+    """(P + P')/2, formed in place: P must be a temporary."""
+    P += P.T
+    P *= 0.5
+    return P
+
+
+def _rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``a[idx]``, as a view when idx is a run of consecutive entries, as it is when no step repeats."""
+    if idx.size and np.all(np.diff(idx) == 1):
+        return a[idx[0]:idx[0] + idx.size]
+    return a[idx]
 
 
 def _measurement_block(ss: StateSpace, obs: np.ndarray, t: int) -> tuple | None:
     """What a filter step needs of the measurement equation on the observed rows at zero-based t.
 
-    Returns (Z, r_diag, Z'R^{-1}, Z'R^{-1}Z, log det R) on the rows ``obs``,
-    or None when no row is observed.
+    Returns (Z, r_diag, Z'R^{-1}, Z'R^{-1}Z) on the rows ``obs``, or None
+    when no row is observed.
     """
     if obs.size == 0:
         return None
     Z = ss.measurement_map(t, obs)
     r_diag = ss.measurement_cov_diag[obs]
     Zr = Z.T / r_diag                            # K x n_obs
-    return Z, r_diag, Zr, Zr @ Z, np.log(r_diag).sum()
+    return Z, r_diag, Zr, Zr @ Z
 
 
 def _filter_step(ss: StateSpace, P_prev: np.ndarray, block: tuple | None, t: int) -> tuple:
     """The data-free part of filter step t (1-based slot), from P_{t-1|t-1} and the measurement block.
 
     ``block`` is :func:`_measurement_block` of the rows observed at t.
-    Returns (P_{t|t-1}, P_{t|t}, gain, logdet_S, cPi) with cPi the inverse
-    Cholesky factor of P_{t|t-1}, which the innovation's quadratic form
-    needs.
+    Returns (P_{t|t-1}, P_{t|t}, gain, cPi, diag cP, diag cM): cPi is the
+    inverse of the Cholesky factor cP of P_{t|t-1}, which the innovation's
+    quadratic form needs, and cM the Cholesky factor of P_{t|t-1}^{-1} +
+    Z'R^{-1}Z; the two diagonals give log det S.  Only the two covariances
+    are returned when no row is observed.
     """
     P = _symmetrize(ss.transition_map @ P_prev @ ss.transition_map.T + ss.state_innovation_cov)
     if block is None:
-        return P, P, None, 0.0, None
-    Z, r_diag, Zr, ZrZ, logdet_R = block
+        return P, P
+    Z, r_diag, Zr, ZrZ = block
     try:
         cP = np.linalg.cholesky(P)
         cPi = np.linalg.inv(cP)
-        M_inv = _symmetrize(cPi.T @ cPi + ZrZ)   # P^{-1} + Z' R^{-1} Z
-        cM = np.linalg.cholesky(M_inv)
+        cM = np.linalg.cholesky(_symmetrize(cPi.T @ cPi + ZrZ))   # P^{-1} + Z' R^{-1} Z
         cMi = np.linalg.inv(cM)
         gain = (cMi.T @ cMi) @ Zr
-        logdet_S = logdet_R + 2.0 * np.log(np.diag(cP)).sum() + 2.0 * np.log(np.diag(cM)).sum()
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"P_{{t|t-1}} or P_{{t|t-1}}^-1 + Z'R^-1 Z not positive definite at t={t}; check the variances"
         ) from exc
     IKZ = -(gain @ Z)
-    IKZ.flat[::P.shape[0] + 1] += 1.0            # I - gain Z without a K x K identity per step
+    IKZ.ravel()[::P.shape[0] + 1] += 1.0         # I - gain Z without a K x K identity per step
     P_filt = _symmetrize(IKZ @ P @ IKZ.T + (gain * r_diag) @ gain.T)
-    return P, P_filt, gain, logdet_S, cPi
+    return P, P_filt, gain, cPi, cP.diagonal(), cM.diagonal()
 
 
 def kf_filter(
@@ -198,16 +221,20 @@ def kf_filter(
         raise ValueError("initial moments must be finite")
 
     Theta = ss.transition_map
+    x_rows = np.ascontiguousarray(x.T)           # slot t reads row t-1
 
     a_pred = np.zeros((T + 1, K))
     a_filt = np.zeros((T + 1, K))
-    ll = np.zeros(T + 1)
+    w = np.zeros((T + 1, K))                     # w_t = cPi m_t, m_t = gain v_t; zero where nothing is observed
     step_index = np.zeros(T + 1, dtype=np.intp)
 
     a_pred[0] = a_filt[0] = init_mean
     bank = np.empty((T + 1, 2, K, K))  # an entry per step computed, trimmed at the end
-    bank[0] = _symmetrize(init_cov)
+    bank[0] = _symmetrize(init_cov.copy())
     size = 1
+    # per bank entry, for the log-likelihood only: the diagonals of cP and cM (one for a step
+    # that observes nothing, so its slots add nothing)
+    chol_diag = np.ones((T + 1, 2, K))
 
     # a step can repeat only while Z does not change with t; columns with
     # equal observed rows share a pattern id and one measurement block
@@ -219,7 +246,7 @@ def kf_filter(
         # first bank entry whose P_{t|t} has the same bytes
         classes = {bank[0, 1].tobytes(): 0}
         entry_class = [0]
-        computed: dict[tuple[int, int], tuple] = {}  # (pattern, class) -> (entry, step)
+        computed: dict[tuple[int, int], tuple] = {}  # (pattern, class) -> (entry, gain, cPi)
 
     k = 0  # bank entry of slot t-1
     for t in range(1, T + 1):
@@ -232,36 +259,56 @@ def kf_filter(
             block = _measurement_block(ss, obs, t - 1)
             hit = None
         if hit is not None:
-            k, step = hit
+            k, gain, cPi = hit
         else:
             step = _filter_step(ss, bank[k, 1], block, t)
             k, size = size, size + 1
             bank[k, 0], bank[k, 1] = step[0], step[1]
+            gain = cPi = None
+            if block is not None:
+                gain, cPi, chol_diag[k, 0], chol_diag[k, 1] = step[2:]
             if reuse:
-                computed[key] = (k, step)
+                computed[key] = (k, gain, cPi)
                 entry_class.append(classes.setdefault(step[1].tobytes(), k))
         step_index[t] = k
-        _, _, gain, logdet_S, cPi = step
 
         a = Theta @ a_filt[t - 1]
         a_pred[t] = a
         if obs.size == 0:
             a_filt[t] = a
             continue
-
-        Z, r_diag = block[0], block[1]
-        v = x[obs, t - 1] - Z @ a
-        m = gain @ v
+        m = gain @ (x_rows[t - 1, obs] - block[0] @ a)
         a_filt[t] = a + m
-        # v'S^{-1}v = e'R^{-1}e + m'P^{-1}m: m minimizes (v - Zm)'R^{-1}(v - Zm) + m'P^{-1}m
-        e = v - Z @ m
-        w = cPi @ m
-        quad = e @ (e / r_diag) + w @ w
-        ll[t] = -0.5 * (obs.size * _LOG_2PI + logdet_S + quad)
+        w[t] = cPi @ m
 
+    ll = np.zeros(T + 1)
+    ll[1:] = _loglik_terms(ss, x, mask, a_filt[1:], w[1:], step_index[1:], chol_diag[:size])
     if not np.all(np.isfinite(ll)):
         raise FloatingPointError("non-finite log-likelihood term; filter diverged")
     return FilterOutput(a_pred, a_filt, ll, step_index, _trim(bank, 0, size))
+
+
+def _loglik_terms(ss: StateSpace, x: np.ndarray, mask: np.ndarray, a_filt: np.ndarray, w: np.ndarray,
+                  index: np.ndarray, chol_diag: np.ndarray) -> np.ndarray:
+    """Prediction-error log-densities of slots 1..T, from a filter pass's per-slot a_{t|t} and w_t.
+
+    -2 log p(x_t) = n_t log 2 pi + log det S_t + e'R^{-1}e + w_t'w_t with
+    e = x_t - Z_t a_{t|t} on the rows observed at t, w_t = cPi m_t and
+    log det S_t = log det R + 2 log det cP + 2 log det cM.  ``index`` is
+    each slot's bank entry, and ``chol_diag`` holds the diagonals of cP and
+    cM per entry.
+    """
+    T, K = a_filt.shape
+    A = a_filt.T.copy()
+    A[ss.layout.beta_slice] *= np.arange(1.0, T + 1)   # Z_t scales the slope columns by the time label
+    e = np.where(mask, x - ss.measurement_base @ A, 0.0)
+    seen = mask.any(axis=1)                           # a never observed series adds nothing, whatever its R
+    r = ss.measurement_cov_diag
+    r_inv = np.divide(1.0, r, out=np.zeros_like(r), where=seen)
+    log_r = np.log(r, out=np.zeros_like(r), where=seen)
+    logdet_PM = 2.0 * np.log(chol_diag).sum(axis=(1, 2))
+    quad = r_inv @ (e * e) + np.einsum("ti,ti->t", w, w)
+    return -0.5 * (mask.sum(axis=0) * _LOG_2PI + log_r @ mask + logdet_PM[index] + quad)
 
 
 def _trim(buffer: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -289,12 +336,16 @@ def ks_smooth(filt: FilterOutput, ss: StateSpace) -> SmootherOutput:
     The smoothed cross-covariance uses Cov(s_t, s_{t-1} | data) =
     P_{t|T} J_{t-1}', with J the usual smoother gain; slot 0 of the output
     carries the smoothed initial state, which re-seeds the filter across EM
-    iterations.  J_t depends on P_{t|t} alone, so for a step that repeats it
-    is solved once, and P_{t|T} with the lag-one covariance of slot t+1 is
-    formed once per P_{t+1|T} entry.  Once the filter has repeated a step, a
+    iterations.  J_t depends on P_{t|t} alone, so the gain of every distinct
+    step is solved once, all of them in one stacked solve before the
+    backward pass.  The pass forms P_{t|T} once per (step, P_{t+1|T} entry)
+    and the lag-one covariances of the pairs it formed follow in one
+    stacked product after it.  Once the filter has repeated a step, a
     P_{t|T} bitwise equal to any earlier entry shares it, so a smoother that
     has settled, to a fixed point or a cycle of any period like the
-    filter's, stops forming anything.
+    filter's, stops forming anything.  Stacked and per-matrix solves and
+    products give the same bits, so the result is bit-identical to a
+    per-slot recursion.
     """
     Theta = ss.transition_map
     T = filt.T
@@ -302,13 +353,22 @@ def ks_smooth(filt: FilterOutput, ss: StateSpace) -> SmootherOutput:
     bank = filt.cov_bank
     s_mean = np.zeros((T + 1, K))
 
-    steps = filt.step_index.tolist()
-    repeated = (np.bincount(steps[:T], minlength=len(bank)) > 1).tolist()
-    gains: dict[int, np.ndarray] = {}
-    formed: dict[tuple[int, int], tuple[int, int]] = {}  # (step, entry of P_{t+1|T}) -> entries of slot t
     # both banks fill downward from entry T as the pass runs backward, and are trimmed at the end
     covs = np.empty((T + 1, K, K))
     lags = np.empty((T + 1, K, K))
+
+    # J_t' = P_{t+1|t}^{-1} Theta P_{t|t}, a solve on the symmetric P_{t+1|t}, once per distinct step;
+    # gain_row[t] is slot t's row of J_T.  Theta P_{t|t} borrows the lag bank's buffer, which the
+    # lag-one covariances overwrite after the pass, so the stacked solve adds one stack, not two.
+    steps = filt.step_index
+    distinct, first, gain_row = np.unique(steps[:T], return_index=True, return_inverse=True)
+    Theta_Pf = np.matmul(Theta, _rows(bank[:, 1], distinct), out=lags[:len(distinct)])
+    J_T = np.linalg.solve(_rows(bank[:, 0], steps[first + 1]), Theta_Pf)
+    repeated = (np.bincount(gain_row) > 1).tolist()
+    steps, gain_row = steps.tolist(), gain_row.tolist()
+
+    formed: dict[tuple[int, int], tuple[int, int]] = {}  # (gain row, entry of P_{t+1|T}) -> entries of slot t
+    pairs: list[tuple[int, int]] = []  # (gain row, entry of P_{t+1|T}) of each lag-one covariance formed
     covs[T] = bank[steps[T], 1]
     c_low, l_low = T, T + 1
     # once a step repeats, smoothed covariances can repeat too: bytes of a banked P_{t|T} -> its entry
@@ -317,30 +377,28 @@ def ks_smooth(filt: FilterOutput, ss: StateSpace) -> SmootherOutput:
     lag_index = [0] * (T + 1)
     s_mean[T] = filt.filtered_means[T]
     for t in range(T - 1, -1, -1):
-        k = steps[t]
-        Pf, Pp = bank[k, 1], bank[steps[t + 1], 0]
-        J = gains.get(k)
-        if J is None:
-            # J_t = P_{t|t} Theta' P_{t+1|t}^{-1}, via a solve on the symmetric Pp
-            J = np.linalg.solve(Pp, Theta @ Pf).T
-            if repeated[k]:
-                gains[k] = J
+        g = gain_row[t]
+        J = J_T[g].T
         s_mean[t] = filt.filtered_means[t] + J @ (s_mean[t + 1] - filt.predicted_means[t + 1])
-        key = (k, cov_index[t + 1])
+        key = (g, cov_index[t + 1])
         entries = formed.get(key)
         if entries is None:
             P_next = covs[key[1]]
-            P = _symmetrize(Pf + J @ (P_next - Pp) @ J.T)
+            P = _symmetrize(bank[steps[t], 1] + J @ (P_next - bank[steps[t + 1], 0]) @ J.T)
             l_low -= 1
-            lags[l_low] = P_next @ J.T
+            pairs.append(key)
             entry = c_low - 1 if seen is None else seen.setdefault(P.tobytes(), c_low - 1)
             if entry == c_low - 1:
                 c_low -= 1
                 covs[c_low] = P
             entries = (entry, l_low)
-            if repeated[k]:
+            if repeated[g]:
                 formed[key] = entries
         cov_index[t], lag_index[t + 1] = entries
+    # lags[l] = P_{t+1|T} J_t' of the pair formed into entry l, the pairs being formed downward from T
+    if pairs:
+        g_rows, c_rows = np.array(pairs[::-1]).T
+        np.matmul(_rows(covs, c_rows), _rows(J_T, g_rows), out=lags[l_low:])
     l_low -= 1
     lags[l_low] = 0.0
     lag_index[0] = l_low

@@ -108,15 +108,16 @@ def joint_gaussian_moments(ss: StateSpace, panel: Panel, init_mean, init_cov):
     }
 
 
-def prediction_error_loglik(ss: StateSpace, panel: Panel, filt) -> float:
-    """Prediction-error log-likelihood from a filter's own predicted moments.
+def prediction_error_terms(ss: StateSpace, panel: Panel, filt) -> np.ndarray:
+    """Per-slot prediction-error log-densities from a filter's own predicted moments.
 
-    Sums the Gaussian log-density of each observed column given a_{t|t-1}
-    and S_t = Z P_{t|t-1} Z' + R, with S_t factorized by a plain Cholesky:
-    no Woodbury identity and no information-form algebra.  Checks how the
-    filter evaluates its log-likelihood, whatever its covariances are.
+    Slot t holds the Gaussian log-density of the rows observed at t given
+    a_{t|t-1} and S_t = Z P_{t|t-1} Z' + R, with S_t factorized by a plain
+    Cholesky: no Woodbury identity and no information-form algebra.  Slot
+    0 and fully missing slots hold zero.  Checks how the filter evaluates
+    its log-likelihood, whatever its covariances are.
     """
-    total = 0.0
+    terms = np.zeros(filt.T + 1)
     for t in range(1, filt.T + 1):
         obs = np.nonzero(panel.missing_mask[:, t - 1])[0]
         if obs.size == 0:
@@ -125,8 +126,13 @@ def prediction_error_loglik(ss: StateSpace, panel: Panel, filt) -> float:
         S = Z @ filt.predicted_covs[t] @ Z.T + np.diag(ss.measurement_cov_diag[obs])
         c = np.linalg.cholesky(S)
         z = np.linalg.solve(c, panel.data[obs, t - 1] - Z @ filt.predicted_means[t])
-        total += -0.5 * (obs.size * np.log(2 * np.pi) + 2.0 * np.log(np.diag(c)).sum() + z @ z)
-    return float(total)
+        terms[t] = -0.5 * (obs.size * np.log(2 * np.pi) + 2.0 * np.log(np.diag(c)).sum() + z @ z)
+    return terms
+
+
+def prediction_error_loglik(ss: StateSpace, panel: Panel, filt) -> float:
+    """Prediction-error log-likelihood: the sum of :func:`prediction_error_terms`."""
+    return float(prediction_error_terms(ss, panel, filt).sum())
 
 
 def per_slot_smooth(filt, ss: StateSpace):

@@ -3,12 +3,14 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nsdfm
+from nsdfm.benchmark import MC_EM_OPTIONS, METHODS, run_cell
 from nsdfm.cli import _parse_cells, main
 from nsdfm.metrics import mse_common
 from nsdfm.model import Panel
@@ -289,3 +291,47 @@ def test_demo_cli_pipeline_runs(tmp_path):
     proc = subprocess.run([sys.executable, str(root / "demos" / "05_cli_pipeline.py")],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command, reads, table", [
+    ("simulate", {"mc"}, "panel.csv"),
+    ("estimate", {"model", "em"}, "chi.csv"),
+    ("benchmark", {"mc", "em"}, "report.csv"),
+    ("diagnose", {"mc"}, "diagnose.csv"),
+])
+def test_cli_echoes_only_the_sections_it_reads(tmp_path, command, reads, table):
+    # one config file for every command: each echoes the sections it reads, not the others
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[model]\nq = 1\nstandardize = yes\n\n[em]\nmax_iter = 5\n\n"
+                   "[mc]\nn = 10\nT = 20\nq = 1\ntau = 0\nreplications = 1\nseed = 3\n")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out-dir", str(out)]
+    if command == "estimate":
+        argv += ["--input", str(_small_panel(tmp_path))]
+    if command == "diagnose":
+        argv += ["--n-grid", "10"]
+    assert main(argv) in (0, 4)
+    keys = [line[2:].partition("=")[0] for line in (out / table).read_text().splitlines() if line.startswith("# ")]
+    assert {key.partition(".")[0] for key in keys if "." in key} == reads
+
+
+def test_cli_benchmark_rows_equal_run_cell(tmp_path):
+    # the CLI fits with run_cell's Monte Carlo EM options, its [em] keys laid over them
+    cfg = MCConfig(n=10, T=20, q=1, s=0, tau=0.0, seed=6, replications=2)
+    argv = ["benchmark", "--n", "10", "--T", "20", "--q", "1", "--s", "0", "--tau", "0",
+            "--replications", "2", "--seed", "6"]
+    ini = tmp_path / "c.ini"
+    ini.write_text("[em]\ntolerance = 1e-12\n")
+    for name, options, extra in (("default", None, []),
+                                 ("tight", replace(MC_EM_OPTIONS, tolerance=1e-12), ["--config", str(ini)])):
+        out = tmp_path / name
+        assert main(argv + extra + ["--out-dir", str(out)]) == 0
+        lines = [line for line in (out / "replications.csv").read_text().splitlines()
+                 if line and not line.startswith("#")]
+        rows = [line.split(",") for line in lines[1:]]
+        expected = [
+            [rec.replication, rec.mse_em, *[rec.mse_competitors[m] for m in METHODS], rec.converged, rec.iterations]
+            for rec in run_cell(cfg, options).replications
+        ]
+        assert [[int(r[5]), float(r[6]), *map(float, r[7:10]), r[10] == "True", int(r[11])] for r in rows] == expected
+    assert expected[0][-1] == MC_EM_OPTIONS.max_iter  # the tight tolerance runs into the iteration cap

@@ -10,7 +10,7 @@ from nsdfm.kalman import _filter_step, _measurement_block, kf_filter, ks_smooth,
 from nsdfm.pre_estimate import pre_estimate
 from nsdfm.simulate import MCConfig, simulate_panel
 from conftest import random_instance, random_panel, settled_panel
-from oracles import joint_gaussian_moments, per_slot_smooth, prediction_error_loglik
+from oracles import joint_gaussian_moments, per_slot_smooth, prediction_error_loglik, prediction_error_terms
 
 
 def local_level_system(sigma_u=1.0, sigma_nu=1.0):
@@ -284,3 +284,52 @@ def test_loglik_matches_prediction_errors_at_tiny_phi(phi, rel):
     ss = build_state_space(sim.spec, dataclasses.replace(pre.params, sigma2_nu=s2nu))
     filt = kf_filter(ss, sim.panel, pre.init_state_mean, pre.init_state_cov)
     assert filt.loglik == pytest.approx(prediction_error_loglik(ss, sim.panel, filt), rel=rel)
+
+
+def ragged_local_trend_panel(rng, n=10, T=40):
+    """Time-varying system (a local-trend series) and a panel with random gaps,
+    a ragged edge, one fully missing column and 1e6 in every masked cell."""
+    while True:
+        spec, params = random_instance(rng, n=n, T=T, q=3, s=1, p=2)
+        if spec.local_trend:
+            break
+    mask = rng.random((n, T)) >= 0.25
+    mask[: n // 2, T - 3:] = False
+    mask[:, T // 2] = False
+    data = np.where(mask, rng.standard_normal((n, T)), 1.0e6)
+    return spec, params, Panel(data, mask)
+
+
+@pytest.mark.parametrize("case", ["ragged_local_trend", "settled"])
+def test_loglik_terms_match_per_slot_cholesky_oracle(case):
+    # the terms evaluated after the pass, one slot at a time, against a
+    # plain Cholesky of S_t from the filter's own predicted moments
+    rng = np.random.default_rng(211)
+    if case == "settled":
+        spec, params, panel = settled_panel(rng, T_full=40, with_states=True)
+    else:
+        spec, params, panel = ragged_local_trend_panel(rng)
+    ss = build_state_space(spec, params)
+    filt = kf_filter(ss, panel, np.zeros(ss.K), np.eye(ss.K) * 10.0)
+    # on the settled panel slots reuse steps, and with them a bank entry's log det
+    assert ss.time_varying == (case == "ragged_local_trend")
+    assert (len(filt.cov_bank) < panel.T + 1) == (case == "settled")
+    oracle = prediction_error_terms(ss, panel, filt)
+    empty = ~panel.missing_mask.any(axis=0)
+    assert empty.any() and np.all(oracle[1:][empty] == 0.0)
+    np.testing.assert_allclose(filt.loglik_terms, oracle, rtol=1e-12, atol=0.0)
+
+
+def test_stacked_smoother_equals_per_slot_smoother_on_time_varying_panel():
+    # time-varying Z: every slot has its own step, so every gain comes from
+    # the stacked solve and every lag-one covariance from the stacked product
+    rng = np.random.default_rng(212)
+    spec, params, panel = ragged_local_trend_panel(rng)
+    ss = build_state_space(spec, params)
+    filt = kf_filter(ss, panel, np.zeros(ss.K), np.eye(ss.K) * 10.0)
+    np.testing.assert_array_equal(filt.step_index, np.arange(panel.T + 1))
+    smooth = ks_smooth(filt, ss)
+    means, covs, lag_one = per_slot_smooth(filt, ss)
+    np.testing.assert_array_equal(smooth.smoothed_means, means)
+    np.testing.assert_array_equal(smooth.smoothed_covs, covs)
+    np.testing.assert_array_equal(smooth.lag_one_covs, lag_one)
