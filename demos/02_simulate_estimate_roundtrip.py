@@ -24,12 +24,13 @@ assert np.all(np.diff(ll) >= -1e-8 * np.maximum(1.0, np.abs(ll[:-1]))), "EM must
 m_em = mse_common(res.chi, sim.chi)
 print(f"\ncommon-component MSE (t >= 3): EM = {m_em:.4f}")
 r = cfg.q * (cfg.s + 1)
-for name, est in [
+cumulated = pc_diff_cumulate(sim.panel, r)
+for name, chi in [
     ("PC on levels", pc_levels(sim.panel, r)),
-    ("PC on differences, cumulated", pc_diff_cumulate(sim.panel, r)),
-    ("PC on differences, corrected", pc_diff_corrected(sim.panel, r)),
+    ("PC on differences, cumulated", cumulated),
+    ("PC on differences, corrected", pc_diff_corrected(sim.panel, cumulated)),
 ]:
-    m = mse_common(est.chi, sim.chi)
+    m = mse_common(chi, sim.chi)
     print(f"  {name:30s} MSE = {m:10.4f}   relative = {m_em / m:.4f}")
 
 # the estimated factor space spans the truth up to rotation

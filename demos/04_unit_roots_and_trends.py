@@ -21,7 +21,7 @@ print(f"{cfg.nb} series have linear trends, slopes in [0.3, 0.5]")
 res = fit(sim.spec, sim.panel, EMOptions(max_iter=100, detrend=sim.trend_set))
 
 m_em = mse_common(res.chi, sim.chi)
-m_b = mse_common(pc_levels(sim.panel, 2).chi, sim.chi)
+m_b = mse_common(pc_levels(sim.panel, 2), sim.chi)
 print(f"\ncommon-component MSE: EM = {m_em:.3f}, PC on levels = {m_b:.1f} "
       f"(relative {m_em / m_b:.4f}; levels PCs fail under idiosyncratic unit roots)")
 
@@ -34,7 +34,8 @@ for b0, bh in list(zip(drawn, fitted))[:5]:
 print(f"slope RMSE: {np.sqrt(np.mean((drawn - fitted) ** 2)):.4f}")
 
 # the smoothed xi paths follow the true integrated components
-paths = res.smoothed_state_paths()
-i = sorted(sim.i1_set)[0]
-corr = np.corrcoef(paths["xi"][i], sim.xi[i])[0, 1]
+layout = sim.spec.layout
+i = layout.xi_series[0]
+xi = res.smoothed_means[1:, layout.xi_slice.start]
+corr = np.corrcoef(xi, sim.xi[i])[0, 1]
 print(f"\nsmoothed vs true idiosyncratic path for series {i}: correlation {corr:.3f}")

@@ -20,7 +20,7 @@ from .kalman import FilterOutput, SmootherOutput, kf_filter, ks_smooth, steady_s
 from .pre_estimate import PreEstimate, pre_estimate
 from .em import EMOptions, EMResult, fit
 from .simulate import MCConfig, SimulatedPanel, simulate_panel
-from .competitors import CompetitorEstimate, pc_levels, pc_diff_cumulate, pc_diff_corrected
+from .competitors import pc_levels, pc_diff_cumulate, pc_diff_corrected
 from .metrics import mse_common
 
 __version__ = "0.1.0"
@@ -45,7 +45,6 @@ __all__ = [
     "MCConfig",
     "SimulatedPanel",
     "simulate_panel",
-    "CompetitorEstimate",
     "pc_levels",
     "pc_diff_cumulate",
     "pc_diff_corrected",

@@ -111,10 +111,11 @@ def run_replication(
         rec.iterations = res.iterations
         r = config.q * (config.s + 1)
         panel = sim.panel
+        cumulated = pc_diff_cumulate(panel, r)
         rec.mse_competitors = {
-            "pc_levels": mse_common(pc_levels(panel, r).chi, sim.chi, t_min),
-            "pc_diff_cumulate": mse_common(pc_diff_cumulate(panel, r).chi, sim.chi, t_min),
-            "pc_diff_corrected": mse_common(pc_diff_corrected(panel, r).chi, sim.chi, t_min),
+            "pc_levels": mse_common(pc_levels(panel, r), sim.chi, t_min),
+            "pc_diff_cumulate": mse_common(cumulated, sim.chi, t_min),
+            "pc_diff_corrected": mse_common(pc_diff_corrected(panel, cumulated), sim.chi, t_min),
         }
     except Exception as exc:  # recorded, never silently dropped
         rec.error = f"{type(exc).__name__}: {exc}"
@@ -160,27 +161,13 @@ def run_diagnostics(
     per_n: dict[int, dict] = {}
     for n in n_grid:
         cfg = replace(config, n=n)
-        preds, filts, smooths = [], [], []
-        inits, filt_scaled, smooth_scaled = [], [], []
+        runs = []
         for rep in range(replications):
             sim = simulate_panel(cfg, rep)
             ss = build_state_space(sim.spec, sim.params)
             P00 = initial_state_cov(sim.spec, sim.params.var_coeffs, sim.params.gamma_u, kappa)
-            res = steady_state_diagnostics(ss, P00, horizon=horizon, tol=tol, T_total=config.T)
-            preds.append(res["tr_pred_over_q"])
-            filts.append(res["tr_filt_over_q"])
-            smooths.append(res["tr_smooth_over_q"])
-            inits.append(res["tr_init_over_q"])
-            filt_scaled.append(res["tr_filt_scaled"])
-            smooth_scaled.append(res["tr_smooth_scaled"])
-        pred = np.mean(preds, axis=0)
-        per_n[n] = {
-            "tr_pred_over_q": pred,
-            "tr_filt_over_q": np.mean(filts, axis=0),
-            "tr_smooth_over_q": np.mean(smooths, axis=0),
-            "tr_init_over_q": float(np.mean(inits)),
-            "tr_filt_scaled": float(np.mean(filt_scaled)),
-            "tr_smooth_scaled": float(np.mean(smooth_scaled)),
-            "steady_state_t": steady_state_onset(pred * config.q, tol),
-        }
+            runs.append(steady_state_diagnostics(ss, P00, horizon=horizon, tol=tol, T_total=config.T))
+        avg = {key: np.mean([run[key] for run in runs], axis=0) for key in runs[0] if key != "steady_state_t"}
+        avg["steady_state_t"] = steady_state_onset(avg["tr_pred_over_q"] * config.q, tol)
+        per_n[n] = avg
     return per_n

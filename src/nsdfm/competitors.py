@@ -1,33 +1,20 @@
 """Principal-components reference estimators of the common component.
 
 Three variants frame the benchmark: PCs of the data in levels, PCs of
-first differences cumulated back to levels, and the corrected
-difference-cumulation variant that re-anchors the cumulated path and
-re-attaches the deterministic trend.  All three are blind to which series
-carry unit roots or trends; that is the point of the comparison.  The
-corrected variant implements re-anchoring as described here (per-series
-level and trend re-attachment after cumulation); other codebases may
-refine it further, so benchmark tolerances treat it as an approximation.
+first differences cumulated back to levels (Bai & Ng 2004), and the
+corrected variant that re-anchors a cumulated estimate by re-attaching
+each series' level and deterministic linear trend.  All three are blind
+to which series carry unit roots or trends; that is the point of the
+comparison.  Each returns its n x T estimate of the common component.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Panel
 
-__all__ = ["CompetitorEstimate", "pc_levels", "pc_diff_cumulate", "pc_diff_corrected"]
-
-
-@dataclass(frozen=True)
-class CompetitorEstimate:
-    """Common-component estimate plus the method tag and rank used."""
-
-    chi: np.ndarray
-    method: str
-    r: int
+__all__ = ["pc_levels", "pc_diff_cumulate", "pc_diff_corrected"]
 
 
 def _leading_eigvecs(G: np.ndarray, r: int, strict: bool = False) -> np.ndarray:
@@ -38,17 +25,19 @@ def _leading_eigvecs(G: np.ndarray, r: int, strict: bool = False) -> np.ndarray:
 
 
 def _dense(panel: Panel) -> np.ndarray:
-    """Competitors need complete data; fill missing cells with series means."""
-    x = np.array(panel.data)
-    if not panel.missing_mask.all():
-        for i in range(x.shape[0]):
-            obs = panel.missing_mask[i]
-            fill = x[i, obs].mean() if obs.any() else 0.0
-            x[i, ~obs] = fill
-    return x
+    """Competitors need complete data; fill missing cells with series means.
+
+    A series with no observation is filled with zeros.  Only the series
+    with a gap are visited.
+    """
+    mask = panel.missing_mask
+    fill = np.zeros(panel.n)
+    for i in np.flatnonzero(mask.any(axis=1) & ~mask.all(axis=1)):
+        fill[i] = panel.data[i, mask[i]].mean()
+    return np.where(mask, panel.data, fill[:, None])
 
 
-def pc_levels(panel: Panel, r: int) -> CompetitorEstimate:
+def pc_levels(panel: Panel, r: int) -> np.ndarray:
     """Project the demeaned levels onto the span of the r leading eigenvectors.
 
     The eigenvectors come from the covariance of the per-series demeaned
@@ -58,11 +47,10 @@ def pc_levels(panel: Panel, r: int) -> CompetitorEstimate:
     xbar = x.mean(axis=1, keepdims=True)
     xc = x - xbar
     V = _leading_eigvecs(xc @ xc.T / x.shape[1], r, strict=True)
-    chi = xbar + V @ (V.T @ xc)
-    return CompetitorEstimate(chi=chi, method="pc_levels", r=r)
+    return xbar + V @ (V.T @ xc)
 
 
-def pc_diff_cumulate(panel: Panel, r: int) -> CompetitorEstimate:
+def pc_diff_cumulate(panel: Panel, r: int) -> np.ndarray:
     """PCs of demeaned first differences, cumulated back from zero.
 
     The per-series mean of the differences estimates the trend slope and
@@ -77,23 +65,18 @@ def pc_diff_cumulate(panel: Panel, r: int) -> CompetitorEstimate:
     G = dxc @ dxc.T / dxc.shape[1]
     V = _leading_eigvecs(G, r)
     dchi = V @ (V.T @ dxc)
-    chi = np.concatenate([np.zeros((x.shape[0], 1)), np.cumsum(dchi, axis=1)], axis=1)
-    return CompetitorEstimate(chi=chi, method="pc_diff_cumulate", r=r)
+    return np.concatenate([np.zeros((x.shape[0], 1)), np.cumsum(dchi, axis=1)], axis=1)
 
 
-def pc_diff_corrected(panel: Panel, r: int) -> CompetitorEstimate:
-    """Difference-cumulation PCs with level re-anchoring.
+def pc_diff_corrected(panel: Panel, cumulated: np.ndarray) -> np.ndarray:
+    """Re-anchor the :func:`pc_diff_cumulate` estimate ``cumulated`` of ``panel``.
 
-    After cumulation, the per-series OLS fit of (x - cumulated estimate)
-    on a constant and trend is added back, restoring the level and any
-    deterministic linear component the differencing removed.
+    The per-series OLS fit of (x - cumulated) on a constant and trend is
+    added back, restoring the level and any deterministic linear
+    component the differencing removed.
     """
-    base = pc_diff_cumulate(panel, r)
     x = _dense(panel)
-    n, T = x.shape
-    t = np.arange(1, T + 1, dtype=float)
-    X = np.column_stack([np.ones(T), t])
-    resid = (x - base.chi).T                      # T x n
-    coef, *_ = np.linalg.lstsq(X, resid, rcond=None)
-    chi = base.chi + (X @ coef).T
-    return CompetitorEstimate(chi=chi, method="pc_diff_corrected", r=r)
+    T = x.shape[1]
+    X = np.column_stack([np.ones(T), np.arange(1, T + 1, dtype=float)])
+    coef, *_ = np.linalg.lstsq(X, (x - cumulated).T, rcond=None)
+    return cumulated + (X @ coef).T

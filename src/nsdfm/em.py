@@ -45,6 +45,22 @@ __all__ = [
 class EMOptions:
     """Knobs of the EM loop.
 
+    ``max_iter`` caps the number of E/M iterations.  The loop stops as
+    converged once the relative change of the log-likelihood between two
+    iterations, |l_k - l_{k-1}| / ((|l_k| + |l_{k-1}|) / 2), falls below
+    ``tolerance``.  ``kappa`` is the diffuse initial variance of the
+    idiosyncratic, local-level and local-trend states (kappa * I); the
+    factor block starts from the shrunk Lyapunov solution instead.
+
+    ``standardize`` divides each series by the standard deviation of its
+    observed first differences (by 1 where that is zero or undefined)
+    before the fit, then maps chi, the parameters and the deterministic
+    trends back to the data's scale; ``smoothed_means`` stay on the
+    standardized scale.  It moves the numbers even on data of unit scale:
+    a standard deviation near 1 still rescales every value, and the fixed
+    initial variances and floors, being absolute, weigh differently
+    against the rescaled series.
+
     ``phi_policy`` is either "estimated" (the small measurement variances
     of series with extra states are updated every iteration) or a float,
     which fixes them at that value.  ``detrend`` lists series that carry
@@ -110,30 +126,12 @@ class EMResult:
     params: Params
     chi: np.ndarray                  # n x T estimated common component
     factors: np.ndarray              # q x T smoothed factors
-    smoothed_means: np.ndarray       # (T+1, K) smoothed state means, slot 0 = initial state
+    smoothed_means: np.ndarray       # (T+1, K) smoothed states in spec.layout order, slot 0 = initial
     loglik_path: list[float]
     iterations: int
     converged: bool
     trend_alpha: np.ndarray          # estimated deterministic intercepts
     trend_beta: np.ndarray           # estimated deterministic slopes
-    layout: StateLayout
-
-    def smoothed_state_paths(self) -> dict[str, np.ndarray]:
-        """xi/alpha/beta smoothed paths as n x T arrays (zero off their sets)."""
-        lay = self.layout
-        n, T = self.chi.shape
-        out = {}
-        for name, series, sl in (
-            ("xi", lay.xi_series, lay.xi_slice),
-            ("alpha", lay.alpha_series, lay.alpha_slice),
-            ("beta", lay.beta_series, lay.beta_slice),
-        ):
-            path = np.zeros((n, T))
-            block = self.smoothed_means[1:, sl]
-            for j, i in enumerate(series):
-                path[i] = block[:, j]
-            out[name] = path
-        return out
 
 
 def e_step(
@@ -516,7 +514,6 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
         converged=converged,
         trend_alpha=trend_alpha,
         trend_beta=trend_beta,
-        layout=ss.layout,
     )
 
 

@@ -2,9 +2,10 @@
 
 Panel files are UTF-8 comma-separated, one column per series and one row
 per time period, first row a header of series names, empty cells marking
-missing values.  Lines starting with '#' before the header carry
-``key=value`` metadata (effective configuration and master seed), so
-every output file records how to reproduce it.  Values are printed with
+missing values.  Every other cell must parse to a finite number: ``inf``
+or ``nan`` is rejected, not read as a gap.  Lines starting with '#'
+before the header carry ``key=value`` metadata (effective configuration
+and master seed), so every output file records how to reproduce it.  Values are printed with
 17 significant digits, which round-trips IEEE doubles exactly.
 
 The truth sidecar and parameter outputs are JSON; benchmark tables are
@@ -70,7 +71,8 @@ def write_panel(
 def read_panel(path):
     """Read a wide-format panel CSV; returns (Panel, names, metadata).
 
-    Raises ValueError with the offending row/column on parse failures.
+    Raises ValueError with the offending row/column on a cell that is
+    neither empty nor a finite number.
     """
     text = Path(path).read_text(encoding="utf-8")
     metadata: dict[str, str] = {}
@@ -102,9 +104,12 @@ def read_panel(path):
             if cell == "":
                 continue
             try:
-                data[i, t] = float(cell)
+                value = float(cell)
             except ValueError as exc:
                 raise ValueError(f"row {t + 2}, column {i + 1} ({header[i]}): bad cell {cell!r}") from exc
+            if not np.isfinite(value):
+                raise ValueError(f"row {t + 2}, column {i + 1} ({header[i]}): non-finite cell {cell!r}")
+            data[i, t] = value
     return Panel.from_data(data), header, metadata
 
 

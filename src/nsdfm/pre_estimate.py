@@ -79,16 +79,18 @@ def detrend_ols(series: np.ndarray, mask: np.ndarray | None = None):
 
 
 def _filled_differences(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """n x (T-1) differenced panel with gaps filled by per-series means."""
-    n, T = x.shape
+    """n x (T-1) differenced panel with gaps filled by per-series means.
+
+    A difference is observed when both its levels are.  A series with no
+    observed difference is all zeros.  Only the series with a gap are
+    visited.
+    """
     dx = x[:, 1:] - x[:, :-1]
     ok = mask[:, 1:] & mask[:, :-1]
-    out = np.zeros((n, T - 1))
-    for i in range(n):
-        if ok[i].any():
-            m = dx[i, ok[i]].mean()
-            out[i] = np.where(ok[i], dx[i], m)
-    return out
+    fill = np.zeros(x.shape[0])
+    for i in np.flatnonzero(ok.any(axis=1) & ~ok.all(axis=1)):
+        fill[i] = dx[i, ok[i]].mean()
+    return np.where(ok, dx, fill[:, None])
 
 
 def _filled_levels(x: np.ndarray, mask: np.ndarray, dx_fill: np.ndarray) -> np.ndarray:

@@ -399,8 +399,3 @@ def test_result_accessors(rng):
     off = [i for i in range(20) if i not in sim.trend_set]
     np.testing.assert_array_equal(res.trend_alpha[off], 0.0)
     np.testing.assert_array_equal(res.trend_beta[off], 0.0)
-    paths = res.smoothed_state_paths()
-    assert set(paths) == {"xi", "alpha", "beta"}
-    for i in range(20):
-        if i not in sim.i1_set:
-            np.testing.assert_array_equal(paths["xi"][i], 0.0)

@@ -149,6 +149,40 @@ def test_cli_estimate_rejects_q_geq_n(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("case, code", [
+    ("inf cell", 3),
+    ("-INF cell", 3),
+    ("NaN cell", 3),
+    ("constant series", 0),
+    ("T = 3", 2),
+    ("n = 1", 2),
+    ("q >= n", 2),
+])
+def test_cli_estimate_exit_code_on_degenerate_panel(tmp_path, capsys, case, code):
+    x = simulate_panel(MCConfig(n=12, T=30, q=1, s=0, tau=0.0, seed=4, replications=1), 0).x
+    q = 1
+    if case == "constant series":
+        x[3] = 1.5
+    elif case == "T = 3":
+        x = x[:, :3]
+    elif case == "n = 1":
+        x = x[:1]
+    elif case == "q >= n":
+        x, q = x[:5], 5
+    path = tmp_path / "p.csv"
+    write_panel(path, Panel.from_data(x))
+    if case.endswith(" cell"):  # the text of series 3 at t = 2, which the error calls row 4, column 4
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[3] = case.split()[0]
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+    rc = main(["estimate", "--input", str(path), "--q", str(q), "--out-dir", str(tmp_path / "out")])
+    assert rc == code
+    if code == 3:
+        assert "row 4, column 4" in capsys.readouterr().err
+
+
 def test_cli_benchmark_smoke(tmp_path):
     rc = main(["benchmark", "--n", "20", "--T", "30", "--q", "1", "--tau", "0",
                "--replications", "1", "--seed", "5", "--out-dir", str(tmp_path)])
@@ -283,12 +317,16 @@ def test_cli_estimate_reads_io_t_min(tmp_path):
     assert summary["mse_common"] == mse_common(chi.data, truth, 20) != mse_common(chi.data, truth)
 
 
-def test_demo_cli_pipeline_runs(tmp_path):
+DEMOS = sorted(p.name for p in (Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_cli_pipeline_runs(tmp_path, demo):
     root = Path(__file__).resolve().parents[1]
     src = str(Path(nsdfm.__file__).resolve().parents[1])
     env = {**os.environ, "TMPDIR": str(tmp_path),
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, str(root / "demos" / "05_cli_pipeline.py")],
+    proc = subprocess.run([sys.executable, str(root / "demos" / demo)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
 

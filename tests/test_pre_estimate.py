@@ -3,6 +3,7 @@ import pytest
 
 from nsdfm.model import ModelSpec, Panel
 from nsdfm.pre_estimate import (
+    _filled_differences,
     _filled_levels,
     detrend_ols,
     gamma_e_init,
@@ -268,6 +269,21 @@ def test_filled_levels_hand_values():
     # a complete mask returns the levels bit for bit
     full = np.array([[-0.0, 1e-300, 2.5], [np.pi, -7.0, 1e300]])
     assert _filled_levels(full, np.ones(full.shape, dtype=bool), np.ones((2, 2))).tobytes() == full.tobytes()
+
+
+def test_filled_differences_hand_values():
+    nan = np.nan
+    x = np.array([
+        [0.0, 1.0, 3.0, 6.0, 10.0],   # complete: its differences untouched
+        [0.0, 1.0, nan, 4.0, 6.0],    # observed pairs give 1 and 2: gaps take 1.5
+        [nan, 1.0, nan, 2.0, nan],    # no observed pair: zeros
+    ])
+    out = _filled_differences(x, np.isfinite(x))
+    np.testing.assert_array_equal(out, [
+        [1.0, 2.0, 3.0, 4.0],
+        [1.0, 1.5, 1.5, 2.0],
+        [0.0, 0.0, 0.0, 0.0],
+    ])
 
 
 def _walk_every_cell(x, mask, dx_fill):
