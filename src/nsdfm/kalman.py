@@ -35,6 +35,13 @@ earlier one share its entry, so every result is bit-identical to the full
 recursion.  Each pass therefore keeps its covariances in a bank of
 distinct matrices with a per-slot index into it; the per-slot
 (T+1, K, K) arrays are built from the bank only when read.
+
+A local-trend slope loads the time label, so Z_t changes every period and
+no step repeats.  The filter then keeps one copy of the measurement base
+per call and, at each step, overwrites only its nonzero slope entries with
+base entry times t, the products ``StateSpace.measurement_map`` forms; each
+step's measurement block takes the observed rows of that Z_t.  Every step
+writes its covariances straight into its bank entry.
 """
 
 from __future__ import annotations
@@ -137,8 +144,12 @@ class SmootherOutput:
 
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
-    """(P + P')/2, formed in place: P must be a temporary."""
-    P += P.T
+    """(P + P')/2, formed in place.
+
+    P' is copied first: adding the overlapping view in place makes numpy
+    buffer it, which costs more than the copy and gives the same bytes.
+    """
+    P += P.T.copy()
     P *= 0.5
     return P
 
@@ -150,21 +161,23 @@ def _rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return a[idx]
 
 
-def _measurement_block(ss: StateSpace, obs: np.ndarray, t: int) -> tuple | None:
-    """What a filter step needs of the measurement equation on the observed rows at zero-based t.
+def _measurement_block(ss: StateSpace, obs: np.ndarray, Z_t: np.ndarray) -> tuple | None:
+    """What a filter step needs of the measurement equation on the rows ``obs`` of the n x K map Z_t.
 
     Returns (Z, r_diag, Z'R^{-1}, Z'R^{-1}Z) on the rows ``obs``, or None
-    when no row is observed.
+    when no row is observed.  The rows of Z_t are gathered with ``take``,
+    which copies the same bytes as fancy indexing at about half its cost.
     """
     if obs.size == 0:
         return None
-    Z = ss.measurement_map(t, obs)
+    Z = Z_t.take(obs, axis=0)
     r_diag = ss.measurement_cov_diag[obs]
     Zr = Z.T / r_diag                            # K x n_obs
     return Z, r_diag, Zr, Zr @ Z
 
 
-def _filter_step(ss: StateSpace, P_prev: np.ndarray, block: tuple | None, t: int) -> tuple:
+def _filter_step(ss: StateSpace, P_prev: np.ndarray, block: tuple | None, t: int,
+                 out: np.ndarray | None = None) -> tuple:
     """The data-free part of filter step t (1-based slot), from P_{t-1|t-1} and the measurement block.
 
     ``block`` is :func:`_measurement_block` of the rows observed at t.
@@ -172,25 +185,36 @@ def _filter_step(ss: StateSpace, P_prev: np.ndarray, block: tuple | None, t: int
     inverse of the Cholesky factor cP of P_{t|t-1}, which the innovation's
     quadratic form needs, and cM the Cholesky factor of P_{t|t-1}^{-1} +
     Z'R^{-1}Z; the two diagonals give log det S.  Only the two covariances
-    are returned when no row is observed.
+    are returned when no row is observed.  The covariances are formed in
+    ``out[0]`` and ``out[1]`` (a bank entry; a new (2, K, K) array when
+    None), with the bytes of the out-of-place products.
     """
-    P = _symmetrize(ss.transition_map @ P_prev @ ss.transition_map.T + ss.state_innovation_cov)
+    P, P_filt = np.empty((2,) + P_prev.shape) if out is None else out
+    np.matmul(ss.transition_map @ P_prev, ss.transition_map.T, out=P)
+    P += ss.state_innovation_cov
+    _symmetrize(P)
     if block is None:
-        return P, P
+        P_filt[...] = P
+        return P, P_filt
     Z, r_diag, Zr, ZrZ = block
     try:
         cP = np.linalg.cholesky(P)
         cPi = np.linalg.inv(cP)
-        cM = np.linalg.cholesky(_symmetrize(cPi.T @ cPi + ZrZ))   # P^{-1} + Z' R^{-1} Z
+        M = cPi.T @ cPi                          # P^{-1}, then P^{-1} + Z' R^{-1} Z
+        M += ZrZ
+        cM = np.linalg.cholesky(_symmetrize(M))
         cMi = np.linalg.inv(cM)
         gain = (cMi.T @ cMi) @ Zr
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"P_{{t|t-1}} or P_{{t|t-1}}^-1 + Z'R^-1 Z not positive definite at t={t}; check the variances"
         ) from exc
-    IKZ = -(gain @ Z)
+    IKZ = gain @ Z
+    np.negative(IKZ, out=IKZ)
     IKZ.ravel()[::P.shape[0] + 1] += 1.0         # I - gain Z without a K x K identity per step
-    P_filt = _symmetrize(IKZ @ P @ IKZ.T + (gain * r_diag) @ gain.T)
+    np.matmul(IKZ @ P, IKZ.T, out=P_filt)
+    P_filt += (gain * r_diag) @ gain.T
+    _symmetrize(P_filt)
     return P, P_filt, gain, cPi, cP.diagonal(), cM.diagonal()
 
 
@@ -226,7 +250,7 @@ def kf_filter(
     a_pred = np.zeros((T + 1, K))
     a_filt = np.zeros((T + 1, K))
     w = np.zeros((T + 1, K))                     # w_t = cPi m_t, m_t = gain v_t; zero where nothing is observed
-    step_index = np.zeros(T + 1, dtype=np.intp)
+    step_index = [0] * (T + 1)
 
     a_pred[0] = a_filt[0] = init_mean
     bank = np.empty((T + 1, 2, K, K))  # an entry per step computed, trimmed at the end
@@ -241,12 +265,21 @@ def kf_filter(
     reuse = not ss.time_varying
     if reuse:
         pattern, observed = _column_patterns(mask)
-        blocks = [_measurement_block(ss, obs, 0) for obs in observed]
+        blocks = [_measurement_block(ss, obs, ss.measurement_base) for obs in observed]
         # a step's input is its pattern and the class of P_{t-1|t-1}: the
         # first bank entry whose P_{t|t} has the same bytes
         classes = {bank[0, 1].tobytes(): 0}
         entry_class = [0]
         computed: dict[tuple[int, int], tuple] = {}  # (pattern, class) -> (entry, gain, cPi)
+    else:
+        # Z_t is measurement_base with each nonzero slope entry times the time label t, the
+        # product measurement_map forms: one copy per call, whose slope entries each step overwrites
+        Z_t = ss.measurement_base.copy()
+        beta = ss.layout.beta_slice
+        slope_rows, slope_cols = np.nonzero(Z_t[:, beta])
+        slope_at = slope_rows * K + beta.start + slope_cols   # flat positions in Z_t
+        slope_base = Z_t.ravel()[slope_at]
+        mask_rows = np.ascontiguousarray(mask.T)
 
     k = 0  # bank entry of slot t-1
     for t in range(1, T + 1):
@@ -255,15 +288,15 @@ def kf_filter(
             obs, block = observed[key[0]], blocks[key[0]]
             hit = computed.get(key)
         else:
-            obs = np.nonzero(mask[:, t - 1])[0]
-            block = _measurement_block(ss, obs, t - 1)
+            Z_t.ravel()[slope_at] = slope_base * float(t)
+            obs = mask_rows[t - 1].nonzero()[0]
+            block = _measurement_block(ss, obs, Z_t)
             hit = None
         if hit is not None:
             k, gain, cPi = hit
         else:
-            step = _filter_step(ss, bank[k, 1], block, t)
+            step = _filter_step(ss, bank[k, 1], block, t, bank[size])
             k, size = size, size + 1
-            bank[k, 0], bank[k, 1] = step[0], step[1]
             gain = cPi = None
             if block is not None:
                 gain, cPi, chol_diag[k, 0], chol_diag[k, 1] = step[2:]
@@ -272,15 +305,15 @@ def kf_filter(
                 entry_class.append(classes.setdefault(step[1].tobytes(), k))
         step_index[t] = k
 
-        a = Theta @ a_filt[t - 1]
-        a_pred[t] = a
+        a = np.matmul(Theta, a_filt[t - 1], out=a_pred[t])
         if obs.size == 0:
             a_filt[t] = a
             continue
-        m = gain @ (x_rows[t - 1, obs] - block[0] @ a)
-        a_filt[t] = a + m
-        w[t] = cPi @ m
+        m = gain @ (x_rows[t - 1][obs] - block[0] @ a)
+        np.add(a, m, out=a_filt[t])
+        np.matmul(cPi, m, out=w[t])
 
+    step_index = np.array(step_index, dtype=np.intp)
     ll = np.zeros(T + 1)
     ll[1:] = _loglik_terms(ss, x, mask, a_filt[1:], w[1:], step_index[1:], chol_diag[:size])
     if not np.all(np.isfinite(ll)):
@@ -375,22 +408,25 @@ def ks_smooth(filt: FilterOutput, ss: StateSpace) -> SmootherOutput:
     seen = {covs[T].tobytes(): T} if len(bank) <= T else None
     cov_index = [0] * T + [T]
     lag_index = [0] * (T + 1)
-    s_mean[T] = filt.filtered_means[T]
+    a_filt, a_pred = filt.filtered_means, filt.predicted_means
+    s_mean[T] = a_filt[T]
     for t in range(T - 1, -1, -1):
         g = gain_row[t]
         J = J_T[g].T
-        s_mean[t] = filt.filtered_means[t] + J @ (s_mean[t + 1] - filt.predicted_means[t + 1])
+        np.add(a_filt[t], J @ (s_mean[t + 1] - a_pred[t + 1]), out=s_mean[t])
         key = (g, cov_index[t + 1])
         entries = formed.get(key)
         if entries is None:
-            P_next = covs[key[1]]
-            P = _symmetrize(bank[steps[t], 1] + J @ (P_next - bank[steps[t + 1], 0]) @ J.T)
+            # formed in the next free entry, which it keeps unless an earlier entry has its bytes
+            P = covs[c_low - 1]
+            np.matmul(J @ (covs[key[1]] - bank[steps[t + 1], 0]), J.T, out=P)
+            P += bank[steps[t], 1]
+            _symmetrize(P)
             l_low -= 1
             pairs.append(key)
             entry = c_low - 1 if seen is None else seen.setdefault(P.tobytes(), c_low - 1)
             if entry == c_low - 1:
                 c_low -= 1
-                covs[c_low] = P
             entries = (entry, l_low)
             if repeated[g]:
                 formed[key] = entries

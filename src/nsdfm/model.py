@@ -257,9 +257,10 @@ class StateSpace:
     """Assembled state-space system.
 
     ``measurement_base`` holds the time-invariant part of the measurement
-    matrix; the loading on a trend-slope state is the (one-based) time
-    index, which :meth:`measurement_map` applies, to the requested rows
-    only.
+    matrix; the loading on a trend-slope state is its base entry times the
+    (one-based) time index, which :meth:`measurement_map` applies.  The
+    Kalman filter forms the same products itself, overwriting the slope
+    entries of one copy of the base per step.
     """
 
     layout: StateLayout
@@ -269,12 +270,11 @@ class StateSpace:
     measurement_cov_diag: np.ndarray  # n
     time_varying: bool
 
-    def measurement_map(self, t: int, rows: np.ndarray | None = None) -> np.ndarray:
-        """Measurement matrix at zero-based time index t (label t+1), on ``rows`` when given."""
-        Z = self.measurement_base if rows is None else self.measurement_base[rows]
+    def measurement_map(self, t: int) -> np.ndarray:
+        """Measurement matrix at zero-based time index t (label t+1)."""
         if not self.time_varying:
-            return Z
-        Z = Z.copy() if rows is None else Z
+            return self.measurement_base
+        Z = self.measurement_base.copy()
         Z[:, self.layout.beta_slice] *= float(t + 1)
         return Z
 
@@ -334,7 +334,7 @@ def build_state_space(spec: ModelSpec, params: Params) -> StateSpace:
     for j, i in enumerate(layout.alpha_series):
         Z[i, layout.alpha_slice.start + j] = 1.0
     for j, i in enumerate(layout.beta_series):
-        Z[i, layout.beta_slice.start + j] = 1.0  # scaled by the time label in measurement_map
+        Z[i, layout.beta_slice.start + j] = 1.0  # Z_t multiplies it by the time label (see StateSpace)
 
     im = spec.idio_im
     R = np.array([params.sigma2_nu[i] if i in im else params.gamma_e_diag[i] for i in range(spec.n)])

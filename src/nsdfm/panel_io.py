@@ -71,12 +71,12 @@ def write_panel(
 def read_panel(path):
     """Read a wide-format panel CSV; returns (Panel, names, metadata).
 
-    Raises ValueError with the offending row/column on a cell that is
-    neither empty nor a finite number.
+    Raises ValueError naming the file line and the column of a cell that
+    is neither empty nor a finite number.
     """
     text = Path(path).read_text(encoding="utf-8")
     metadata: dict[str, str] = {}
-    rows: list[list[str]] = []
+    rows: list[tuple[int, list[str]]] = []
     header: list[str] | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -93,24 +93,35 @@ def read_panel(path):
             continue
         if len(cells) != len(header):
             raise ValueError(f"row {lineno}: expected {len(header)} cells, got {len(cells)}")
-        rows.append(cells)
+        rows.append((lineno, cells))
     if header is None or not rows:
         raise ValueError("panel file has no header or no data rows")
-    T, n = len(rows), len(header)
-    data = np.full((n, T), np.nan)
-    for t, cells in enumerate(rows):
-        for i, cell in enumerate(cells):
-            cell = cell.strip()
-            if cell == "":
-                continue
-            try:
-                value = float(cell)
-            except ValueError as exc:
-                raise ValueError(f"row {t + 2}, column {i + 1} ({header[i]}): bad cell {cell!r}") from exc
-            if not np.isfinite(value):
-                raise ValueError(f"row {t + 2}, column {i + 1} ({header[i]}): non-finite cell {cell!r}")
-            data[i, t] = value
-    return Panel.from_data(data), header, metadata
+    values = np.empty((len(rows), len(header)))  # one row per period, as in the file
+    for t, (lineno, cells) in enumerate(rows):
+        try:
+            values[t] = [float(c or "nan") for c in cells]  # an empty cell is a gap
+        except ValueError:  # a blank or a bad cell: read the row cell by cell
+            values[t] = [_panel_cell(c, lineno, i, header) for i, c in enumerate(cells)]
+            continue
+        for i in np.flatnonzero(~np.isfinite(values[t])):
+            if cells[i]:  # not a gap but a literal nan or inf
+                _panel_cell(cells[i], lineno, i, header)
+    # C-ordered like an in-memory panel: the fit's BLAS products, and so its bits, follow the layout
+    return Panel.from_data(np.ascontiguousarray(values.T)), header, metadata
+
+
+def _panel_cell(cell: str, lineno: int, i: int, header: list[str]) -> float:
+    """The value of column i's cell on file line ``lineno``: NaN when blank; raises unless a finite number."""
+    cell = cell.strip()
+    if cell == "":
+        return np.nan
+    try:
+        value = float(cell)
+    except ValueError as exc:
+        raise ValueError(f"row {lineno}, column {i + 1} ({header[i]}): bad cell {cell!r}") from exc
+    if not np.isfinite(value):
+        raise ValueError(f"row {lineno}, column {i + 1} ({header[i]}): non-finite cell {cell!r}")
+    return value
 
 
 def params_to_dict(params: Params) -> dict:

@@ -12,6 +12,7 @@ import pytest
 import nsdfm
 from nsdfm.benchmark import MC_EM_OPTIONS, METHODS, run_cell
 from nsdfm.cli import _parse_cells, main
+from nsdfm.em import EMOptions, fit
 from nsdfm.metrics import mse_common
 from nsdfm.model import Panel
 from nsdfm.panel_io import (
@@ -48,6 +49,47 @@ def test_panel_parse_error_reports_position(tmp_path):
     (tmp_path / "bad.csv").write_text("a,b\n1.0,2.0\n1.0,oops\n")
     with pytest.raises(ValueError, match="column 2"):
         read_panel(tmp_path / "bad.csv")
+
+
+@pytest.mark.parametrize("cell, error", [("oops", "bad cell 'oops'"), ("inf", "non-finite cell 'inf'"),
+                                         (" nan ", "non-finite cell 'nan'"), ("1,2", "expected 2 cells, got 3")])
+def test_panel_errors_name_the_file_line(tmp_path, cell, error):
+    # two metadata lines and a blank line precede the header: the bad cell is on line 6
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# seed=1\n# note=x\n\na,b\n1.0, 2.0\n1.0,{cell}\n")
+    where = "row 6" if "expected" in error else "row 6, column 2 (b)"
+    with pytest.raises(ValueError, match=re.escape(f"{where}: {error}")):
+        read_panel(path)
+
+
+def test_panel_blank_cells_are_gaps(tmp_path):
+    # a blank cell fails the row's one-pass parse, which then reads it cell by cell
+    path = tmp_path / "p.csv"
+    path.write_text("a,b,c\n1.0, 2.0,\n ,3.0 ,\n")
+    panel, _, _ = read_panel(path)
+    np.testing.assert_array_equal(panel.missing_mask, [[True, False], [True, True], [False, False]])
+    np.testing.assert_array_equal(panel.data[:2], [[1.0, np.nan], [2.0, 3.0]])
+
+
+def test_fit_after_csv_round_trip_is_bit_identical(tmp_path):
+    # a ragged local-trend panel read back from its CSV must fit to the same
+    # bits as the panel in memory, which needs read_panel to return C-ordered
+    # arrays like any other panel: a transposed layout moves the fit
+    sim = simulate_panel(MCConfig(n=20, T=40, q=2, s=0, n1=3, nb=3, tau=0.5, seed=12, replications=1), 0)
+    rng = np.random.default_rng(12)
+    mask = rng.random(sim.x.shape) >= 0.1
+    mask[:6, -3:] = False
+    panel = Panel.from_data(np.where(mask, sim.x, np.nan))
+    others = sorted(set(range(20)) - sim.i1_set)
+    spec = replace(sim.spec, idio_i1=sim.i1_set, local_level=frozenset(), local_trend=frozenset(others[:2]))
+    path = tmp_path / "panel.csv"
+    write_panel(path, panel, metadata={"seed": 12})
+    back, _, _ = read_panel(path)
+    assert back.data.flags.c_contiguous and back.missing_mask.flags.c_contiguous
+    options = EMOptions(max_iter=8)
+    res_csv, res_mem = fit(spec, back, options), fit(spec, panel, options)
+    assert np.array_equal(res_csv.chi, res_mem.chi)
+    assert np.array_equal(res_csv.loglik_path, res_mem.loglik_path)
 
 
 def test_config_unknown_key_rejected(tmp_path):

@@ -181,15 +181,27 @@ def test_one_step_trace_band_at_scale():
 
 
 def test_reused_steps_equal_fresh_steps_and_oracle():
+    # settled: slots reuse steps; ragged local trend: the filter updates the
+    # slope entries of one Z_t in place, here with a slope loading of 2.5, and
+    # every step must equal a fresh one on measurement_map's Z_t
     rng = np.random.default_rng(101)
     spec, params, panel = settled_panel(rng)
+    _check_fresh_steps_and_oracle(build_state_space(spec, params), panel, reused=True)
+    spec, params, panel = ragged_local_trend_panel(rng)
     ss = build_state_space(spec, params)
+    Z = ss.measurement_base.copy()
+    Z[spec.layout.beta_series[0], spec.layout.beta_slice.start] = 2.5
+    _check_fresh_steps_and_oracle(dataclasses.replace(ss, measurement_base=Z), panel, reused=False)
+
+
+def _check_fresh_steps_and_oracle(ss, panel, reused):
     init_mean, init_cov = np.zeros(ss.K), np.eye(ss.K) * 10.0
     filt = kf_filter(ss, panel, init_mean, init_cov)
-    assert np.any(filt.step_index != np.arange(panel.T + 1))
+    assert np.any(filt.step_index != np.arange(panel.T + 1)) == reused
     for t in range(1, panel.T + 1):
         obs = np.nonzero(panel.missing_mask[:, t - 1])[0]
-        P_pred, P_filt, *_ = _filter_step(ss, filt.filtered_covs[t - 1], _measurement_block(ss, obs, t - 1), t)
+        block = _measurement_block(ss, obs, ss.measurement_map(t - 1))
+        P_pred, P_filt, *_ = _filter_step(ss, filt.filtered_covs[t - 1], block, t)
         np.testing.assert_array_equal(filt.predicted_covs[t], P_pred)
         np.testing.assert_array_equal(filt.filtered_covs[t], P_filt)
 
@@ -246,7 +258,8 @@ def test_cycles_longer_than_two_are_reused(monkeypatch):
                 key = (obs.tobytes(), filt.cov_bank[index[t - 1], 1].tobytes())
                 assert key not in computed, f"step at t={t} was computed before"
                 computed.add(key)
-            P_pred, P_filt, *_ = _filter_step(ss, filt.filtered_covs[t - 1], _measurement_block(ss, obs, t - 1), t)
+            block = _measurement_block(ss, obs, ss.measurement_map(t - 1))
+            P_pred, P_filt, *_ = _filter_step(ss, filt.filtered_covs[t - 1], block, t)
             np.testing.assert_array_equal(filt.predicted_covs[t], P_pred)
             np.testing.assert_array_equal(filt.filtered_covs[t], P_filt)
         smooth = ks_smooth(filt, ss)
