@@ -16,7 +16,6 @@ results do not depend on the degree of parallelism.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -132,6 +131,8 @@ def run_cell(
     start = time.perf_counter()
     reps = range(config.replications)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: it loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_replication, [config] * config.replications, reps,
                                     [em_options] * config.replications, [t_min] * config.replications))

@@ -42,6 +42,17 @@ per call and, at each step, overwrites only its nonzero slope entries with
 base entry times t, the products ``StateSpace.measurement_map`` forms; each
 step's measurement block takes the observed rows of that Z_t.  Every step
 writes its covariances straight into its bank entry.
+
+A computed step factorizes twice and inverts twice.  It calls the gufuncs
+that ``np.linalg.cholesky`` and ``np.linalg.inv`` run,
+``numpy.linalg._umath_linalg.cholesky_lo`` and ``inv`` on doubles,
+directly: the same LAPACK calls and so the same bits, without the wrapper's
+argument checks, which cost 3-5 us a call against a 3 us factorization at
+K = 24.  The module is private to numpy but has kept these names since
+numpy 1.24; a numpy without it fails at import.  The error state is the
+one numpy's wrappers set: a failed factorization flags "invalid", whose
+handler raises ``LinAlgError``, which the step re-raises naming t, so no
+step returns NaN with a warning.
 """
 
 from __future__ import annotations
@@ -49,6 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .model import Panel, StateSpace
 
@@ -66,6 +78,15 @@ __all__ = [
 DEFAULT_KAPPA = 1.0e7
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def _not_positive_definite(err, flag):
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
+# the error state np.linalg.cholesky sets around the same gufunc
+_FACTOR_ERRSTATE = dict(call=_not_positive_definite, invalid="call", over="ignore", divide="ignore",
+                        under="ignore")
 
 
 @dataclass
@@ -198,12 +219,13 @@ def _filter_step(ss: StateSpace, P_prev: np.ndarray, block: tuple | None, t: int
         return P, P_filt
     Z, r_diag, Zr, ZrZ = block
     try:
-        cP = np.linalg.cholesky(P)
-        cPi = np.linalg.inv(cP)
-        M = cPi.T @ cPi                          # P^{-1}, then P^{-1} + Z' R^{-1} Z
-        M += ZrZ
-        cM = np.linalg.cholesky(_symmetrize(M))
-        cMi = np.linalg.inv(cM)
+        with np.errstate(**_FACTOR_ERRSTATE):
+            cP = _umath_linalg.cholesky_lo(P, signature="d->d")
+            cPi = _umath_linalg.inv(cP, signature="d->d")
+            M = cPi.T @ cPi                      # P^{-1}, then P^{-1} + Z' R^{-1} Z
+            M += ZrZ
+            cM = _umath_linalg.cholesky_lo(_symmetrize(M), signature="d->d")
+            cMi = _umath_linalg.inv(cM, signature="d->d")
         gain = (cMi.T @ cMi) @ Zr
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(

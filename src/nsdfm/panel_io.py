@@ -183,11 +183,21 @@ def read_truth(path) -> dict:
 
 
 def write_table(path, columns: list[str], rows: list[list], metadata: dict | None = None) -> None:
-    """Write a CSV table with the '#' metadata block convention."""
+    """Write a CSV table with the '#' metadata block convention.
+
+    A float cell is printed like :func:`_fmt`, any other cell as ``str``.
+    Each row is formatted by one ``%`` with a template per sequence of cell
+    types, built once for all rows that share it.
+    """
     lines = [f"# {k}={v}" for k, v in (metadata or {}).items()]
     lines.append(",".join(columns))
+    templates: dict[tuple, str] = {}
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        types = tuple(map(type, row))
+        template = templates.get(types)
+        if template is None:
+            template = templates[types] = ",".join("%.17g" if issubclass(tp, float) else "%s" for tp in types)
+        lines.append(template % tuple(row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

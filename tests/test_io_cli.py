@@ -22,6 +22,7 @@ from nsdfm.panel_io import (
     read_panel,
     read_truth,
     write_panel,
+    write_table,
     write_truth,
 )
 from nsdfm.simulate import MCConfig, simulate_panel
@@ -43,6 +44,25 @@ def test_panel_roundtrip_exact(tmp_path, rng):
     )
     assert meta["seed"] == "7"
     assert names == [f"series_{i}" for i in range(4)]
+
+
+def test_write_table_equals_per_cell_formatting(tmp_path):
+    # floats (numpy's too) print with %.17g, every other cell with str; rows
+    # of different cell types share a table, as in the benchmark report
+    rows = [
+        [0, -0.0, 1e-300, 0.1, "x", True],
+        [1, np.float64(0.1), float("nan"), float("-inf"), "", False],
+        [10**20, 5e-324, -1.7976931348623157e308, 3, 1.0, None],
+        [2, 0.30000000000000004],
+        [],
+    ]
+    path = tmp_path / "t.csv"
+    write_table(path, ["i", "a", "b", "c", "d", "e"], rows, metadata={"seed": 3})
+    expected = ["# seed=3", "i,a,b,c,d,e"] + [
+        ",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row) for row in rows
+    ]
+    assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+    assert expected[2] == "0,-0,1e-300,0.10000000000000001,x,True"
 
 
 def test_panel_parse_error_reports_position(tmp_path):

@@ -1,13 +1,16 @@
 import dataclasses
+import types
+import warnings
 
 import numpy as np
 import pytest
 
 import nsdfm.em
+import nsdfm.kalman
 from nsdfm.em import fit
 from nsdfm.model import ModelSpec, Panel, Params, build_state_space
 from nsdfm.kalman import _filter_step, _measurement_block, kf_filter, ks_smooth, steady_state_diagnostics
-from nsdfm.pre_estimate import pre_estimate
+from nsdfm.pre_estimate import initial_state_cov, pre_estimate
 from nsdfm.simulate import MCConfig, simulate_panel
 from conftest import random_instance, random_panel, settled_panel
 from oracles import joint_gaussian_moments, per_slot_smooth, prediction_error_loglik, prediction_error_terms
@@ -346,3 +349,54 @@ def test_stacked_smoother_equals_per_slot_smoother_on_time_varying_panel():
     np.testing.assert_array_equal(smooth.smoothed_means, means)
     np.testing.assert_array_equal(smooth.smoothed_covs, covs)
     np.testing.assert_array_equal(smooth.lag_one_covs, lag_one)
+
+
+@pytest.mark.parametrize("case, t_fail", [("state innovation", 2), ("measurement", 3)])
+def test_filter_raises_naming_t_when_a_factorization_fails(case, t_fail):
+    # a negative state-innovation variance makes P_{2|1} negative; a negative
+    # measurement variance makes P^-1 + Z'R^-1 Z negative at the first
+    # observed step, here t=3; either must raise, not return NaN with a warning
+    spec, params = local_level_system()
+    ss = build_state_space(spec, params)
+    x = np.vstack([np.linspace(0.0, 1.0, 6), np.full(6, np.nan)])
+    if case == "state innovation":
+        ss = dataclasses.replace(ss, state_innovation_cov=np.array([[-3.0]]))
+    else:
+        ss = dataclasses.replace(ss, measurement_cov_diag=np.array([-0.01, 1.0]))
+        x[0, :2] = np.nan
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(np.linalg.LinAlgError, match=rf"not positive definite at t={t_fail};"):
+            kf_filter(ss, Panel.from_data(x), np.zeros(1), np.array([[10.0]]))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("n1", [20, 50])
+@pytest.mark.parametrize("kappa", [1.0e7, 1.0])
+def test_step_factors_equal_numpy_linalg_bitwise(monkeypatch, n1, kappa):
+    # the step calls the gufuncs behind np.linalg.cholesky and np.linalg.inv
+    # directly; cP, cPi, cM and cMi must be the bytes those functions return,
+    # at K = 24 and K = 54, with and without a diffuse block
+    sim = simulate_panel(MCConfig(n=60, T=12, q=2, s=0, n1=n1, seed=5, replications=1), 0)
+    pre = pre_estimate(sim.spec, sim.panel)
+    ss = build_state_space(sim.spec, pre.params)
+    assert ss.K == n1 + 4
+    init_cov = initial_state_cov(sim.spec, pre.params.var_coeffs, pre.params.gamma_u, kappa)
+    mask = np.random.default_rng(n1).random(sim.x.shape) >= 0.2
+    calls = []  # (name, input, output) of every factorization the filter makes
+
+    def recording(name):
+        def call(a, **kwargs):
+            out = getattr(np.linalg._umath_linalg, name)(a, **kwargs)
+            calls.append((name, a.copy(), out.copy()))
+            return out
+        return call
+
+    monkeypatch.setattr(nsdfm.kalman, "_umath_linalg",
+                        types.SimpleNamespace(cholesky_lo=recording("cholesky_lo"), inv=recording("inv")))
+    filt = kf_filter(ss, Panel(np.where(mask, sim.x, np.nan), mask), pre.init_state_mean, init_cov)
+    observed_steps = len(set(filt.step_index[1:][mask.any(axis=0)].tolist()))
+    assert [name for name, _, _ in calls] == ["cholesky_lo", "inv", "cholesky_lo", "inv"] * observed_steps
+    reference = {"cholesky_lo": np.linalg.cholesky, "inv": np.linalg.inv}
+    for name, a, out in calls:
+        np.testing.assert_array_equal(out, reference[name](a), strict=True)
