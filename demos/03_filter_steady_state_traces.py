@@ -13,7 +13,7 @@ from nsdfm.benchmark import run_diagnostics
 
 cfg = MCConfig(n=100, T=100, q=2, s=1, n1=0, nb=0, tau=0.5, seed=42, replications=25)
 n_grid = (5, 25, 100)
-diag = run_diagnostics(cfg, n_grid=n_grid, horizon=10, replications=25, tol=1e-5)
+diag = run_diagnostics(cfg, n_grid=n_grid, horizon=10, tol=1e-5)
 
 print("one-step-ahead trace tr(P_t|t-1)/q, averaged over 25 parameter draws")
 print("t    " + "".join(f"n={n:<10d}" for n in n_grid))

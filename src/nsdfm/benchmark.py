@@ -147,28 +147,28 @@ def run_diagnostics(
     config: MCConfig,
     n_grid: tuple[int, ...] = (25, 100),
     horizon: int = 10,
-    replications: int = 50,
     tol: float = 1.0e-6,
-    kappa: float = DEFAULT_KAPPA,
 ) -> dict:
-    """Replication-averaged filter/smoother trace table over an n-grid.
+    """Filter/smoother trace table over an n-grid, averaged over ``config.replications``.
 
     Uses the true simulated parameters (no estimation); the covariance
     recursion is data-free, so each replication contributes one
     deterministic trace path per n.  The filter starts from
-    :func:`initial_state_cov` at the true parameters.  The steady-state
-    flag is evaluated on the replication-averaged one-step-ahead trace.
+    :func:`initial_state_cov` at the true parameters with the default
+    kappa.  Each n maps to the averaged :func:`steady_state_diagnostics`
+    keys plus ``steady_state_t``: the first t after which the averaged
+    one-step-ahead trace changes by less than ``tol`` (None if never).
     """
     per_n: dict[int, dict] = {}
     for n in n_grid:
         cfg = replace(config, n=n)
         runs = []
-        for rep in range(replications):
+        for rep in range(config.replications):
             sim = simulate_panel(cfg, rep)
             ss = build_state_space(sim.spec, sim.params)
-            P00 = initial_state_cov(sim.spec, sim.params.var_coeffs, sim.params.gamma_u, kappa)
-            runs.append(steady_state_diagnostics(ss, P00, horizon=horizon, tol=tol, T_total=config.T))
-        avg = {key: np.mean([run[key] for run in runs], axis=0) for key in runs[0] if key != "steady_state_t"}
+            P00 = initial_state_cov(sim.spec, sim.params.var_coeffs, sim.params.gamma_u, DEFAULT_KAPPA)
+            runs.append(steady_state_diagnostics(ss, P00, horizon=horizon, T_total=config.T))
+        avg = {key: np.mean([run[key] for run in runs], axis=0) for key in runs[0]}
         avg["steady_state_t"] = steady_state_onset(avg["tr_pred_over_q"] * config.q, tol)
         per_n[n] = avg
     return per_n

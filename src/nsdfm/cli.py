@@ -15,13 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .benchmark import MC_EM_OPTIONS, METHODS, run_cell, run_diagnostics
+from .benchmark import MC_EM_OPTIONS, METHODS, ReplicationResult, run_cell, run_diagnostics
 from .em import EMOptions, fit
 from .metrics import DEFAULT_T_MIN, mse_common
 from .panel_io import (
@@ -136,7 +136,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args, sections)
     sim = simulate_panel(cfg, args.replication)
     meta = _config_echo(sections, {
-        **{f"mc.{k}": getattr(cfg, k) for k in cfg.__dataclass_fields__},
+        **{f"mc.{k}": v for k, v in asdict(cfg).items()},
         "replication": args.replication,
     })
     write_panel(out / "panel.csv", sim.panel, metadata=meta)
@@ -171,8 +171,8 @@ def cmd_estimate(args) -> int:
         "iterations": res.iterations,
         "loglik": res.loglik_path[-1],
         "params": params_to_dict(res.params),
-        "trend_alpha": res.trend_alpha.tolist(),
-        "trend_beta": res.trend_beta.tolist(),
+        "trend_alpha": res.params.alpha0.tolist(),
+        "trend_beta": res.params.beta0.tolist(),
         "config": echo,
     }
     if args.truth:
@@ -203,6 +203,27 @@ def _parse_cells(text: str, section: dict[str, str], overrides: dict) -> list[MC
     return cells
 
 
+def _cell_row(cfg: MCConfig, agg: dict) -> dict:
+    """One report.csv row, column name -> value; a competitor's column is named by its last word."""
+    row = {"n": cfg.n, "T": cfg.T, "n1": cfg.n1, "nb": cfg.nb, "q": cfg.q, "s": cfg.s,
+           "dist": cfg.innovation_dist, "tau": cfg.tau}
+    for stat in ("mean", "median"):
+        for m in METHODS:
+            row[f"{stat}_rel_{m.rsplit('_', 1)[1]}"] = agg[f"{stat}_rel_mse_{m}"]
+    row.update(failed=agg["failed"], valid=agg["valid_cell"])
+    return row
+
+
+def _replication_row(cfg: MCConfig, rec: ReplicationResult) -> dict:
+    """One replications.csv row, column name -> value."""
+    return {
+        "n": cfg.n, "T": cfg.T, "n1": cfg.n1, "nb": cfg.nb, "dist": cfg.innovation_dist,
+        "replication": rec.replication, "mse_em": rec.mse_em,
+        **{f"mse_{m}": rec.mse_competitors.get(m, float("nan")) for m in METHODS},
+        "converged": rec.converged, "iterations": rec.iterations, "error": rec.error or "",
+    }
+
+
 def cmd_benchmark(args) -> int:
     sections = _sections(args)
     mc = sections.get("mc", {})
@@ -213,49 +234,27 @@ def cmd_benchmark(args) -> int:
     jobs, t_min = io.get("jobs", 1), io.get("t_min", DEFAULT_T_MIN)
     em_options = replace(MC_EM_OPTIONS, **parse_section("em", sections.get("em", {})))
 
-    table_rows = []
-    raw_rows = []
+    cell_rows = []
+    replication_rows = []
     reports = []
     for cfg in cells:
         report = run_cell(cfg, em_options=em_options, jobs=jobs, t_min=t_min)
         agg = report.aggregate()
-        reports.append({"config": {k: getattr(cfg, k) for k in cfg.__dataclass_fields__}, **agg})
-        table_rows.append([
-            cfg.n, cfg.T, cfg.n1, cfg.nb, cfg.q, cfg.s, cfg.innovation_dist, cfg.tau,
-            agg["mean_rel_mse_pc_levels"], agg["mean_rel_mse_pc_diff_cumulate"],
-            agg["mean_rel_mse_pc_diff_corrected"],
-            agg["median_rel_mse_pc_levels"], agg["median_rel_mse_pc_diff_cumulate"],
-            agg["median_rel_mse_pc_diff_corrected"],
-            agg["failed"], agg["valid_cell"],
-        ])
-        for rec in report.replications:
-            raw_rows.append([
-                cfg.n, cfg.T, cfg.n1, cfg.nb, cfg.innovation_dist, rec.replication,
-                rec.mse_em,
-                *[rec.mse_competitors.get(m, float("nan")) for m in METHODS],
-                rec.converged, rec.iterations, rec.error or "",
-            ])
+        reports.append({"config": asdict(cfg), **agg})
+        cell_rows.append(_cell_row(cfg, agg))
+        replication_rows += [_replication_row(cfg, rec) for rec in report.replications]
     echo = _config_echo(sections, {"seed": base.seed, "jobs": jobs, "t_min": t_min})
     (out / "report.json").write_text(json.dumps({"cells": reports, "config": echo}), encoding="utf-8")
     if io.get("format", "csv") != "json":
-        write_table(
-            out / "report.csv",
-            ["n", "T", "n1", "nb", "q", "s", "dist", "tau",
-             "mean_rel_levels", "mean_rel_cumulate", "mean_rel_corrected",
-             "median_rel_levels", "median_rel_cumulate", "median_rel_corrected",
-             "failed", "valid"],
-            table_rows, metadata=echo,
-        )
-    write_table(
-        out / "replications.csv",
-        ["n", "T", "n1", "nb", "dist", "replication", "mse_em",
-         *[f"mse_{m}" for m in METHODS], "converged", "iterations", "error"],
-        raw_rows, metadata=echo,
-    )
-    for row in table_rows:
-        print(f"cell n={row[0]} T={row[1]} n1={row[2]} nb={row[3]}: "
-              f"mean rel MSE levels={row[8]:.4f} cumulate={row[9]:.4f} "
-              f"corrected={row[10]:.4f} (failed {row[14]})")
+        write_table(out / "report.csv", list(cell_rows[0]), [list(row.values()) for row in cell_rows],
+                    metadata=echo)
+    # the header is named by a blank record, so a cell of no replications still writes it
+    write_table(out / "replications.csv", list(_replication_row(base, ReplicationResult(0))),
+                [list(row.values()) for row in replication_rows], metadata=echo)
+    for row in cell_rows:
+        print(f"cell n={row['n']} T={row['T']} n1={row['n1']} nb={row['nb']}: "
+              f"mean rel MSE levels={row['mean_rel_levels']:.4f} cumulate={row['mean_rel_cumulate']:.4f} "
+              f"corrected={row['mean_rel_corrected']:.4f} (failed {row['failed']})")
     if not all(r["valid_cell"] for r in reports):
         print("error: a cell exceeded the failure budget", file=sys.stderr)
         return EXIT_NUMERIC
@@ -271,8 +270,7 @@ def cmd_diagnose(args) -> int:
     except ValueError:
         print(f"error: bad --n-grid {args.n_grid!r}", file=sys.stderr)
         return EXIT_USAGE
-    diag = run_diagnostics(cfg, n_grid=n_grid, horizon=args.horizon,
-                           replications=cfg.replications, tol=args.ss_tol)
+    diag = run_diagnostics(cfg, n_grid=n_grid, horizon=args.horizon, tol=args.ss_tol)
     echo = _config_echo(sections, {"seed": cfg.seed, "horizon": args.horizon})
     rows = []
     for n in n_grid:

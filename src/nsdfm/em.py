@@ -22,7 +22,7 @@ state term of the expected complete-data log-likelihood.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,12 +54,13 @@ class EMOptions:
 
     ``standardize`` divides each series by the standard deviation of its
     observed first differences (by 1 where that is zero or undefined)
-    before the fit, then maps chi, the parameters and the deterministic
-    trends back to the data's scale; ``smoothed_means`` stay on the
-    standardized scale.  It moves the numbers even on data of unit scale:
-    a standard deviation near 1 still rescales every value, and the fixed
-    initial variances and floors, being absolute, weigh differently
-    against the rescaled series.
+    before the fit, then maps chi, the parameters and the xi, alpha and
+    beta paths of ``smoothed_means`` back to the data's scale (the factor
+    paths need no map: the loadings carry the scale); ``loglik_path``
+    stays on the standardized scale.  It moves the numbers even on data of
+    unit scale: a standard deviation near 1 still rescales every value, and
+    the fixed initial variances and floors, being absolute, weigh
+    differently against the rescaled series.
 
     ``phi_policy`` is either "estimated" (the small measurement variances
     of series with extra states are updated every iteration) or a float,
@@ -120,7 +121,11 @@ class SufficientStats:
 
 @dataclass
 class EMResult:
-    """Fit output: final parameters, smoothed states and diagnostics."""
+    """Fit output: final parameters, smoothed states and diagnostics.
+
+    The estimated deterministic intercepts and slopes are ``params.alpha0``
+    and ``params.beta0``, zero off the series that carry them.
+    """
 
     spec: ModelSpec
     params: Params
@@ -130,8 +135,6 @@ class EMResult:
     loglik_path: list[float]
     iterations: int
     converged: bool
-    trend_alpha: np.ndarray          # estimated deterministic intercepts
-    trend_beta: np.ndarray           # estimated deterministic slopes
 
 
 def e_step(
@@ -400,17 +403,17 @@ def _m_step(
     options: EMOptions,
     alpha_free: np.ndarray,
     beta_free: np.ndarray,
-    prev_coef: np.ndarray,
     T: int,
-) -> tuple[Params, np.ndarray]:
+) -> Params:
     q, s = spec.q, spec.s
     r0 = (s + 1) * q
+    prev_coef = np.column_stack([*params_prev.loadings, params_prev.alpha0, params_prev.beta0])
     coef = _solve_measurement(stats, alpha_free, beta_free, prev_coef)
     A, gamma_u = m_step_var(stats, spec, T)
     if np.linalg.eigvalsh(gamma_u)[0] <= VARIANCE_FLOOR:
         gamma_u = gamma_u + VARIANCE_FLOOR * np.eye(q)
     ge, s2w, s2e, s2nu = m_step_variances(stats, spec, coef, params_prev, options, T)
-    params = Params(
+    return Params(
         loadings=[coef[:, k * q:(k + 1) * q] for k in range(s + 1)],
         var_coeffs=A,
         gamma_u=gamma_u,
@@ -422,7 +425,6 @@ def _m_step(
         alpha0=coef[:, r0],
         beta0=coef[:, r0 + 1],
     )
-    return params, coef
 
 
 def _relative_change(curr: float, prev: float) -> float:
@@ -454,20 +456,15 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
     pre = pre_estimate(spec, panel, options.detrend, options.kappa)
 
     # deterministic intercept/slope parameters: active for the detrend set,
-    # minus any component that lives in the state instead
+    # minus any component that lives in the state instead, and zero elsewhere
     n, T = spec.n, spec.T
     tgrid = np.arange(1, T + 1, dtype=float)
-    r0 = (spec.s + 1) * spec.q
     detrend_mask = np.zeros(n, dtype=bool)
     detrend_mask[list(pre.detrend_set)] = True
-    coef = np.zeros((n, r0 + 2))
-    coef[:, :r0] = np.hstack([np.asarray(B) for B in pre.params.loadings])
     alpha_free = detrend_mask & ~np.isin(np.arange(n), list(spec.local_level))
     beta_free = detrend_mask & ~np.isin(np.arange(n), list(spec.local_trend))
-    coef[alpha_free, r0] = pre.params.alpha0[alpha_free]
-    coef[beta_free, r0 + 1] = pre.params.beta0[beta_free]
-
-    params = pre.params
+    params = replace(pre.params, alpha0=np.where(alpha_free, pre.params.alpha0, 0.0),
+                     beta0=np.where(beta_free, pre.params.beta0, 0.0))
     init_mean = pre.init_state_mean
     init_cov = pre.init_state_cov
     logliks: list[float] = []
@@ -476,11 +473,11 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
     iterations = 0
 
     for k in range(options.max_iter):
-        det = coef[:, r0][:, None] + coef[:, r0 + 1][:, None] * tgrid
+        det = params.alpha0[:, None] + params.beta0[:, None] * tgrid
         stats, smooth = e_step(spec, params, panel, init_mean, init_cov, det)
         logliks.append(stats.loglik)
         iterations = k + 1
-        params, coef = _m_step(stats, spec, params, options, alpha_free, beta_free, coef, T)
+        params = _m_step(stats, spec, params, options, alpha_free, beta_free, T)
         init_mean = smooth.smoothed_means[0]
         init_cov = smooth.cov_bank[smooth.cov_index[0]]
         if k >= 1 and _relative_change(logliks[-1], logliks[-2]) < options.tolerance:
@@ -488,43 +485,39 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
             break
 
     # the final pass refreshes the states; no M-step follows, so no moments are reduced
-    det = coef[:, r0][:, None] + coef[:, r0 + 1][:, None] * tgrid
+    det = params.alpha0[:, None] + params.beta0[:, None] * tgrid
     ss, filt, smooth = _filter_and_smooth(spec, params, panel, init_mean, init_cov, det)
     logliks.append(filt.loglik)
 
     chi = common_component_path(params.loadings, smooth.smoothed_means[1:], ss.layout)
     factors = smooth.smoothed_means[1:, :spec.q].T
-    trend_alpha = coef[:, r0].copy()
-    trend_beta = coef[:, r0 + 1].copy()
+    smoothed_means = smooth.smoothed_means
 
     if options.standardize:
         chi = chi * scale[:, None]
         params = _rescale_params(params, scale)
-        trend_alpha *= scale
-        trend_beta *= scale
+        lay = ss.layout
+        smoothed_means = smoothed_means.copy()
+        smoothed_means[:, lay.n_factor_states:] *= scale[list(lay.xi_series + lay.alpha_series + lay.beta_series)]
 
     return EMResult(
         spec=spec,
         params=params,
         chi=chi,
         factors=factors,
-        smoothed_means=smooth.smoothed_means,
+        smoothed_means=smoothed_means,
         loglik_path=logliks,
         iterations=iterations,
         converged=converged,
-        trend_alpha=trend_alpha,
-        trend_beta=trend_beta,
     )
 
 
 def _rescale_params(params: Params, scale: np.ndarray) -> Params:
     """Map parameters of the standardized panel back to the raw scale."""
-    return Params(
+    return replace(
+        params,
         loadings=[B * scale[:, None] for B in params.loadings],
-        var_coeffs=list(params.var_coeffs),
-        gamma_u=params.gamma_u,
         gamma_e_diag=params.gamma_e_diag * scale ** 2,
-        rho=params.rho,
         sigma2_omega=params.sigma2_omega * scale ** 2,
         sigma2_eta=params.sigma2_eta * scale ** 2,
         sigma2_nu=params.sigma2_nu * scale ** 2,

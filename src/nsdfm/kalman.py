@@ -197,8 +197,7 @@ def _measurement_block(ss: StateSpace, obs: np.ndarray, Z_t: np.ndarray) -> tupl
     return Z, r_diag, Zr, Zr @ Z
 
 
-def _filter_step(ss: StateSpace, P_prev: np.ndarray, block: tuple | None, t: int,
-                 out: np.ndarray | None = None) -> tuple:
+def _filter_step(ss: StateSpace, P_prev: np.ndarray, block: tuple | None, t: int, out: np.ndarray) -> tuple:
     """The data-free part of filter step t (1-based slot), from P_{t-1|t-1} and the measurement block.
 
     ``block`` is :func:`_measurement_block` of the rows observed at t.
@@ -207,10 +206,10 @@ def _filter_step(ss: StateSpace, P_prev: np.ndarray, block: tuple | None, t: int
     quadratic form needs, and cM the Cholesky factor of P_{t|t-1}^{-1} +
     Z'R^{-1}Z; the two diagonals give log det S.  Only the two covariances
     are returned when no row is observed.  The covariances are formed in
-    ``out[0]`` and ``out[1]`` (a bank entry; a new (2, K, K) array when
-    None), with the bytes of the out-of-place products.
+    ``out[0]`` and ``out[1]`` (a (2, K, K) bank entry), with the bytes of
+    the out-of-place products.
     """
-    P, P_filt = np.empty((2,) + P_prev.shape) if out is None else out
+    P, P_filt = out
     np.matmul(ss.transition_map @ P_prev, ss.transition_map.T, out=P)
     P += ss.state_innovation_cov
     _symmetrize(P)
@@ -477,7 +476,6 @@ def steady_state_diagnostics(
     ss: StateSpace,
     P0: np.ndarray,
     horizon: int = 10,
-    tol: float = 1.0e-6,
     T_total: int | None = None,
 ) -> dict:
     """Per-t traces of the filter/smoother MSE matrices of one system.
@@ -486,11 +484,10 @@ def steady_state_diagnostics(
     on the data, so the filter and smoother run on an all-observed panel of
     zeros.  The result holds tr(P_{t|t-1})/q, tr(P_{t|t})/q and
     tr(P_{t|T})/q over the factor companion block for t = 1..horizon,
-    n-scaled variants at t = horizon computed on the current-factor block
-    (whose MSE decays at rate n), and ``steady_state_t``: the first t after
-    which the one-step-ahead trace changes by less than ``tol``.  The
-    smoother runs back from ``T_total`` (default: the horizon) so the
-    smoothed traces condition on the full sample length.
+    tr(P_{0|0})/q, and n-scaled variants at t = horizon computed on the
+    current-factor block (whose MSE decays at rate n).  The smoother runs
+    back from ``T_total`` (default: the horizon) so the smoothed traces
+    condition on the full sample length.
     """
     T_full = max(T_total or horizon, horizon)
     n = ss.measurement_base.shape[0]
@@ -511,5 +508,4 @@ def steady_state_diagnostics(
         "tr_init_over_q": float(np.trace(P_filt[0][fb, fb])) / q,
         "tr_filt_scaled": float(np.trace(P_filt[horizon][cur, cur])) * n / q,
         "tr_smooth_scaled": float(np.trace(P_smooth[horizon][cur, cur])) * n / q,
-        "steady_state_t": steady_state_onset(tr_pred, tol),
     }

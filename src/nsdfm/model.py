@@ -21,7 +21,7 @@ measurement equation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -97,6 +97,10 @@ class ModelSpec:
         )
 
 
+# the Params fields that hold a list of matrices; every other field is one array
+_MATRIX_LISTS = ("loadings", "var_coeffs")
+
+
 @dataclass
 class Params:
     """Full parameter set for a :class:`ModelSpec`.
@@ -121,16 +125,9 @@ class Params:
     beta0: np.ndarray
 
     def __post_init__(self):
-        self.loadings = [_frozen(B) for B in self.loadings]
-        self.var_coeffs = [_frozen(A) for A in self.var_coeffs]
-        self.gamma_u = _frozen(self.gamma_u)
-        self.gamma_e_diag = _frozen(self.gamma_e_diag)
-        self.rho = _frozen(self.rho)
-        self.sigma2_omega = _frozen(self.sigma2_omega)
-        self.sigma2_eta = _frozen(self.sigma2_eta)
-        self.sigma2_nu = _frozen(self.sigma2_nu)
-        self.alpha0 = _frozen(self.alpha0)
-        self.beta0 = _frozen(self.beta0)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            setattr(self, f.name, [_frozen(a) for a in value] if f.name in _MATRIX_LISTS else _frozen(value))
 
     def validate(self, spec: ModelSpec) -> None:
         n, q = spec.n, spec.q

@@ -15,6 +15,7 @@ plain CSV with the same metadata convention.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import json
 from pathlib import Path
 
@@ -40,32 +41,16 @@ class ConfigError(ValueError):
     """Malformed configuration file or unknown key."""
 
 
-def _fmt(v: float) -> str:
-    return "%.17g" % v
+def write_panel(path, panel: Panel, metadata: dict | None = None) -> None:
+    """Write a panel in the wide CSV format (rows = t, columns ``series_0``, ``series_1``, ...).
 
-
-def write_panel(
-    path,
-    panel: Panel,
-    series_names: list[str] | None = None,
-    metadata: dict | None = None,
-) -> None:
-    """Write a panel in the wide CSV format (rows = t, columns = series)."""
-    n, T = panel.n, panel.T
-    names = series_names or [f"series_{i}" for i in range(n)]
-    if len(names) != n:
-        raise ValueError("series_names length must equal the number of series")
-    lines = []
-    for key, value in (metadata or {}).items():
-        lines.append(f"# {key}={value}")
-    lines.append(",".join(names))
-    for t in range(T):
-        cells = [
-            _fmt(panel.data[i, t]) if panel.missing_mask[i, t] else ""
-            for i in range(n)
-        ]
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    A missing cell is written empty; the table is :func:`write_table`'s.
+    """
+    rows = [
+        [v if seen else "" for v, seen in zip(values, mask)]
+        for values, mask in zip(panel.data.T.tolist(), panel.missing_mask.T.tolist())
+    ]
+    write_table(path, [f"series_{i}" for i in range(panel.n)], rows, metadata=metadata)
 
 
 def read_panel(path):
@@ -125,39 +110,23 @@ def _panel_cell(cell: str, lineno: int, i: int, header: list[str]) -> float:
 
 
 def params_to_dict(params: Params) -> dict:
-    return {
-        "loadings": [B.tolist() for B in params.loadings],
-        "var_coeffs": [A.tolist() for A in params.var_coeffs],
-        "gamma_u": params.gamma_u.tolist(),
-        "gamma_e_diag": params.gamma_e_diag.tolist(),
-        "rho": params.rho.tolist(),
-        "sigma2_omega": params.sigma2_omega.tolist(),
-        "sigma2_eta": params.sigma2_eta.tolist(),
-        "sigma2_nu": params.sigma2_nu.tolist(),
-        "alpha0": params.alpha0.tolist(),
-        "beta0": params.beta0.tolist(),
-    }
+    """Every field of ``params`` as nested lists, keyed in field order."""
+    out = {}
+    for f in dataclasses.fields(Params):
+        value = getattr(params, f.name)
+        out[f.name] = [a.tolist() for a in value] if isinstance(value, list) else value.tolist()
+    return out
 
 
 def params_from_dict(d: dict) -> Params:
-    return Params(
-        loadings=[np.array(B) for B in d["loadings"]],
-        var_coeffs=[np.array(A) for A in d["var_coeffs"]],
-        gamma_u=np.array(d["gamma_u"]),
-        gamma_e_diag=np.array(d["gamma_e_diag"]),
-        rho=np.array(d["rho"]),
-        sigma2_omega=np.array(d["sigma2_omega"]),
-        sigma2_eta=np.array(d["sigma2_eta"]),
-        sigma2_nu=np.array(d["sigma2_nu"]),
-        alpha0=np.array(d["alpha0"]),
-        beta0=np.array(d["beta0"]),
-    )
+    """Inverse of :func:`params_to_dict`."""
+    return Params(**{f.name: d[f.name] for f in dataclasses.fields(Params)})
 
 
 def write_truth(path, sim: SimulatedPanel) -> None:
     """Write the ground-truth sidecar of a simulated panel as JSON."""
     payload = {
-        "config": {k: getattr(sim.config, k) for k in sim.config.__dataclass_fields__},
+        "config": dataclasses.asdict(sim.config),
         "replication": sim.replication,
         "chi": sim.chi.tolist(),
         "factors": sim.factors.tolist(),
@@ -185,7 +154,7 @@ def read_truth(path) -> dict:
 def write_table(path, columns: list[str], rows: list[list], metadata: dict | None = None) -> None:
     """Write a CSV table with the '#' metadata block convention.
 
-    A float cell is printed like :func:`_fmt`, any other cell as ``str``.
+    A float cell is printed with ``%.17g``, any other cell as ``str``.
     Each row is formatted by one ``%`` with a template per sequence of cell
     types, built once for all rows that share it.
     """

@@ -79,7 +79,7 @@ def test_criterion_3_filter_trace_shape():
     cfg = MCConfig(n=100, T=100, q=2, s=1, n1=0, nb=0, tau=0.5, seed=42, replications=50)
     # 1e-5 operationalizes "settles within five periods": the averaged trace
     # still moves by a few 1e-6 at t = 5 under these draws
-    diag = run_diagnostics(cfg, n_grid=(25, 100), horizon=10, replications=50, tol=1e-5)
+    diag = run_diagnostics(cfg, n_grid=(25, 100), horizon=10, tol=1e-5)
     flags = {n: diag[n]["steady_state_t"] for n in (25, 100)}
     ok_a = all(f is not None and f <= 5 for f in flags.values())
     filt100 = float(diag[100]["tr_filt_over_q"][-1])

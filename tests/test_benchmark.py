@@ -41,7 +41,7 @@ def test_failed_replication_is_recorded_not_dropped():
 
 def test_diagnostics_shapes():
     cfg = MCConfig(n=40, T=50, q=2, s=1, tau=0.5, seed=3, replications=3)
-    diag = run_diagnostics(cfg, n_grid=(10, 40), horizon=8, replications=3)
+    diag = run_diagnostics(cfg, n_grid=(10, 40), horizon=8)
     for n in (10, 40):
         assert diag[n]["tr_pred_over_q"].shape == (8,)
         assert diag[n]["tr_filt_over_q"].shape == (8,)
@@ -56,7 +56,7 @@ def test_phi_device_leaves_factor_mse_unaffected():
     traces = {}
     for n1 in (0, 25):
         cfg = MCConfig(n=100, T=100, q=2, s=0, n1=n1, nb=0, tau=0.5, seed=31, replications=30)
-        d = run_diagnostics(cfg, n_grid=(100,), horizon=10, replications=30)[100]
+        d = run_diagnostics(cfg, n_grid=(100,), horizon=10)[100]
         traces[n1] = d["tr_filt_over_q"][-1]
     rel = abs(traces[25] - traces[0]) / traces[0]
     assert rel < 0.10, traces

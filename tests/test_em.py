@@ -279,9 +279,9 @@ def test_fit_with_trend_series_detrends():
     res = fit(sim.spec, sim.panel, EMOptions(max_iter=40, detrend=sim.trend_set))
     # OLS slopes are noisy under stochastic trends but live on the right set
     off = [i for i in range(cfg.n) if i not in sim.trend_set]
-    np.testing.assert_array_equal(res.trend_beta[off], 0.0)
+    np.testing.assert_array_equal(res.params.beta0[off], 0.0)
     for i in sim.trend_set:
-        assert res.trend_beta[i] == pytest.approx(sim.beta0[i], abs=0.4)
+        assert res.params.beta0[i] == pytest.approx(sim.beta0[i], abs=0.4)
     from nsdfm.metrics import mse_common
     assert mse_common(res.chi, sim.chi) / np.var(sim.chi) < 0.5
 
@@ -389,13 +389,22 @@ def test_standardize_fit_returns_original_scale(rng):
     assert np.median(np.abs(std.params.loadings[0])) == pytest.approx(
         np.median(np.abs(raw.params.loadings[0])), rel=0.5
     )
+    # smoothed xi paths come back in the raw units too: on an I(1) series the
+    # measurement error is phi-tiny, so x - chi - xi is near zero on the data's scale
+    sim = simulate_panel(MCConfig(n=25, T=60, q=1, s=0, n1=5, tau=0.0, seed=21, replications=1), 0)
+    std = fit(sim.spec, sim.panel, EMOptions(max_iter=30, standardize=True))
+    layout = sim.spec.layout
+    for j, i in enumerate(layout.xi_series):
+        xi = std.smoothed_means[1:, layout.xi_slice.start + j]
+        resid = sim.panel.data[i] - std.chi[i] - xi
+        assert np.sqrt(np.mean(resid ** 2)) < 1e-2 * np.std(sim.panel.data[i]), i
 
 
 def test_result_accessors(rng):
     cfg = MCConfig(n=20, T=40, q=1, s=0, n1=3, nb=3, tau=0.0, seed=13, replications=1)
     sim = simulate_panel(cfg, 0)
     res = fit(sim.spec, sim.panel, EMOptions(max_iter=20, detrend=sim.trend_set))
-    assert res.trend_alpha.shape == res.trend_beta.shape == (20,)
+    assert res.params.alpha0.shape == res.params.beta0.shape == (20,)
     off = [i for i in range(20) if i not in sim.trend_set]
-    np.testing.assert_array_equal(res.trend_alpha[off], 0.0)
-    np.testing.assert_array_equal(res.trend_beta[off], 0.0)
+    np.testing.assert_array_equal(res.params.alpha0[off], 0.0)
+    np.testing.assert_array_equal(res.params.beta0[off], 0.0)

@@ -3,7 +3,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +14,13 @@ from nsdfm.benchmark import MC_EM_OPTIONS, METHODS, run_cell
 from nsdfm.cli import _parse_cells, main
 from nsdfm.em import EMOptions, fit
 from nsdfm.metrics import mse_common
-from nsdfm.model import Panel
+from nsdfm.model import Panel, Params
 from nsdfm.panel_io import (
     ConfigError,
     load_config,
     mc_config_from_section,
+    params_from_dict,
+    params_to_dict,
     read_panel,
     read_truth,
     write_panel,
@@ -26,6 +28,7 @@ from nsdfm.panel_io import (
     write_truth,
 )
 from nsdfm.simulate import MCConfig, simulate_panel
+from conftest import random_instance
 
 
 def test_panel_roundtrip_exact(tmp_path, rng):
@@ -63,6 +66,38 @@ def test_write_table_equals_per_cell_formatting(tmp_path):
     ]
     assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
     assert expected[2] == "0,-0,1e-300,0.10000000000000001,x,True"
+
+
+def test_write_panel_equals_per_cell_formatting(tmp_path):
+    # rows are periods, an observed cell prints with %.17g and a gap is empty;
+    # period 2 is fully missing and period 3 fully observed
+    data = np.array([
+        [-0.0, 1e-300, np.nan, 0.1, 7.0],
+        [np.nan, 5e-324, np.nan, -2.5, np.nan],
+        [3.0, np.nan, np.nan, 1e300, -1.7976931348623157e308],
+    ])
+    panel = Panel.from_data(data)
+    path = tmp_path / "p.csv"
+    write_panel(path, panel, metadata={"seed": 4})
+    expected = ["# seed=4", "series_0,series_1,series_2"] + [
+        ",".join("%.17g" % data[i, t] if panel.missing_mask[i, t] else "" for i in range(3)) for t in range(5)
+    ]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+    assert expected[2:5] == ["-0,,3", "1e-300,4.9406564584124654e-324,", ",,"]
+
+
+def test_params_dict_round_trip_keeps_every_field_in_order(rng):
+    spec, params = random_instance(rng, n=5, T=6, q=2, s=1, p=2)
+    d = json.loads(json.dumps(params_to_dict(params)))
+    assert list(d) == [f.name for f in fields(Params)]
+    back = params_from_dict(d)
+    assert (len(back.loadings), len(back.var_coeffs)) == (2, 2)
+    for f in fields(Params):
+        a, b = getattr(params, f.name), getattr(back, f.name)
+        if isinstance(a, list):
+            assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b)), f.name
+        else:
+            assert np.array_equal(a, b), f.name
 
 
 def test_panel_parse_error_reports_position(tmp_path):

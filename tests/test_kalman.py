@@ -9,7 +9,14 @@ import nsdfm.em
 import nsdfm.kalman
 from nsdfm.em import fit
 from nsdfm.model import ModelSpec, Panel, Params, build_state_space
-from nsdfm.kalman import _filter_step, _measurement_block, kf_filter, ks_smooth, steady_state_diagnostics
+from nsdfm.kalman import (
+    _filter_step,
+    _measurement_block,
+    kf_filter,
+    ks_smooth,
+    steady_state_diagnostics,
+    steady_state_onset,
+)
 from nsdfm.pre_estimate import initial_state_cov, pre_estimate
 from nsdfm.simulate import MCConfig, simulate_panel
 from conftest import random_instance, random_panel, settled_panel
@@ -166,7 +173,7 @@ def test_steady_state_diagnostics_shape_and_flag():
         ss = build_state_space(spec, params)
         res = steady_state_diagnostics(ss, np.eye(ss.K) * 100.0, horizon=12)
         assert res["tr_pred_over_q"].shape == (12,)
-        assert res["steady_state_t"] is not None
+        assert steady_state_onset(res["tr_pred_over_q"], 1.0e-6) is not None  # q = 1
         # one-step-ahead trace decreasing toward its steady state
         d = np.diff(res["tr_pred_over_q"])
         assert np.all(d <= 1e-8)
@@ -178,7 +185,7 @@ def test_one_step_trace_band_at_scale():
     from nsdfm.benchmark import run_diagnostics
     from nsdfm.simulate import MCConfig
     cfg = MCConfig(n=100, T=100, q=2, s=1, n1=0, nb=0, tau=0.5, seed=5, replications=20)
-    d = run_diagnostics(cfg, n_grid=(100,), horizon=10, replications=20)[100]
+    d = run_diagnostics(cfg, n_grid=(100,), horizon=10)[100]
     assert 0.8 <= d["tr_pred_over_q"][-1] <= 1.2
     assert 0.015 <= d["tr_filt_over_q"][-1] <= 0.06
 
@@ -204,7 +211,7 @@ def _check_fresh_steps_and_oracle(ss, panel, reused):
     for t in range(1, panel.T + 1):
         obs = np.nonzero(panel.missing_mask[:, t - 1])[0]
         block = _measurement_block(ss, obs, ss.measurement_map(t - 1))
-        P_pred, P_filt, *_ = _filter_step(ss, filt.filtered_covs[t - 1], block, t)
+        P_pred, P_filt, *_ = _filter_step(ss, filt.filtered_covs[t - 1], block, t, np.empty((2, ss.K, ss.K)))
         np.testing.assert_array_equal(filt.predicted_covs[t], P_pred)
         np.testing.assert_array_equal(filt.filtered_covs[t], P_filt)
 
@@ -262,7 +269,7 @@ def test_cycles_longer_than_two_are_reused(monkeypatch):
                 assert key not in computed, f"step at t={t} was computed before"
                 computed.add(key)
             block = _measurement_block(ss, obs, ss.measurement_map(t - 1))
-            P_pred, P_filt, *_ = _filter_step(ss, filt.filtered_covs[t - 1], block, t)
+            P_pred, P_filt, *_ = _filter_step(ss, filt.filtered_covs[t - 1], block, t, np.empty((2, ss.K, ss.K)))
             np.testing.assert_array_equal(filt.predicted_covs[t], P_pred)
             np.testing.assert_array_equal(filt.filtered_covs[t], P_filt)
         smooth = ks_smooth(filt, ss)
