@@ -35,7 +35,7 @@ for name, chi in [
 
 # the estimated factor space spans the truth up to rotation
 coef, resid, *_ = np.linalg.lstsq(
-    np.column_stack([res.factors.T, np.ones(cfg.T)]), sim.factors.T, rcond=None
+    np.column_stack([res.smoothed_means[1:, :cfg.q], np.ones(cfg.T)]), sim.factors.T, rcond=None
 )[:2]
 r2 = 1 - resid / (np.var(sim.factors, axis=1) * cfg.T)
 print(f"\ntrue-factor R^2 on estimated factors: {np.array2string(r2, precision=4)}")

@@ -163,7 +163,8 @@ def cmd_estimate(args) -> int:
 
     echo = _config_echo(sections, {"input": args.input})
     write_table(out / "chi.csv", names, res.chi.T.tolist(), metadata=echo)
-    write_table(out / "factors.csv", [f"f{j}" for j in range(spec.q)], res.factors.T.tolist(), metadata=echo)
+    write_table(out / "factors.csv", [f"f{j}" for j in range(spec.q)], res.smoothed_means[1:, :spec.q].tolist(),
+                metadata=echo)
     write_table(out / "loglik.csv", ["iteration", "loglik"],
                 [[i, v] for i, v in enumerate(res.loglik_path)], metadata=echo)
     summary = {
@@ -171,8 +172,6 @@ def cmd_estimate(args) -> int:
         "iterations": res.iterations,
         "loglik": res.loglik_path[-1],
         "params": params_to_dict(res.params),
-        "trend_alpha": res.params.alpha0.tolist(),
-        "trend_beta": res.params.beta0.tolist(),
         "config": echo,
     }
     if args.truth:

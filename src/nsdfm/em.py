@@ -123,14 +123,14 @@ class SufficientStats:
 class EMResult:
     """Fit output: final parameters, smoothed states and diagnostics.
 
-    The estimated deterministic intercepts and slopes are ``params.alpha0``
-    and ``params.beta0``, zero off the series that carry them.
+    The smoothed factors are ``smoothed_means[1:, :spec.q]`` (T x q).  The
+    estimated deterministic intercepts and slopes are ``params.alpha0`` and
+    ``params.beta0``, zero off the series that carry them.
     """
 
     spec: ModelSpec
     params: Params
     chi: np.ndarray                  # n x T estimated common component
-    factors: np.ndarray              # q x T smoothed factors
     smoothed_means: np.ndarray       # (T+1, K) smoothed states in spec.layout order, slot 0 = initial
     loglik_path: list[float]
     iterations: int
@@ -490,7 +490,6 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
     logliks.append(filt.loglik)
 
     chi = common_component_path(params.loadings, smooth.smoothed_means[1:], ss.layout)
-    factors = smooth.smoothed_means[1:, :spec.q].T
     smoothed_means = smooth.smoothed_means
 
     if options.standardize:
@@ -504,7 +503,6 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
         spec=spec,
         params=params,
         chi=chi,
-        factors=factors,
         smoothed_means=smoothed_means,
         loglik_path=logliks,
         iterations=iterations,

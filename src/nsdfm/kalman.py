@@ -34,14 +34,20 @@ distinct (step, P_{t+1|T}) pair, and lets a P_{t|T} bitwise equal to any
 earlier one share its entry, so every result is bit-identical to the full
 recursion.  Each pass therefore keeps its covariances in a bank of
 distinct matrices with a per-slot index into it; the per-slot
-(T+1, K, K) arrays are built from the bank only when read.
+(T+1, K, K) arrays are built from the bank only when read.  A bank's
+buffer is sized to the entries computed, not to T + 1: it starts small,
+doubles when full and is trimmed to its entries at the end, so a settled
+recursion at T = 200, K = 54 keeps a few dozen entries, not 201.  Where no
+step can repeat, the buffers hold exactly T + 1 entries from the start and
+are never copied.
 
 A local-trend slope loads the time label, so Z_t changes every period and
 no step repeats.  The filter then keeps one copy of the measurement base
 per call and, at each step, overwrites only its nonzero slope entries with
 base entry times t, the products ``StateSpace.measurement_map`` forms; each
 step's measurement block takes the observed rows of that Z_t.  Every step
-writes its covariances straight into its bank entry.
+writes its covariances straight into its bank entry, and the bank, like
+the smoother's two banks that follow it, has one entry per slot.
 
 A computed step factorizes twice and inverts twice.  It calls the gufuncs
 that ``np.linalg.cholesky`` and ``np.linalg.inv`` run,
@@ -76,6 +82,9 @@ __all__ = [
 
 # Default variance for diffuse state blocks ("very large value" initialization).
 DEFAULT_KAPPA = 1.0e7
+
+# Entries a filter bank starts with when steps can repeat; it doubles when full.
+_BANK_START = 16
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -273,17 +282,19 @@ def kf_filter(
     w = np.zeros((T + 1, K))                     # w_t = cPi m_t, m_t = gain v_t; zero where nothing is observed
     step_index = [0] * (T + 1)
 
+    # a step can repeat only while Z does not change with t; columns with
+    # equal observed rows share a pattern id and one measurement block
+    reuse = not ss.time_varying
+
     a_pred[0] = a_filt[0] = init_mean
-    bank = np.empty((T + 1, 2, K, K))  # an entry per step computed, trimmed at the end
+    # an entry per step computed: T + 1 of them when no step can repeat, else a few that double
+    # when full; trimmed to the steps computed at the end
+    bank = np.empty((min(T + 1, _BANK_START) if reuse else T + 1, 2, K, K))
     bank[0] = _symmetrize(init_cov.copy())
     size = 1
     # per bank entry, for the log-likelihood only: the diagonals of cP and cM (one for a step
     # that observes nothing, so its slots add nothing)
     chol_diag = np.ones((T + 1, 2, K))
-
-    # a step can repeat only while Z does not change with t; columns with
-    # equal observed rows share a pattern id and one measurement block
-    reuse = not ss.time_varying
     if reuse:
         pattern, observed = _column_patterns(mask)
         blocks = [_measurement_block(ss, obs, ss.measurement_base) for obs in observed]
@@ -316,6 +327,8 @@ def kf_filter(
         if hit is not None:
             k, gain, cPi = hit
         else:
+            if size == len(bank):
+                bank = _grown(bank, T + 1)
             step = _filter_step(ss, bank[k, 1], block, t, bank[size])
             k, size = size, size + 1
             gain = cPi = None
@@ -365,6 +378,13 @@ def _loglik_terms(ss: StateSpace, x: np.ndarray, mask: np.ndarray, a_filt: np.nd
     return -0.5 * (mask.sum(axis=0) * _LOG_2PI + log_r @ mask + logdet_PM[index] + quad)
 
 
+def _grown(buffer: np.ndarray, limit: int, at_end: bool = False) -> np.ndarray:
+    """A bank buffer with twice the entries of ``buffer``, at most ``limit``, holding its entries first, or last."""
+    grown = np.empty((min(2 * len(buffer), limit), *buffer.shape[1:]))
+    grown[slice(len(grown) - len(buffer), None) if at_end else slice(len(buffer))] = buffer
+    return grown
+
+
 def _trim(buffer: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Entries start..stop-1 of a bank buffer; a copy, so the buffer is freed, unless that is all of it."""
     return buffer if stop - start == len(buffer) else buffer[start:stop].copy()
@@ -407,15 +427,19 @@ def ks_smooth(filt: FilterOutput, ss: StateSpace) -> SmootherOutput:
     bank = filt.cov_bank
     s_mean = np.zeros((T + 1, K))
 
-    # both banks fill downward from entry T as the pass runs backward, and are trimmed at the end
-    covs = np.empty((T + 1, K, K))
-    lags = np.empty((T + 1, K, K))
-
     # J_t' = P_{t+1|t}^{-1} Theta P_{t|t}, a solve on the symmetric P_{t+1|t}, once per distinct step;
-    # gain_row[t] is slot t's row of J_T.  Theta P_{t|t} borrows the lag bank's buffer, which the
-    # lag-one covariances overwrite after the pass, so the stacked solve adds one stack, not two.
+    # gain_row[t] is slot t's row of J_T
     steps = filt.step_index
     distinct, first, gain_row = np.unique(steps[:T], return_index=True, return_inverse=True)
+    # both banks fill from their last entry down as the pass runs backward, and their entries are
+    # numbered from the end (-1 is the first formed), so a bank that grows keeps its numbers.  They
+    # start with one entry per distinct gain plus one, the fewest the lag bank can need: T + 1, in
+    # slot order, when the filter has one entry per slot.  The smoothed bank doubles when full and
+    # the lag bank, whose entries are formed after the pass, is allocated again if it is too small;
+    # both are trimmed at the end.  Theta P_{t|t} borrows the lag bank's buffer, which the lag-one
+    # covariances overwrite after the pass, so the stacked solve adds one stack, not two.
+    covs = np.empty((len(distinct) + 1, K, K))
+    lags = np.empty_like(covs)
     Theta_Pf = np.matmul(Theta, _rows(bank[:, 1], distinct), out=lags[:len(distinct)])
     J_T = np.linalg.solve(_rows(bank[:, 0], steps[first + 1]), Theta_Pf)
     repeated = (np.bincount(gain_row) > 1).tolist()
@@ -423,11 +447,11 @@ def ks_smooth(filt: FilterOutput, ss: StateSpace) -> SmootherOutput:
 
     formed: dict[tuple[int, int], tuple[int, int]] = {}  # (gain row, entry of P_{t+1|T}) -> entries of slot t
     pairs: list[tuple[int, int]] = []  # (gain row, entry of P_{t+1|T}) of each lag-one covariance formed
-    covs[T] = bank[steps[T], 1]
-    c_low, l_low = T, T + 1
+    covs[-1] = bank[steps[T], 1]
+    n_covs = 1
     # once a step repeats, smoothed covariances can repeat too: bytes of a banked P_{t|T} -> its entry
-    seen = {covs[T].tobytes(): T} if len(bank) <= T else None
-    cov_index = [0] * T + [T]
+    seen = {covs[-1].tobytes(): -1} if len(bank) <= T else None
+    cov_index = [0] * T + [-1]
     lag_index = [0] * (T + 1)
     a_filt, a_pred = filt.filtered_means, filt.predicted_means
     s_mean[T] = a_filt[T]
@@ -439,30 +463,34 @@ def ks_smooth(filt: FilterOutput, ss: StateSpace) -> SmootherOutput:
         entries = formed.get(key)
         if entries is None:
             # formed in the next free entry, which it keeps unless an earlier entry has its bytes
-            P = covs[c_low - 1]
+            if n_covs == len(covs):
+                covs = _grown(covs, T + 1, at_end=True)
+            free = -1 - n_covs
+            P = covs[free]
             np.matmul(J @ (covs[key[1]] - bank[steps[t + 1], 0]), J.T, out=P)
             P += bank[steps[t], 1]
             _symmetrize(P)
-            l_low -= 1
             pairs.append(key)
-            entry = c_low - 1 if seen is None else seen.setdefault(P.tobytes(), c_low - 1)
-            if entry == c_low - 1:
-                c_low -= 1
-            entries = (entry, l_low)
+            entry = free if seen is None else seen.setdefault(P.tobytes(), free)
+            if entry == free:
+                n_covs += 1
+            entries = (entry, -len(pairs))
             if repeated[g]:
                 formed[key] = entries
         cov_index[t], lag_index[t + 1] = entries
-    # lags[l] = P_{t+1|T} J_t' of the pair formed into entry l, the pairs being formed downward from T
+    # lag entry -1 - i is P_{t+1|T} J_t' of the i-th pair formed, and the entry below them all is slot 0's zero
+    n_lags = len(pairs) + 1
+    if n_lags > len(lags):
+        lags = np.empty((n_lags, K, K))
     if pairs:
         g_rows, c_rows = np.array(pairs[::-1]).T
-        np.matmul(_rows(covs, c_rows), _rows(J_T, g_rows), out=lags[l_low:])
-    l_low -= 1
-    lags[l_low] = 0.0
-    lag_index[0] = l_low
+        np.matmul(_rows(covs, c_rows + len(covs)), _rows(J_T, g_rows), out=lags[len(lags) - len(pairs):])
+    lags[-n_lags] = 0.0
+    lag_index[0] = -n_lags
     return SmootherOutput(
         s_mean,
-        _trim(covs, c_low, T + 1), np.array(cov_index) - c_low,
-        _trim(lags, l_low, T + 1), np.array(lag_index) - l_low,
+        _trim(covs, len(covs) - n_covs, len(covs)), np.array(cov_index) + n_covs,
+        _trim(lags, len(lags) - n_lags, len(lags)), np.array(lag_index) + n_lags,
     )
 
 

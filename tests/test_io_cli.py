@@ -219,6 +219,9 @@ def test_cli_estimate_roundtrip(tmp_path):
     summary = json.loads((est_dir / "estimate.json").read_text())
     assert summary["converged"]
     assert summary["mse_common"] < 1.0
+    # the intercepts and slopes are written once, under params
+    assert "trend_alpha" not in summary and "trend_beta" not in summary
+    assert {"alpha0", "beta0"} <= set(summary["params"])
     chi, names, meta = read_panel(est_dir / "chi.csv")
     assert chi.data.shape == (20, 40)
 
@@ -426,6 +429,8 @@ def test_demo_cli_pipeline_runs(tmp_path, demo):
     proc = subprocess.run([sys.executable, str(root / "demos" / demo)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+    # a demo cleans up the temporary files it makes
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command, reads, table", [

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import types
 import warnings
 
@@ -7,9 +8,10 @@ import pytest
 
 import nsdfm.em
 import nsdfm.kalman
-from nsdfm.em import fit
+from nsdfm.em import _slot_sum, fit
 from nsdfm.model import ModelSpec, Panel, Params, build_state_space
 from nsdfm.kalman import (
+    _BANK_START,
     _filter_step,
     _measurement_block,
     kf_filter,
@@ -193,7 +195,9 @@ def test_one_step_trace_band_at_scale():
 def test_reused_steps_equal_fresh_steps_and_oracle():
     # settled: slots reuse steps; ragged local trend: the filter updates the
     # slope entries of one Z_t in place, here with a slope loading of 2.5, and
-    # every step must equal a fresh one on measurement_map's Z_t
+    # every step must equal a fresh one on measurement_map's Z_t; gapped then
+    # settled: the filter's bank and both smoother banks outgrow their first
+    # buffers, so entries written before a buffer grew are read after it
     rng = np.random.default_rng(101)
     spec, params, panel = settled_panel(rng)
     _check_fresh_steps_and_oracle(build_state_space(spec, params), panel, reused=True)
@@ -202,6 +206,12 @@ def test_reused_steps_equal_fresh_steps_and_oracle():
     Z = ss.measurement_base.copy()
     Z[spec.layout.beta_series[0], spec.layout.beta_slice.start] = 2.5
     _check_fresh_steps_and_oracle(dataclasses.replace(ss, measurement_base=Z), panel, reused=False)
+    spec, params, panel = gapped_then_settled_panel(rng)
+    filt, smooth = _check_fresh_steps_and_oracle(build_state_space(spec, params), panel, reused=True)
+    # the filter bank starts at _BANK_START entries, the smoother's at one per distinct gain plus one
+    assert 2 * _BANK_START < len(filt.cov_bank) < panel.T + 1
+    first = len(np.unique(filt.step_index[:-1])) + 1
+    assert len(smooth.cov_bank) > first and len(smooth.lag_bank) > first
 
 
 def _check_fresh_steps_and_oracle(ss, panel, reused):
@@ -221,6 +231,46 @@ def _check_fresh_steps_and_oracle(ss, panel, reused):
     for t in range(panel.T + 1):
         np.testing.assert_allclose(smooth.smoothed_means[t], oracle["state_mean"](t), rtol=1e-8, atol=1e-8)
         np.testing.assert_allclose(smooth.smoothed_covs[t], oracle["state_cov"](t), rtol=1e-8, atol=1e-8)
+    # the E-step's sums over slots, taken from the banks, are bitwise those of the per-slot arrays
+    for bank, index, per_slot in ((smooth.cov_bank, smooth.cov_index, smooth.smoothed_covs),
+                                  (smooth.lag_bank, smooth.lag_index, smooth.lag_one_covs)):
+        for slots in (slice(1, None), slice(None, -1)):
+            assert _slot_sum(bank, index, slots).tobytes() == per_slot[slots].sum(axis=0).tobytes()
+    return filt, smooth
+
+
+def gapped_then_settled_panel(rng, n=6, T=120, gapped=24):
+    """Time-invariant system with I(1) idiosyncratic or local-level states and
+    a panel with random gaps in its first ``gapped`` columns, each its own
+    step, then fully observed columns long enough for the covariances to
+    settle.  Returns (spec, params, panel)."""
+    while True:
+        spec, params = random_instance(rng, n=n, T=T, q=2, s=0, p=1)
+        if spec.idio_im and not spec.local_trend:
+            break
+    mask = np.ones((n, T), dtype=bool)
+    mask[:, :gapped] = rng.random((n, gapped)) >= 0.3
+    return spec, params, Panel(np.where(mask, rng.standard_normal((n, T)), np.nan), mask)
+
+
+def test_settled_passes_allocate_for_the_steps_computed():
+    # on a settled panel with T = 1000 and K = 30 the filter computes a few dozen
+    # steps and the smoother forms a few dozen entries; the traced peak of the
+    # two passes must stay below one (T+1) x K x K stack, of which a filter bank
+    # with an entry per slot would alone take two
+    sim = simulate_panel(MCConfig(n=40, T=1000, q=2, s=0, n1=26, nb=0, tau=0.5, seed=1), 0)
+    pre = pre_estimate(sim.spec, sim.panel)
+    ss = build_state_space(sim.spec, pre.params)
+    assert ss.K == 30 and not ss.time_varying
+    tracemalloc.start()
+    try:
+        filt = kf_filter(ss, sim.panel, pre.init_state_mean, pre.init_state_cov)
+        smooth = ks_smooth(filt, ss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(filt.cov_bank) < 100 and len(smooth.cov_bank) < 100
+    assert peak < (sim.spec.T + 1) * ss.K ** 2 * 8
 
 
 def test_step_index_shows_reuse_on_settled_panel():
