@@ -5,7 +5,8 @@ first differences cumulated back to levels (Bai & Ng 2004), and the
 corrected variant that re-anchors a cumulated estimate by re-attaching
 each series' level and deterministic linear trend.  All three are blind
 to which series carry unit roots or trends; that is the point of the
-comparison.  Each returns its n x T estimate of the common component.
+comparison.  Each fills a missing cell with its series' mean and returns
+its n x T estimate of the common component.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import Panel
+from .pre_estimate import mean_filled
 
 __all__ = ["pc_levels", "pc_diff_cumulate", "pc_diff_corrected"]
 
@@ -24,26 +26,13 @@ def _leading_eigvecs(G: np.ndarray, r: int, strict: bool = False) -> np.ndarray:
     return vecs[:, ::-1][:, :r]
 
 
-def _dense(panel: Panel) -> np.ndarray:
-    """Competitors need complete data; fill missing cells with series means.
-
-    A series with no observation is filled with zeros.  Only the series
-    with a gap are visited.
-    """
-    mask = panel.missing_mask
-    fill = np.zeros(panel.n)
-    for i in np.flatnonzero(mask.any(axis=1) & ~mask.all(axis=1)):
-        fill[i] = panel.data[i, mask[i]].mean()
-    return np.where(mask, panel.data, fill[:, None])
-
-
 def pc_levels(panel: Panel, r: int) -> np.ndarray:
     """Project the demeaned levels onto the span of the r leading eigenvectors.
 
     The eigenvectors come from the covariance of the per-series demeaned
     levels, and the means are added back to the projection.
     """
-    x = _dense(panel)
+    x = mean_filled(panel.data, panel.missing_mask)
     xbar = x.mean(axis=1, keepdims=True)
     xc = x - xbar
     V = _leading_eigvecs(xc @ xc.T / x.shape[1], r, strict=True)
@@ -57,7 +46,7 @@ def pc_diff_cumulate(panel: Panel, r: int) -> np.ndarray:
     is removed before the PCA; the cumulated estimate is therefore only
     identified up to a location shift per series.
     """
-    x = _dense(panel)
+    x = mean_filled(panel.data, panel.missing_mask)
     if x.shape[1] < 3:
         raise ValueError("need T >= 3")
     dx = np.diff(x, axis=1)
@@ -75,7 +64,7 @@ def pc_diff_corrected(panel: Panel, cumulated: np.ndarray) -> np.ndarray:
     added back, restoring the level and any deterministic linear
     component the differencing removed.
     """
-    x = _dense(panel)
+    x = mean_filled(panel.data, panel.missing_mask)
     T = x.shape[1]
     X = np.column_stack([np.ones(T), np.arange(1, T + 1, dtype=float)])
     coef, *_ = np.linalg.lstsq(X, (x - cumulated).T, rcond=None)

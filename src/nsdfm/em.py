@@ -167,12 +167,10 @@ def _filter_and_smooth(
 ) -> tuple[StateSpace, FilterOutput, SmootherOutput]:
     """The system of ``params`` with its filter and smoother passes over the detrended panel."""
     ss = build_state_space(spec, params)
-    if deterministic is None:
-        panel_f = panel
-    else:
-        shifted = panel.data - deterministic
-        panel_f = Panel(np.where(panel.missing_mask, shifted, np.nan), panel.missing_mask)
-    filt = kf_filter(ss, panel_f, init_mean, init_cov)
+    if deterministic is not None:
+        # the filter reads only the observed cells
+        panel = Panel(panel.data - deterministic, panel.missing_mask)
+    filt = kf_filter(ss, panel, init_mean, init_cov)
     return ss, filt, ks_smooth(filt, ss)
 
 

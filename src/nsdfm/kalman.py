@@ -34,12 +34,14 @@ distinct (step, P_{t+1|T}) pair, and lets a P_{t|T} bitwise equal to any
 earlier one share its entry, so every result is bit-identical to the full
 recursion.  Each pass therefore keeps its covariances in a bank of
 distinct matrices with a per-slot index into it; the per-slot
-(T+1, K, K) arrays are built from the bank only when read.  A bank's
-buffer is sized to the entries computed, not to T + 1: it starts small,
-doubles when full and is trimmed to its entries at the end, so a settled
-recursion at T = 200, K = 54 keeps a few dozen entries, not 201.  Where no
-step can repeat, the buffers hold exactly T + 1 entries from the start and
-are never copied.
+(T+1, K, K) arrays are built from the bank only when read.  The banks
+are sized to the entries computed, not to T + 1, so a settled recursion
+at T = 200, K = 54 keeps a few dozen entries, not 201.  The filter's bank
+starts small, doubles when full and is trimmed to its entries at the end;
+where no step can repeat it holds exactly T + 1 entries from the start and
+is never copied.  The smoother keeps its P_{t|T} in a list, in the order it
+forms them, and stacks the list reversed once at the end; its lag bank is
+allocated once, after the pass, at its exact size.
 
 A local-trend slope loads the time label, so Z_t changes every period and
 no step repeats.  The filter then keeps one copy of the measurement base
@@ -148,8 +150,9 @@ class SmootherOutput:
 
     ``cov_bank`` holds the distinct smoothed covariances, ``cov_index[t]``
     the entry of P_{t|T}; ``lag_bank`` and ``lag_index`` do the same for
-    Cov(s_t, s_{t-1} | all data), t >= 1, whose slot 0 is a zero matrix.  A
-    bank with one entry per slot is in slot order, its index 0..T.
+    Cov(s_t, s_{t-1} | all data), t >= 1, whose slot 0 is the zero matrix
+    in entry 0.  A bank with one entry per slot is in slot order, its index
+    0..T.
     ``smoothed_covs`` and ``lag_one_covs`` build the per-slot (T+1, K, K)
     arrays from the banks when read.
     """
@@ -159,10 +162,6 @@ class SmootherOutput:
     cov_index: np.ndarray            # (T+1,) int
     lag_bank: np.ndarray             # (distinct, K, K)
     lag_index: np.ndarray            # (T+1,) int
-
-    @property
-    def T(self) -> int:
-        return self.smoothed_means.shape[0] - 1
 
     @property
     def smoothed_covs(self) -> np.ndarray:
@@ -292,9 +291,9 @@ def kf_filter(
     bank = np.empty((min(T + 1, _BANK_START) if reuse else T + 1, 2, K, K))
     bank[0] = _symmetrize(init_cov.copy())
     size = 1
-    # per bank entry, for the log-likelihood only: the diagonals of cP and cM (one for a step
-    # that observes nothing, so its slots add nothing)
-    chol_diag = np.ones((T + 1, 2, K))
+    # per bank entry, for the log-likelihood only: the diagonals of cP and cM (ones for a step
+    # that observes nothing, so its slots add nothing); it grows with the bank
+    chol_diag = np.ones((len(bank), 2, K))
     if reuse:
         pattern, observed = _column_patterns(mask)
         blocks = [_measurement_block(ss, obs, ss.measurement_base) for obs in observed]
@@ -328,11 +327,13 @@ def kf_filter(
             k, gain, cPi = hit
         else:
             if size == len(bank):
-                bank = _grown(bank, T + 1)
+                bank, chol_diag = _grown(bank, T + 1), _grown(chol_diag, T + 1)
             step = _filter_step(ss, bank[k, 1], block, t, bank[size])
             k, size = size, size + 1
-            gain = cPi = None
-            if block is not None:
+            if block is None:
+                gain = cPi = None
+                chol_diag[k] = 1.0
+            else:
                 gain, cPi, chol_diag[k, 0], chol_diag[k, 1] = step[2:]
             if reuse:
                 computed[key] = (k, gain, cPi)
@@ -352,7 +353,7 @@ def kf_filter(
     ll[1:] = _loglik_terms(ss, x, mask, a_filt[1:], w[1:], step_index[1:], chol_diag[:size])
     if not np.all(np.isfinite(ll)):
         raise FloatingPointError("non-finite log-likelihood term; filter diverged")
-    return FilterOutput(a_pred, a_filt, ll, step_index, _trim(bank, 0, size))
+    return FilterOutput(a_pred, a_filt, ll, step_index, _trim(bank, size))
 
 
 def _loglik_terms(ss: StateSpace, x: np.ndarray, mask: np.ndarray, a_filt: np.ndarray, w: np.ndarray,
@@ -378,16 +379,16 @@ def _loglik_terms(ss: StateSpace, x: np.ndarray, mask: np.ndarray, a_filt: np.nd
     return -0.5 * (mask.sum(axis=0) * _LOG_2PI + log_r @ mask + logdet_PM[index] + quad)
 
 
-def _grown(buffer: np.ndarray, limit: int, at_end: bool = False) -> np.ndarray:
-    """A bank buffer with twice the entries of ``buffer``, at most ``limit``, holding its entries first, or last."""
+def _grown(buffer: np.ndarray, limit: int) -> np.ndarray:
+    """A bank buffer with twice the entries of ``buffer``, at most ``limit``, holding its entries first."""
     grown = np.empty((min(2 * len(buffer), limit), *buffer.shape[1:]))
-    grown[slice(len(grown) - len(buffer), None) if at_end else slice(len(buffer))] = buffer
+    grown[:len(buffer)] = buffer
     return grown
 
 
-def _trim(buffer: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Entries start..stop-1 of a bank buffer; a copy, so the buffer is freed, unless that is all of it."""
-    return buffer if stop - start == len(buffer) else buffer[start:stop].copy()
+def _trim(buffer: np.ndarray, stop: int) -> np.ndarray:
+    """The first ``stop`` entries of a bank buffer; a copy, so the buffer is freed, unless that is all of it."""
+    return buffer if stop == len(buffer) else buffer[:stop].copy()
 
 
 def _column_patterns(mask: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
@@ -419,7 +420,10 @@ def ks_smooth(filt: FilterOutput, ss: StateSpace) -> SmootherOutput:
     has settled, to a fixed point or a cycle of any period like the
     filter's, stops forming anything.  Stacked and per-matrix solves and
     products give the same bits, so the result is bit-identical to a
-    per-slot recursion.
+    per-slot recursion.  The P_{t|T} are kept in a list in the order formed,
+    P_{T|T} first, and stacked in reverse when the pass ends, so a bank with
+    one entry per slot comes out in slot order; the lag bank is allocated
+    then, at its exact size.
     """
     Theta = ss.transition_map
     T = filt.T
@@ -431,27 +435,17 @@ def ks_smooth(filt: FilterOutput, ss: StateSpace) -> SmootherOutput:
     # gain_row[t] is slot t's row of J_T
     steps = filt.step_index
     distinct, first, gain_row = np.unique(steps[:T], return_index=True, return_inverse=True)
-    # both banks fill from their last entry down as the pass runs backward, and their entries are
-    # numbered from the end (-1 is the first formed), so a bank that grows keeps its numbers.  They
-    # start with one entry per distinct gain plus one, the fewest the lag bank can need: T + 1, in
-    # slot order, when the filter has one entry per slot.  The smoothed bank doubles when full and
-    # the lag bank, whose entries are formed after the pass, is allocated again if it is too small;
-    # both are trimmed at the end.  Theta P_{t|t} borrows the lag bank's buffer, which the lag-one
-    # covariances overwrite after the pass, so the stacked solve adds one stack, not two.
-    covs = np.empty((len(distinct) + 1, K, K))
-    lags = np.empty_like(covs)
-    Theta_Pf = np.matmul(Theta, _rows(bank[:, 1], distinct), out=lags[:len(distinct)])
-    J_T = np.linalg.solve(_rows(bank[:, 0], steps[first + 1]), Theta_Pf)
-    repeated = (np.bincount(gain_row) > 1).tolist()
+    J_T = np.linalg.solve(_rows(bank[:, 0], steps[first + 1]), Theta @ _rows(bank[:, 1], distinct))
     steps, gain_row = steps.tolist(), gain_row.tolist()
 
+    # both banks number their entries in the order formed, P_{T|T} first, and are reversed at the
+    # end, so a bank with one entry per slot comes out in slot order
+    covs = [bank[steps[T], 1]]
     formed: dict[tuple[int, int], tuple[int, int]] = {}  # (gain row, entry of P_{t+1|T}) -> entries of slot t
     pairs: list[tuple[int, int]] = []  # (gain row, entry of P_{t+1|T}) of each lag-one covariance formed
-    covs[-1] = bank[steps[T], 1]
-    n_covs = 1
     # once a step repeats, smoothed covariances can repeat too: bytes of a banked P_{t|T} -> its entry
-    seen = {covs[-1].tobytes(): -1} if len(bank) <= T else None
-    cov_index = [0] * T + [-1]
+    seen = {covs[0].tobytes(): 0} if len(bank) <= T else None
+    cov_index = [0] * (T + 1)
     lag_index = [0] * (T + 1)
     a_filt, a_pred = filt.filtered_means, filt.predicted_means
     s_mean[T] = a_filt[T]
@@ -462,36 +456,27 @@ def ks_smooth(filt: FilterOutput, ss: StateSpace) -> SmootherOutput:
         key = (g, cov_index[t + 1])
         entries = formed.get(key)
         if entries is None:
-            # formed in the next free entry, which it keeps unless an earlier entry has its bytes
-            if n_covs == len(covs):
-                covs = _grown(covs, T + 1, at_end=True)
-            free = -1 - n_covs
-            P = covs[free]
-            np.matmul(J @ (covs[key[1]] - bank[steps[t + 1], 0]), J.T, out=P)
+            P = J @ (covs[key[1]] - bank[steps[t + 1], 0]) @ J.T
             P += bank[steps[t], 1]
             _symmetrize(P)
             pairs.append(key)
-            entry = free if seen is None else seen.setdefault(P.tobytes(), free)
-            if entry == free:
-                n_covs += 1
-            entries = (entry, -len(pairs))
-            if repeated[g]:
-                formed[key] = entries
+            # a new entry unless an earlier one has its bytes
+            entry = len(covs) if seen is None else seen.setdefault(P.tobytes(), len(covs))
+            if entry == len(covs):
+                covs.append(P)
+            entries = formed[key] = (entry, len(pairs) - 1)
         cov_index[t], lag_index[t + 1] = entries
-    # lag entry -1 - i is P_{t+1|T} J_t' of the i-th pair formed, and the entry below them all is slot 0's zero
-    n_lags = len(pairs) + 1
-    if n_lags > len(lags):
-        lags = np.empty((n_lags, K, K))
+    n_covs = len(covs)
+    covs = np.array(covs[::-1])                 # frees the list before the lag bank is allocated
+    # lag entry 0 is slot 0's zero, numbered after every pair, and pair i is P_{t+1|T} J_t' in entry
+    # len(pairs) - i
+    lag_index[0] = len(pairs)
+    lags = np.empty((len(pairs) + 1, K, K))
+    lags[0] = 0.0
     if pairs:
         g_rows, c_rows = np.array(pairs[::-1]).T
-        np.matmul(_rows(covs, c_rows + len(covs)), _rows(J_T, g_rows), out=lags[len(lags) - len(pairs):])
-    lags[-n_lags] = 0.0
-    lag_index[0] = -n_lags
-    return SmootherOutput(
-        s_mean,
-        _trim(covs, len(covs) - n_covs, len(covs)), np.array(cov_index) + n_covs,
-        _trim(lags, len(lags) - n_lags, len(lags)), np.array(lag_index) + n_lags,
-    )
+        np.matmul(_rows(covs, n_covs - 1 - c_rows), _rows(J_T, g_rows), out=lags[1:])
+    return SmootherOutput(s_mean, covs, n_covs - 1 - np.array(cov_index), lags, len(pairs) - np.array(lag_index))
 
 
 def steady_state_onset(trace: np.ndarray, tol: float) -> int | None:

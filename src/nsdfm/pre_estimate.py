@@ -78,19 +78,21 @@ def detrend_ols(series: np.ndarray, mask: np.ndarray | None = None):
     return alpha, beta, y - alpha - beta * t
 
 
-def _filled_differences(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """n x (T-1) differenced panel with gaps filled by per-series means.
+def mean_filled(values: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """``values`` (n x T) with each series' cells where ``ok`` is False set to the mean of its ``ok`` cells.
 
-    A difference is observed when both its levels are.  A series with no
-    observed difference is all zeros.  Only the series with a gap are
-    visited.
+    A series with no ``ok`` cell is all zeros.  Only the series with a gap
+    are visited.
     """
-    dx = x[:, 1:] - x[:, :-1]
-    ok = mask[:, 1:] & mask[:, :-1]
-    fill = np.zeros(x.shape[0])
+    fill = np.zeros(values.shape[0])
     for i in np.flatnonzero(ok.any(axis=1) & ~ok.all(axis=1)):
-        fill[i] = dx[i, ok[i]].mean()
-    return np.where(ok, dx, fill[:, None])
+        fill[i] = values[i, ok[i]].mean()
+    return np.where(ok, values, fill[:, None])
+
+
+def _filled_differences(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """n x (T-1) differenced panel, a difference observed when both its levels are, gaps :func:`mean_filled`."""
+    return mean_filled(x[:, 1:] - x[:, :-1], mask[:, 1:] & mask[:, :-1])
 
 
 def _filled_levels(x: np.ndarray, mask: np.ndarray, dx_fill: np.ndarray) -> np.ndarray:
@@ -149,6 +151,14 @@ def pc_first_differences(dx: np.ndarray, q: int):
     return V * np.sqrt(M), M
 
 
+def _regress(Y: np.ndarray, X: np.ndarray, message: str) -> np.ndarray:
+    """Y X' (X X')^{-1}, the least-squares coefficients of Y on the rows of X; ``message`` names a singular X X'."""
+    try:
+        return Y @ X.T @ np.linalg.inv(X @ X.T)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(message) from exc
+
+
 def lagged_loadings(dx: np.ndarray, B0: np.ndarray, f_tilde: np.ndarray, s: int) -> list[np.ndarray]:
     """Project residual differences on lagged factor differences.
 
@@ -164,11 +174,7 @@ def lagged_loadings(dx: np.ndarray, B0: np.ndarray, f_tilde: np.ndarray, s: int)
     if cols.size < s * q + 1:
         raise ValueError("too few periods to fit lagged loadings")
     Rg = np.vstack([df[:, cols - k] for k in range(1, s + 1)])   # (s q) x len(cols)
-    G = Rg @ Rg.T
-    try:
-        Bs = resid[:, cols] @ Rg.T @ np.linalg.inv(G)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError("singular Gram matrix of lagged factor differences") from exc
+    Bs = _regress(resid[:, cols], Rg, "singular Gram matrix of lagged factor differences")
     return [Bs[:, (k - 1) * q:k * q] for k in range(1, s + 1)]
 
 
@@ -185,11 +191,7 @@ def var_prefit(f_tilde: np.ndarray, p: int):
     ts = np.arange(p, T)
     Y = f_tilde[:, ts]
     X = np.vstack([f_tilde[:, ts - k] for k in range(1, p + 1)])  # (p q) x (T-p)
-    G = X @ X.T
-    try:
-        A_stack = Y @ X.T @ np.linalg.inv(G)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError("singular regressor moment matrix in the factor VAR") from exc
+    A_stack = _regress(Y, X, "singular regressor moment matrix in the factor VAR")
     A = [A_stack[:, (k - 1) * q:k * q] for k in range(1, p + 1)]
     resid = Y - A_stack @ X
     gamma_u = resid @ resid.T / T

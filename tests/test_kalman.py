@@ -196,8 +196,9 @@ def test_reused_steps_equal_fresh_steps_and_oracle():
     # settled: slots reuse steps; ragged local trend: the filter updates the
     # slope entries of one Z_t in place, here with a slope loading of 2.5, and
     # every step must equal a fresh one on measurement_map's Z_t; gapped then
-    # settled: the filter's bank and both smoother banks outgrow their first
-    # buffers, so entries written before a buffer grew are read after it
+    # settled: the filter's bank doubles twice, so entries written before it
+    # grew are read after it, and the smoother forms more entries than there
+    # are distinct gains
     rng = np.random.default_rng(101)
     spec, params, panel = settled_panel(rng)
     _check_fresh_steps_and_oracle(build_state_space(spec, params), panel, reused=True)
@@ -208,7 +209,8 @@ def test_reused_steps_equal_fresh_steps_and_oracle():
     _check_fresh_steps_and_oracle(dataclasses.replace(ss, measurement_base=Z), panel, reused=False)
     spec, params, panel = gapped_then_settled_panel(rng)
     filt, smooth = _check_fresh_steps_and_oracle(build_state_space(spec, params), panel, reused=True)
-    # the filter bank starts at _BANK_START entries, the smoother's at one per distinct gain plus one
+    # the filter bank starts at _BANK_START entries; each smoother bank holds more entries than
+    # one per distinct gain plus one
     assert 2 * _BANK_START < len(filt.cov_bank) < panel.T + 1
     first = len(np.unique(filt.step_index[:-1])) + 1
     assert len(smooth.cov_bank) > first and len(smooth.lag_bank) > first
@@ -227,6 +229,11 @@ def _check_fresh_steps_and_oracle(ss, panel, reused):
 
     oracle = joint_gaussian_moments(ss, panel, init_mean, init_cov)
     smooth = ks_smooth(filt, ss)
+    if not reused:
+        # a bank with one entry per slot is in slot order
+        np.testing.assert_array_equal(smooth.cov_index, np.arange(panel.T + 1))
+        np.testing.assert_array_equal(smooth.lag_index, np.arange(panel.T + 1))
+    assert not smooth.lag_bank[smooth.lag_index[0]].any()
     assert filt.loglik == pytest.approx(oracle["loglik"], rel=1e-10, abs=1e-10)
     for t in range(panel.T + 1):
         np.testing.assert_allclose(smooth.smoothed_means[t], oracle["state_mean"](t), rtol=1e-8, atol=1e-8)
