@@ -22,7 +22,6 @@ params = Params(
     var_coeffs=[np.array([[1.0]])],     # unit root in the "factor"
     gamma_u=np.array([[1.0]]),
     gamma_e_diag=np.array([1.0, 1.0]),
-    rho=np.zeros(2),
     sigma2_omega=np.zeros(2),
     sigma2_eta=np.zeros(2),
     sigma2_nu=np.zeros(2),

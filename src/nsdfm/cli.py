@@ -188,17 +188,17 @@ def cmd_estimate(args) -> int:
     return EXIT_OK if res.converged else EXIT_NONCONVERGED
 
 
-def _parse_cells(text: str, section: dict[str, str], overrides: dict) -> list[MCConfig]:
-    """One MCConfig per ';'-separated cell of 'key=value' pairs over the [mc] section and overrides."""
+def _parse_cells(text: str, section: dict[str, str]) -> list[MCConfig]:
+    """One MCConfig per ';'-separated cell of 'key=value' pairs laid over the [mc] section."""
     cells = []
     for chunk in text.split(";"):
         if not chunk.strip():
             continue
-        cell = dict(overrides)
+        cell = dict(section)
         for token in chunk.split(","):
             key, _, value = token.partition("=")
             cell[key.strip()] = value.strip()
-        cells.append(mc_config_from_section(section, cell))
+        cells.append(mc_config_from_section(cell))
     return cells
 
 
@@ -227,7 +227,7 @@ def cmd_benchmark(args) -> int:
     sections = _sections(args)
     mc = sections.get("mc", {})
     base = mc_config_from_section(mc)
-    cells = _parse_cells(mc.get("cells", ""), mc, {}) or [base]
+    cells = _parse_cells(mc.get("cells", ""), mc) or [base]
     out = _out_dir(args, sections)
     io = parse_section("io", sections.get("io", {}))
     jobs, t_min = io.get("jobs", 1), io.get("t_min", DEFAULT_T_MIN)

@@ -128,7 +128,6 @@ class EMResult:
     ``params.beta0``, zero off the series that carry them.
     """
 
-    spec: ModelSpec
     params: Params
     chi: np.ndarray                  # n x T estimated common component
     smoothed_means: np.ndarray       # (T+1, K) smoothed states in spec.layout order, slot 0 = initial
@@ -143,16 +142,15 @@ def e_step(
     panel: Panel,
     init_mean: np.ndarray,
     init_cov: np.ndarray,
-    deterministic: np.ndarray | None = None,
 ) -> tuple[SufficientStats, SmootherOutput]:
     """Smoother pass plus reduction to expected sufficient statistics.
 
-    ``deterministic`` (n x T) is subtracted from the data before
-    filtering; the measurement moments are still reported against the
-    original data so the M-step can re-estimate the per-series intercept
-    and slope.
+    The deterministic part ``alpha0 + beta0 * t`` of ``params`` is
+    subtracted from the data before filtering; the measurement moments are
+    still reported against the original data so the M-step can re-estimate
+    the per-series intercept and slope.
     """
-    ss, filt, smooth = _filter_and_smooth(spec, params, panel, init_mean, init_cov, deterministic)
+    ss, filt, smooth = _filter_and_smooth(spec, params, panel, init_mean, init_cov)
     stats = reduce_moments(spec, ss.layout, panel, smooth, filt.loglik)
     return stats, smooth
 
@@ -163,14 +161,13 @@ def _filter_and_smooth(
     panel: Panel,
     init_mean: np.ndarray,
     init_cov: np.ndarray,
-    deterministic: np.ndarray | None,
 ) -> tuple[StateSpace, FilterOutput, SmootherOutput]:
     """The system of ``params`` with its filter and smoother passes over the detrended panel."""
     ss = build_state_space(spec, params)
-    if deterministic is not None:
-        # the filter reads only the observed cells
-        panel = Panel(panel.data - deterministic, panel.missing_mask)
-    filt = kf_filter(ss, panel, init_mean, init_cov)
+    deterministic = params.alpha0[:, None] + params.beta0[:, None] * np.arange(1, panel.T + 1, dtype=float)
+    # the filter reads only the observed cells
+    detrended = Panel(panel.data - deterministic, panel.missing_mask)
+    filt = kf_filter(ss, detrended, init_mean, init_cov)
     return ss, filt, ks_smooth(filt, ss)
 
 
@@ -416,7 +413,6 @@ def _m_step(
         var_coeffs=A,
         gamma_u=gamma_u,
         gamma_e_diag=ge,
-        rho=params_prev.rho,
         sigma2_omega=s2w,
         sigma2_eta=s2e,
         sigma2_nu=s2nu,
@@ -456,7 +452,6 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
     # deterministic intercept/slope parameters: active for the detrend set,
     # minus any component that lives in the state instead, and zero elsewhere
     n, T = spec.n, spec.T
-    tgrid = np.arange(1, T + 1, dtype=float)
     detrend_mask = np.zeros(n, dtype=bool)
     detrend_mask[list(pre.detrend_set)] = True
     alpha_free = detrend_mask & ~np.isin(np.arange(n), list(spec.local_level))
@@ -471,8 +466,7 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
     iterations = 0
 
     for k in range(options.max_iter):
-        det = params.alpha0[:, None] + params.beta0[:, None] * tgrid
-        stats, smooth = e_step(spec, params, panel, init_mean, init_cov, det)
+        stats, smooth = e_step(spec, params, panel, init_mean, init_cov)
         logliks.append(stats.loglik)
         iterations = k + 1
         params = _m_step(stats, spec, params, options, alpha_free, beta_free, T)
@@ -483,8 +477,7 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
             break
 
     # the final pass refreshes the states; no M-step follows, so no moments are reduced
-    det = params.alpha0[:, None] + params.beta0[:, None] * tgrid
-    ss, filt, smooth = _filter_and_smooth(spec, params, panel, init_mean, init_cov, det)
+    ss, filt, smooth = _filter_and_smooth(spec, params, panel, init_mean, init_cov)
     logliks.append(filt.loglik)
 
     chi = common_component_path(params.loadings, smooth.smoothed_means[1:], ss.layout)
@@ -498,7 +491,6 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
         smoothed_means[:, lay.n_factor_states:] *= scale[list(lay.xi_series + lay.alpha_series + lay.beta_series)]
 
     return EMResult(
-        spec=spec,
         params=params,
         chi=chi,
         smoothed_means=smoothed_means,

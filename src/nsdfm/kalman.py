@@ -46,10 +46,10 @@ allocated once, after the pass, at its exact size.
 A local-trend slope loads the time label, so Z_t changes every period and
 no step repeats.  The filter then keeps one copy of the measurement base
 per call and, at each step, overwrites only its nonzero slope entries with
-base entry times t, the products ``StateSpace.measurement_map`` forms; each
-step's measurement block takes the observed rows of that Z_t.  Every step
-writes its covariances straight into its bank entry, and the bank, like
-the smoother's two banks that follow it, has one entry per slot.
+base entry times t; each step's measurement block takes the observed rows
+of that Z_t.  Every step writes its covariances straight into its bank
+entry, and the bank, like the smoother's two banks that follow it, has one
+entry per slot.
 
 A computed step factorizes twice and inverts twice.  It calls the gufuncs
 that ``np.linalg.cholesky`` and ``np.linalg.inv`` run,
@@ -153,8 +153,8 @@ class SmootherOutput:
     Cov(s_t, s_{t-1} | all data), t >= 1, whose slot 0 is the zero matrix
     in entry 0.  A bank with one entry per slot is in slot order, its index
     0..T.
-    ``smoothed_covs`` and ``lag_one_covs`` build the per-slot (T+1, K, K)
-    arrays from the banks when read.
+    ``smoothed_covs`` builds the per-slot (T+1, K, K) array from the bank
+    when read.
     """
 
     smoothed_means: np.ndarray       # (T+1, K)
@@ -166,10 +166,6 @@ class SmootherOutput:
     @property
     def smoothed_covs(self) -> np.ndarray:
         return self.cov_bank[self.cov_index]
-
-    @property
-    def lag_one_covs(self) -> np.ndarray:
-        return self.lag_bank[self.lag_index]
 
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
@@ -303,8 +299,8 @@ def kf_filter(
         entry_class = [0]
         computed: dict[tuple[int, int], tuple] = {}  # (pattern, class) -> (entry, gain, cPi)
     else:
-        # Z_t is measurement_base with each nonzero slope entry times the time label t, the
-        # product measurement_map forms: one copy per call, whose slope entries each step overwrites
+        # Z_t is measurement_base with each nonzero slope entry times the time label t:
+        # one copy per call, whose slope entries each step overwrites
         Z_t = ss.measurement_base.copy()
         beta = ss.layout.beta_slice
         slope_rows, slope_cols = np.nonzero(Z_t[:, beta])

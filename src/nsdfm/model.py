@@ -108,16 +108,16 @@ class Params:
     ``loadings`` holds s+1 arrays of shape (n, q); ``var_coeffs`` holds p
     arrays of shape (q, q).  Per-series variance vectors follow the spec's
     structural zeros: ``sigma2_omega`` is zero off ``local_level``,
-    ``sigma2_eta`` zero off ``local_trend``, ``sigma2_nu`` zero off the
-    union of the three index sets, and ``rho`` is 1 on ``idio_i1``, 0
-    elsewhere.
+    ``sigma2_eta`` zero off ``local_trend`` and ``sigma2_nu`` zero off the
+    union of the three index sets.  The unit root of an ``idio_i1``
+    component is known, not a parameter: ``build_state_space`` makes it a
+    random-walk state.
     """
 
     loadings: list[np.ndarray]
     var_coeffs: list[np.ndarray]
     gamma_u: np.ndarray
     gamma_e_diag: np.ndarray
-    rho: np.ndarray
     sigma2_omega: np.ndarray
     sigma2_eta: np.ndarray
     sigma2_nu: np.ndarray
@@ -147,19 +147,12 @@ class Params:
             raise ValueError("gamma_u must be symmetric")
         if np.linalg.eigvalsh(self.gamma_u)[0] <= 0:
             raise ValueError("gamma_u must be positive definite")
-        for name in ("gamma_e_diag", "rho", "sigma2_omega", "sigma2_eta", "sigma2_nu", "alpha0", "beta0"):
+        for name in ("gamma_e_diag", "sigma2_omega", "sigma2_eta", "sigma2_nu", "alpha0", "beta0"):
             v = getattr(self, name)
             if v.shape != (n,):
                 raise ValueError(f"{name} has shape {v.shape}, expected {(n,)}")
         if np.any(self.gamma_e_diag <= 0):
             raise ValueError("gamma_e_diag entries must be positive")
-        i1 = np.zeros(n, dtype=bool)
-        i1[list(spec.idio_i1)] = True
-        if not np.array_equal(self.rho != 0, i1):
-            bad = np.nonzero((self.rho != 0) != i1)[0]
-            raise ValueError(f"rho inconsistent with idio_i1 at series {bad.tolist()}")
-        if not np.all(np.isin(self.rho, (0.0, 1.0))):
-            raise ValueError("rho entries must be 0 or 1")
         for name, idx in (("sigma2_omega", spec.local_level), ("sigma2_eta", spec.local_trend)):
             v = getattr(self, name)
             members = np.zeros(n, dtype=bool)
@@ -255,9 +248,8 @@ class StateSpace:
 
     ``measurement_base`` holds the time-invariant part of the measurement
     matrix; the loading on a trend-slope state is its base entry times the
-    (one-based) time index, which :meth:`measurement_map` applies.  The
-    Kalman filter forms the same products itself, overwriting the slope
-    entries of one copy of the base per step.
+    (one-based) time index.  The Kalman filter forms those products
+    itself, overwriting the slope entries of one copy of the base per step.
     """
 
     layout: StateLayout
@@ -266,14 +258,6 @@ class StateSpace:
     measurement_base: np.ndarray      # n x K
     measurement_cov_diag: np.ndarray  # n
     time_varying: bool
-
-    def measurement_map(self, t: int) -> np.ndarray:
-        """Measurement matrix at zero-based time index t (label t+1)."""
-        if not self.time_varying:
-            return self.measurement_base
-        Z = self.measurement_base.copy()
-        Z[:, self.layout.beta_slice] *= float(t + 1)
-        return Z
 
     @property
     def K(self) -> int:
@@ -310,9 +294,7 @@ def build_state_space(spec: ModelSpec, params: Params) -> StateSpace:
 
     Theta = np.zeros((K, K))
     Theta[:r, :r] = companion(params.var_coeffs, layout.n_lags)
-    for j, i in enumerate(layout.xi_series):
-        Theta[layout.xi_slice.start + j, layout.xi_slice.start + j] = params.rho[i]
-    for blk in (layout.alpha_slice, layout.beta_slice):
+    for blk in (layout.xi_slice, layout.alpha_slice, layout.beta_slice):
         Theta[blk, blk] = np.eye(blk.stop - blk.start)
 
     Q = np.zeros((K, K))

@@ -241,14 +241,9 @@ def load_config(path) -> dict[str, dict[str, str]]:
     return out
 
 
-def mc_config_from_section(section: dict[str, str], overrides: dict | None = None) -> MCConfig:
-    """Build an MCConfig from the [mc] section plus overrides (one benchmark cell).
-
-    Override keys use the [mc] key names; ``None`` values are skipped and
-    unknown keys raise :class:`ConfigError`.
-    """
-    merged = {**section, **{k: str(v) for k, v in (overrides or {}).items() if v is not None}}
-    values = parse_section("mc", merged)
+def mc_config_from_section(section: dict[str, str]) -> MCConfig:
+    """Build an MCConfig from an [mc] section; unknown keys raise :class:`ConfigError`."""
+    values = parse_section("mc", section)
     values.pop("cells", None)
     if "dist" in values:
         values["innovation_dist"] = values.pop("dist")

@@ -304,15 +304,12 @@ def pre_estimate(
     s2e[list(spec.local_trend)] = SIGMA2_ETA_INIT
     s2nu = np.zeros(n)
     s2nu[list(im)] = SIGMA2_NU_INIT
-    rho = np.zeros(n)
-    rho[list(spec.idio_i1)] = 1.0
 
     params = Params(
         loadings=loadings,
         var_coeffs=A,
         gamma_u=gamma_u,
         gamma_e_diag=ge,
-        rho=rho,
         sigma2_omega=s2w,
         sigma2_eta=s2e,
         sigma2_nu=s2nu,

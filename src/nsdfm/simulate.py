@@ -208,7 +208,8 @@ def apply_trends_and_rescale(
     n, T = chi.shape
     var_dchi = np.var(np.diff(chi, axis=1), axis=1)
     var_dxi = np.var(np.diff(xi, axis=1), axis=1)
-    if np.any(var_dchi <= 0) or np.any(var_dxi <= 0):
+    # NaN variances, as at T = 1, fail the test too
+    if not (np.all(var_dchi > 0) and np.all(var_dxi > 0)):
         raise ValueError("zero-variance differenced component; cannot rescale")
     scale = np.sqrt(theta * var_dchi / var_dxi)
     xi_scaled = xi * scale[:, None]
@@ -252,8 +253,6 @@ def simulate_panel(config: MCConfig, replication: int = 0) -> SimulatedPanel:
     )
 
     spec = ModelSpec(n=n, T=T, q=q, s=s, p=config.p, idio_i1=i1)
-    rho1 = np.zeros(n)
-    rho1[list(i1)] = 1.0
     # innovation variances after rescaling; increments/levels of an AR
     # component with the unit root removed have variance s2/(1-rho2^2)
     s2_inn = np.diag(cov_e) * scale ** 2
@@ -265,7 +264,6 @@ def simulate_panel(config: MCConfig, replication: int = 0) -> SimulatedPanel:
         var_coeffs=[A1, A2],
         gamma_u=np.eye(q),
         gamma_e_diag=ge,
-        rho=rho1,
         sigma2_omega=np.zeros(n),
         sigma2_eta=np.zeros(n),
         sigma2_nu=s2nu,

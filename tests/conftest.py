@@ -55,8 +55,6 @@ def random_instance(rng, n=None, T=None, q=None, s=None, p=None, with_states=Tru
     spec = ModelSpec(n=n, T=T, q=q, s=s, p=p, idio_i1=i1, local_level=ia, local_trend=ib)
     im = spec.idio_im
 
-    rho = np.zeros(n)
-    rho[list(i1)] = 1.0
     s2w = np.zeros(n)
     s2w[list(ia)] = rng.uniform(0.05, 0.3, size=len(ia))
     s2e = np.zeros(n)
@@ -68,7 +66,6 @@ def random_instance(rng, n=None, T=None, q=None, s=None, p=None, with_states=Tru
         var_coeffs=random_stable_var(q, p, rng),
         gamma_u=random_spd(q, rng),
         gamma_e_diag=rng.uniform(0.3, 1.5, size=n),
-        rho=rho,
         sigma2_omega=s2w,
         sigma2_eta=s2e,
         sigma2_nu=s2nu,

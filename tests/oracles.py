@@ -6,7 +6,8 @@ moments and the log-density directly, with no Kalman recursion involved.
 ``simulate_from_params`` draws model-consistent panels for these checks.
 ``per_slot_smooth`` and ``per_slot_reduce_moments`` are the smoother and
 the moment reduction as plain per-slot recursions over (T+1, K, K) arrays,
-the references for the banked versions.
+the references for the banked versions.  ``measurement_map`` and
+``lag_one_covs`` form Z_t and the per-slot lag-one covariances directly.
 """
 
 from __future__ import annotations
@@ -16,6 +17,18 @@ import numpy as np
 from nsdfm.em import SufficientStats
 from nsdfm.model import (ModelSpec, Panel, Params, StateLayout, StateSpace, build_state_space,
                          common_component_path)
+
+
+def measurement_map(ss: StateSpace, t: int) -> np.ndarray:
+    """Measurement matrix Z_t at zero-based time index t (label t+1): each slope column times t+1."""
+    Z = ss.measurement_base.copy()
+    Z[:, ss.layout.beta_slice] *= float(t + 1)
+    return Z
+
+
+def lag_one_covs(smooth) -> np.ndarray:
+    """Per-slot (T+1, K, K) lag-one smoothed covariances, built from the smoother's bank."""
+    return smooth.lag_bank[smooth.lag_index]
 
 
 def joint_gaussian_moments(ss: StateSpace, panel: Panel, init_mean, init_cov):
@@ -61,7 +74,7 @@ def joint_gaussian_moments(ss: StateSpace, panel: Panel, init_mean, init_cov):
         obs = np.nonzero(mask[:, t - 1])[0]
         if obs.size == 0:
             continue
-        Zt = ss.measurement_map(t - 1)[obs]
+        Zt = measurement_map(ss, t - 1)[obs]
         for j, i in enumerate(obs):
             row = np.zeros(dim_s)
             row[t * K:(t + 1) * K] = Zt[j]
@@ -122,7 +135,7 @@ def prediction_error_terms(ss: StateSpace, panel: Panel, filt) -> np.ndarray:
         obs = np.nonzero(panel.missing_mask[:, t - 1])[0]
         if obs.size == 0:
             continue
-        Z = ss.measurement_map(t - 1)[obs]
+        Z = measurement_map(ss, t - 1)[obs]
         S = Z @ filt.predicted_covs[t] @ Z.T + np.diag(ss.measurement_cov_diag[obs])
         c = np.linalg.cholesky(S)
         z = np.linalg.solve(c, panel.data[obs, t - 1] - Z @ filt.predicted_means[t])
@@ -311,7 +324,7 @@ def simulate_from_params(
     x = np.zeros((spec.n, T))
     for t in range(1, T + 1):
         states[t] = ss.transition_map @ states[t - 1] + cQ @ rng.standard_normal(K)
-        x[:, t - 1] = ss.measurement_map(t - 1) @ states[t]
+        x[:, t - 1] = measurement_map(ss, t - 1) @ states[t]
     if measurement_noise:
         x += np.sqrt(ss.measurement_cov_diag)[:, None] * rng.standard_normal((spec.n, T))
     chi = common_component_path(params.loadings, states[1:], ss.layout)

@@ -8,7 +8,8 @@ from nsdfm.kalman import kf_filter
 from nsdfm.model import ModelSpec, Panel, Params, build_state_space
 from nsdfm.simulate import MCConfig, simulate_panel
 from conftest import random_instance, random_panel, settled_panel
-from oracles import joint_gaussian_moments, per_slot_reduce_moments, per_slot_smooth, simulate_from_params
+from oracles import (joint_gaussian_moments, lag_one_covs, per_slot_reduce_moments, per_slot_smooth,
+                     simulate_from_params)
 
 
 def stats_from_states(F: np.ndarray, x: np.ndarray, layout, spec):
@@ -41,7 +42,6 @@ def test_loadings_hand_solve():
             var_coeffs=[np.array([[0.1]])],
             gamma_u=np.eye(1),
             gamma_e_diag=np.ones(2),
-            rho=np.zeros(2),
             sigma2_omega=np.zeros(2),
             sigma2_eta=np.zeros(2),
             sigma2_nu=np.zeros(2),
@@ -207,7 +207,7 @@ def test_banked_e_step_equals_per_slot_oracle(case):
     S, P, L1 = per_slot_smooth(filt, ss)
     np.testing.assert_array_equal(smooth.smoothed_means, S)
     np.testing.assert_array_equal(smooth.smoothed_covs, P)
-    np.testing.assert_array_equal(smooth.lag_one_covs, L1)
+    np.testing.assert_array_equal(lag_one_covs(smooth), L1)
     oracle = per_slot_reduce_moments(spec, ss.layout, panel, S, P, L1, filt.loglik)
     for field in dataclasses.fields(SufficientStats):
         if field.name != "layout":
@@ -232,7 +232,6 @@ def test_loadings_fixed_point_with_exact_factors(rng):
         var_coeffs=A,
         gamma_u=np.eye(q),
         gamma_e_diag=np.full(n, 1e-10),
-        rho=np.zeros(n),
         sigma2_omega=np.zeros(n),
         sigma2_eta=np.zeros(n),
         sigma2_nu=np.zeros(n),
@@ -356,7 +355,6 @@ def test_sigma2_omega_recovery_at_truth(rng):
         var_coeffs=[np.array([[0.5]])],
         gamma_u=np.array([[1.0]]),
         gamma_e_diag=np.ones(n),
-        rho=np.zeros(n),
         sigma2_omega=s2w,
         sigma2_eta=np.zeros(n),
         sigma2_nu=s2nu,

@@ -170,21 +170,21 @@ def test_readme_config_example_loads(tmp_path):
     (tmp_path / "readme.ini").write_text(block, encoding="utf-8")
     mc = load_config(tmp_path / "readme.ini")["mc"]
     assert mc_config_from_section(mc).T == 100
-    cells = _parse_cells(mc["cells"], mc, {})
+    cells = _parse_cells(mc["cells"], mc)
     assert [(c.n, c.T, c.q) for c in cells] == [(75, 75, 2), (100, 100, 2), (200, 200, 2)]
 
 
 def test_cells_use_mc_key_names():
-    cell = _parse_cells("n=30, dist=student_t4", {"T": "40"}, {"q": 1, "seed": None})[0]
+    cell = _parse_cells("n=30, q=1, dist=student_t4", {"T": "40"})[0]
     assert (cell.n, cell.T, cell.q, cell.innovation_dist) == (30, 40, 1, "student_t4")
     with pytest.raises(ConfigError, match="innovation_dist"):
-        _parse_cells("innovation_dist=student_t4", {}, {})
+        _parse_cells("innovation_dist=student_t4", {})
     with pytest.raises(ConfigError, match="mc.n"):
-        _parse_cells("n=ten", {}, {})
+        _parse_cells("n=ten", {})
 
 
 def test_mc_config_from_section():
-    cfg = mc_config_from_section({"n": "20", "T": "30", "tau": "0", "dist": "student_t4"}, {"seed": 5})
+    cfg = mc_config_from_section({"n": "20", "T": "30", "tau": "0", "dist": "student_t4", "seed": "5"})
     assert (cfg.n, cfg.T, cfg.seed, cfg.innovation_dist) == (20, 30, 5, "student_t4")
     with pytest.raises(ConfigError):
         mc_config_from_section({"n": "ten"})
@@ -204,6 +204,35 @@ def test_cli_simulate_deterministic(tmp_path):
     assert sum(len(l.split(",")) for l in body[1:]) == 200
     truth = read_truth(out1 / "truth.json")
     assert truth["chi"].shape == (10, 20)
+
+
+def test_cli_simulate_rejects_single_period(tmp_path, capsys):
+    # as at T = 2, the generator's zero-variance error exits 2 and writes no panel
+    with pytest.warns(RuntimeWarning):
+        assert main(["simulate", "--n", "10", "--T", "1", "--out-dir", str(tmp_path)]) == 2
+    assert "zero-variance" in capsys.readouterr().err
+    assert not (tmp_path / "panel.csv").exists()
+
+
+def test_truth_with_rho_from_older_versions_still_loads(tmp_path):
+    # older versions wrote the known idiosyncratic roots as params.rho: 1 on i1_set, 0 elsewhere
+    sim_dir = tmp_path / "sim"
+    assert main(["simulate", "--n", "12", "--T", "30", "--q", "1", "--n1", "3", "--tau", "0",
+                 "--seed", "8", "--out-dir", str(sim_dir)]) == 0
+    new = json.loads((sim_dir / "truth.json").read_text())
+    assert "rho" not in new["params"]
+    old = {**new, "params": {**new["params"], "rho": [float(i in new["i1_set"]) for i in range(12)]}}
+    (sim_dir / "truth_old.json").write_text(json.dumps(old))
+
+    truth, truth_old = read_truth(sim_dir / "truth.json"), read_truth(sim_dir / "truth_old.json")
+    assert params_to_dict(truth_old["params"]) == params_to_dict(truth["params"])
+    mse = []
+    for name in ("truth.json", "truth_old.json"):
+        out = tmp_path / name
+        assert main(["estimate", "--input", str(sim_dir / "panel.csv"), "--truth", str(sim_dir / name),
+                     "--q", "1", "--max-iter", "5", "--out-dir", str(out)]) in (0, 4)
+        mse.append(json.loads((out / "estimate.json").read_text())["mse_common"])
+    assert mse[0] == mse[1]
 
 
 def test_cli_estimate_roundtrip(tmp_path):
@@ -426,7 +455,9 @@ def test_demo_cli_pipeline_runs(tmp_path, demo):
     src = str(Path(nsdfm.__file__).resolve().parents[1])
     env = {**os.environ, "TMPDIR": str(tmp_path),
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, str(root / "demos" / demo)],
+    # the warnings pyproject.toml turns into errors fail the demo too
+    warn = ["-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning", "-W", "error::FutureWarning"]
+    proc = subprocess.run([sys.executable, *warn, str(root / "demos" / demo)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     # a demo cleans up the temporary files it makes

@@ -22,7 +22,8 @@ from nsdfm.kalman import (
 from nsdfm.pre_estimate import initial_state_cov, pre_estimate
 from nsdfm.simulate import MCConfig, simulate_panel
 from conftest import random_instance, random_panel, settled_panel
-from oracles import joint_gaussian_moments, per_slot_smooth, prediction_error_loglik, prediction_error_terms
+from oracles import (joint_gaussian_moments, lag_one_covs, measurement_map, per_slot_smooth, prediction_error_loglik,
+                     prediction_error_terms)
 
 
 def local_level_system(sigma_u=1.0, sigma_nu=1.0):
@@ -32,14 +33,13 @@ def local_level_system(sigma_u=1.0, sigma_nu=1.0):
         var_coeffs=[np.array([[1.0]])],
         gamma_u=np.array([[sigma_u]]),
         gamma_e_diag=np.array([sigma_nu, 1.0]),
-        rho=np.zeros(2),
         sigma2_omega=np.zeros(2),
         sigma2_eta=np.zeros(2),
         sigma2_nu=np.zeros(2),
         alpha0=np.zeros(2),
         beta0=np.zeros(2),
     )
-    # rho=1 needs idio_i1; here the random walk is the "factor" itself
+    # the random walk is the "factor" itself, not an idio_i1 state
     return spec, params
 
 
@@ -92,7 +92,7 @@ def test_filter_and_smoother_match_joint_gaussian_oracle(seed):
         np.testing.assert_allclose(smooth.smoothed_means[t], oracle["state_mean"](t), rtol=1e-8, atol=1e-8)
         np.testing.assert_allclose(smooth.smoothed_covs[t], oracle["state_cov"](t), rtol=1e-8, atol=1e-8)
         if t >= 1:
-            np.testing.assert_allclose(smooth.lag_one_covs[t], oracle["lag_one"](t), rtol=1e-8, atol=1e-8)
+            np.testing.assert_allclose(lag_one_covs(smooth)[t], oracle["lag_one"](t), rtol=1e-8, atol=1e-8)
 
 
 def test_loglik_matches_direct_density_n3_T4():
@@ -222,7 +222,7 @@ def _check_fresh_steps_and_oracle(ss, panel, reused):
     assert np.any(filt.step_index != np.arange(panel.T + 1)) == reused
     for t in range(1, panel.T + 1):
         obs = np.nonzero(panel.missing_mask[:, t - 1])[0]
-        block = _measurement_block(ss, obs, ss.measurement_map(t - 1))
+        block = _measurement_block(ss, obs, measurement_map(ss, t - 1))
         P_pred, P_filt, *_ = _filter_step(ss, filt.filtered_covs[t - 1], block, t, np.empty((2, ss.K, ss.K)))
         np.testing.assert_array_equal(filt.predicted_covs[t], P_pred)
         np.testing.assert_array_equal(filt.filtered_covs[t], P_filt)
@@ -240,7 +240,7 @@ def _check_fresh_steps_and_oracle(ss, panel, reused):
         np.testing.assert_allclose(smooth.smoothed_covs[t], oracle["state_cov"](t), rtol=1e-8, atol=1e-8)
     # the E-step's sums over slots, taken from the banks, are bitwise those of the per-slot arrays
     for bank, index, per_slot in ((smooth.cov_bank, smooth.cov_index, smooth.smoothed_covs),
-                                  (smooth.lag_bank, smooth.lag_index, smooth.lag_one_covs)):
+                                  (smooth.lag_bank, smooth.lag_index, lag_one_covs(smooth))):
         for slots in (slice(1, None), slice(None, -1)):
             assert _slot_sum(bank, index, slots).tobytes() == per_slot[slots].sum(axis=0).tobytes()
     return filt, smooth
@@ -298,7 +298,7 @@ def test_step_index_shows_reuse_on_settled_panel():
     means, covs, lag_one = per_slot_smooth(every_slot, ss)
     np.testing.assert_array_equal(smooth.smoothed_means, means)
     np.testing.assert_array_equal(smooth.smoothed_covs, covs)
-    np.testing.assert_array_equal(smooth.lag_one_covs, lag_one)
+    np.testing.assert_array_equal(lag_one_covs(smooth), lag_one)
 
 
 def test_cycles_longer_than_two_are_reused(monkeypatch):
@@ -325,7 +325,7 @@ def test_cycles_longer_than_two_are_reused(monkeypatch):
                 key = (obs.tobytes(), filt.cov_bank[index[t - 1], 1].tobytes())
                 assert key not in computed, f"step at t={t} was computed before"
                 computed.add(key)
-            block = _measurement_block(ss, obs, ss.measurement_map(t - 1))
+            block = _measurement_block(ss, obs, measurement_map(ss, t - 1))
             P_pred, P_filt, *_ = _filter_step(ss, filt.filtered_covs[t - 1], block, t, np.empty((2, ss.K, ss.K)))
             np.testing.assert_array_equal(filt.predicted_covs[t], P_pred)
             np.testing.assert_array_equal(filt.filtered_covs[t], P_filt)
@@ -336,7 +336,7 @@ def test_cycles_longer_than_two_are_reused(monkeypatch):
         means, covs, lag_one = per_slot_smooth(every_slot, ss)
         np.testing.assert_array_equal(smooth.smoothed_means, means)
         np.testing.assert_array_equal(smooth.smoothed_covs, covs)
-        np.testing.assert_array_equal(smooth.lag_one_covs, lag_one)
+        np.testing.assert_array_equal(lag_one_covs(smooth), lag_one)
 
 
 def test_step_index_shows_no_reuse_with_local_trend():
@@ -412,7 +412,7 @@ def test_stacked_smoother_equals_per_slot_smoother_on_time_varying_panel():
     means, covs, lag_one = per_slot_smooth(filt, ss)
     np.testing.assert_array_equal(smooth.smoothed_means, means)
     np.testing.assert_array_equal(smooth.smoothed_covs, covs)
-    np.testing.assert_array_equal(smooth.lag_one_covs, lag_one)
+    np.testing.assert_array_equal(lag_one_covs(smooth), lag_one)
 
 
 @pytest.mark.parametrize("case, t_fail", [("state innovation", 2), ("measurement", 3)])

@@ -3,6 +3,7 @@ import pytest
 
 from nsdfm.model import ModelSpec, Panel, Params, build_state_space
 from conftest import random_instance
+from oracles import measurement_map
 
 
 def minimal_params(n=2, q=1):
@@ -11,7 +12,6 @@ def minimal_params(n=2, q=1):
         var_coeffs=[np.array([[0.5]])],
         gamma_u=np.array([[1.0]]),
         gamma_e_diag=np.ones(n),
-        rho=np.zeros(n),
         sigma2_omega=np.zeros(n),
         sigma2_eta=np.zeros(n),
         sigma2_nu=np.zeros(n),
@@ -26,7 +26,7 @@ def test_minimal_system():
     ss = build_state_space(spec, minimal_params())
     assert ss.K == 1
     np.testing.assert_allclose(ss.transition_map, [[0.5]])
-    np.testing.assert_allclose(ss.measurement_map(0), [[1.0], [2.0]])
+    np.testing.assert_allclose(measurement_map(ss, 0), [[1.0], [2.0]])
     np.testing.assert_allclose(ss.measurement_cov_diag, np.ones(2))
 
 
@@ -38,14 +38,11 @@ def test_companion_with_unit_root_idio():
     B0, B1 = rng.standard_normal((n, q)), rng.standard_normal((n, q))
     s2nu = np.zeros(n)
     s2nu[0] = 1e-5
-    rho = np.zeros(n)
-    rho[0] = 1.0
     params = Params(
         loadings=[B0, B1],
         var_coeffs=[A1, A2],
         gamma_u=np.eye(q),
         gamma_e_diag=np.full(n, 2.0),
-        rho=rho,
         sigma2_omega=np.zeros(n),
         sigma2_eta=np.zeros(n),
         sigma2_nu=s2nu,
@@ -63,7 +60,7 @@ def test_companion_with_unit_root_idio():
     expected_top[4, 4] = 1.0
     np.testing.assert_allclose(ss.transition_map, expected_top)
 
-    Z = ss.measurement_map(0)
+    Z = measurement_map(ss, 0)
     np.testing.assert_allclose(Z[:, 0:2], B0)
     np.testing.assert_allclose(Z[:, 2:4], B1)
     np.testing.assert_allclose(Z[:, 4], [1, 0, 0, 0, 0])
@@ -87,7 +84,6 @@ def test_constraint_table_local_level():
         var_coeffs=[np.array([[0.2]])],
         gamma_u=np.array([[1.0]]),
         gamma_e_diag=np.ones(n),
-        rho=np.zeros(n),
         sigma2_omega=s2w,
         sigma2_eta=np.zeros(n),
         sigma2_nu=s2nu,
@@ -97,7 +93,7 @@ def test_constraint_table_local_level():
     ss = build_state_space(spec, params)
     K = ss.K
     assert K == 2  # factor + one alpha state
-    Z = ss.measurement_map(3)
+    Z = measurement_map(ss, 3)
     assert Z[1, 1] == 1.0
     assert ss.state_innovation_cov[1, 1] == pytest.approx(0.04)
     assert ss.measurement_cov_diag[1] == pytest.approx(1e-5)
@@ -107,7 +103,6 @@ def test_constraint_table_local_level():
         var_coeffs=[np.array([[0.2]])],
         gamma_u=np.array([[1.0]]),
         gamma_e_diag=np.ones(n),
-        rho=np.zeros(n),
         sigma2_omega=np.zeros(n),  # violates sigma2_omega > 0 on I_a
         sigma2_eta=np.zeros(n),
         sigma2_nu=s2nu,
@@ -130,7 +125,6 @@ def test_trend_loading_is_time_index():
         var_coeffs=[np.array([[0.3]])],
         gamma_u=np.array([[1.0]]),
         gamma_e_diag=np.ones(n),
-        rho=np.zeros(n),
         sigma2_omega=np.zeros(n),
         sigma2_eta=s2e,
         sigma2_nu=s2nu,
@@ -139,15 +133,7 @@ def test_trend_loading_is_time_index():
     )
     ss = build_state_space(spec, params)
     for t0 in (0, 3, 5):
-        assert ss.measurement_map(t0)[0, 1] == pytest.approx(t0 + 1)
-
-
-def test_rho_outside_i1_rejected():
-    spec = ModelSpec(n=2, T=5, q=1, s=0, p=1)
-    params = minimal_params()
-    object.__setattr__(params, "rho", np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        build_state_space(spec, params)
+        assert measurement_map(ss, t0)[0, 1] == pytest.approx(t0 + 1)
 
 
 def test_non_spd_gamma_u_rejected():
@@ -159,7 +145,6 @@ def test_non_spd_gamma_u_rejected():
             var_coeffs=[np.zeros((2, 2))],
             gamma_u=np.array([[1.0, 2.0], [2.0, 1.0]]),  # indefinite
             gamma_e_diag=np.ones(3),
-            rho=np.zeros(3),
             sigma2_omega=np.zeros(3),
             sigma2_eta=np.zeros(3),
             sigma2_nu=np.zeros(3),
@@ -186,7 +171,7 @@ def test_builder_deterministic():
     ss2 = build_state_space(spec, params)
     assert np.array_equal(ss1.transition_map, ss2.transition_map)
     assert np.array_equal(ss1.state_innovation_cov, ss2.state_innovation_cov)
-    assert np.array_equal(ss1.measurement_map(4), ss2.measurement_map(4))
+    assert np.array_equal(measurement_map(ss1, 4), measurement_map(ss2, 4))
 
 
 def test_panel_accepts_fully_missing_columns():

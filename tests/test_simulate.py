@@ -153,6 +153,13 @@ def test_config_validation():
         MCConfig(n=10, T=10, innovation_dist="cauchy")
 
 
+def test_single_period_panel_rejected():
+    # T = 1 leaves no differences, so their variances are NaN (numpy warns):
+    # rejected like the zero variances of T = 2, not turned into a NaN panel
+    with pytest.raises(ValueError, match="zero-variance"), pytest.warns(RuntimeWarning):
+        simulate_panel(MCConfig(n=10, T=1, tau=0.0, seed=1, replications=1), 0)
+
+
 def test_eigenvalue_growth_invariant():
     # the q leading eigenvalues of cov(dx) grow linearly in n; the next stays bounded
     q, T = 2, 1500
