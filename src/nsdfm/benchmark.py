@@ -59,7 +59,6 @@ class ReplicationResult:
 class CellReport:
     config: MCConfig
     replications: list[ReplicationResult]
-    t_min: int
     elapsed_seconds: float = 0.0
 
     @property
@@ -138,9 +137,8 @@ def run_cell(
                                     [em_options] * config.replications, [t_min] * config.replications))
     else:
         results = [run_replication(config, rep, em_options, t_min) for rep in reps]
-    results.sort(key=lambda r: r.replication)
     elapsed = time.perf_counter() - start
-    return CellReport(config=config, replications=results, t_min=t_min, elapsed_seconds=elapsed)
+    return CellReport(config=config, replications=results, elapsed_seconds=elapsed)
 
 
 def run_diagnostics(

@@ -50,18 +50,14 @@ EXIT_NUMERIC = 5
 # [mc] keys with a flag on simulate, benchmark and diagnose
 _MC_FLAGS = ("n", "T", "q", "s", "d", "n1", "nb", "tau", "theta", "mu", "replications", "dist", "seed")
 
-# the config sections each command reads
-_READS = {
-    "simulate": ("mc", "io"),
-    "estimate": ("model", "em", "io"),
-    "benchmark": ("mc", "em", "io"),
-    "diagnose": ("mc", "io"),
-}
 
-
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_command(sub, name: str, handler, reads: tuple[str, ...], help: str) -> argparse.ArgumentParser:
+    """A subcommand that runs ``handler(args)`` and reads the config sections ``reads``."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(handler=handler, reads=reads)
     p.add_argument("--config", type=str, default=None, help="INI config file")
     p.add_argument("--out-dir", type=str, default=None, help="output directory")
+    return p
 
 
 def _add_keys(p: argparse.ArgumentParser, section: str, keys) -> None:
@@ -76,25 +72,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"nsdfm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="generate a benchmark panel plus its truth sidecar")
-    _add_common(p_sim)
+    p_sim = _add_command(sub, "simulate", cmd_simulate, ("mc", "io"),
+                         help="generate a benchmark panel plus its truth sidecar")
     _add_keys(p_sim, "mc", _MC_FLAGS)
     p_sim.add_argument("--replication", type=int, default=0, help="replication index to write")
 
-    p_est = sub.add_parser("estimate", help="fit the model to a CSV panel")
-    _add_common(p_est)
+    p_est = _add_command(sub, "estimate", cmd_estimate, ("model", "em", "io"), help="fit the model to a CSV panel")
     p_est.add_argument("--input", type=str, required=True, help="panel CSV path")
     p_est.add_argument("--truth", type=str, default=None, help="truth sidecar for MSE reporting")
     _add_keys(p_est, "model", SCHEMA["model"])
     _add_keys(p_est, "em", ("max_iter", "tolerance"))
 
-    p_bench = sub.add_parser("benchmark", help="run Monte Carlo cells against the PC competitors")
-    _add_common(p_bench)
+    p_bench = _add_command(sub, "benchmark", cmd_benchmark, ("mc", "em", "io"),
+                           help="run Monte Carlo cells against the PC competitors")
     _add_keys(p_bench, "mc", _MC_FLAGS + ("cells",))
     _add_keys(p_bench, "io", ("jobs", "format"))
 
-    p_diag = sub.add_parser("diagnose", help="filter/smoother MSE traces at true parameters")
-    _add_common(p_diag)
+    p_diag = _add_command(sub, "diagnose", cmd_diagnose, ("mc", "io"),
+                          help="filter/smoother MSE traces at true parameters")
     _add_keys(p_diag, "mc", _MC_FLAGS)
     p_diag.add_argument("--n-grid", type=str, default="25,100", help="comma list of panel sizes")
     p_diag.add_argument("--horizon", type=int, default=10)
@@ -113,7 +108,7 @@ def _sections(args) -> dict[str, dict[str, str]]:
             section, _, key = dest.partition(".")
             parse_section(section, {key: text})
             sections.setdefault(section, {})[key] = text
-    return {sec: kv for sec, kv in sections.items() if sec in _READS[args.command]}
+    return {sec: kv for sec, kv in sections.items() if sec in args.reads}
 
 
 def _out_dir(args, sections) -> Path:
@@ -299,15 +294,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "estimate":
-            return cmd_estimate(args)
-        if args.command == "benchmark":
-            return cmd_benchmark(args)
-        if args.command == "diagnose":
-            return cmd_diagnose(args)
-        parser.error(f"unknown command {args.command}")
+        return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -320,7 +307,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

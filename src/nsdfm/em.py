@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kalman import DEFAULT_KAPPA, FilterOutput, SmootherOutput, kf_filter, ks_smooth
-from .model import ModelSpec, Panel, Params, StateLayout, StateSpace, build_state_space, common_component_path
+from .model import ModelSpec, Panel, Params, build_state_space, common_component_path
 from .pre_estimate import VARIANCE_FLOOR, pre_estimate
 
 __all__ = [
@@ -112,7 +112,6 @@ class SufficientStats:
     sum_ww: np.ndarray               # (n,)
     n_obs: np.ndarray                # (n,)
     loglik: float
-    layout: StateLayout
 
     @property
     def r0(self) -> int:
@@ -150,8 +149,8 @@ def e_step(
     still reported against the original data so the M-step can re-estimate
     the per-series intercept and slope.
     """
-    ss, filt, smooth = _filter_and_smooth(spec, params, panel, init_mean, init_cov)
-    stats = reduce_moments(spec, ss.layout, panel, smooth, filt.loglik)
+    filt, smooth = _filter_and_smooth(spec, params, panel, init_mean, init_cov)
+    stats = reduce_moments(spec, panel, smooth, filt.loglik)
     return stats, smooth
 
 
@@ -161,26 +160,26 @@ def _filter_and_smooth(
     panel: Panel,
     init_mean: np.ndarray,
     init_cov: np.ndarray,
-) -> tuple[StateSpace, FilterOutput, SmootherOutput]:
-    """The system of ``params`` with its filter and smoother passes over the detrended panel."""
+) -> tuple[FilterOutput, SmootherOutput]:
+    """The filter and smoother passes of the system of ``params`` over the detrended panel."""
     ss = build_state_space(spec, params)
     deterministic = params.alpha0[:, None] + params.beta0[:, None] * np.arange(1, panel.T + 1, dtype=float)
     # the filter reads only the observed cells
     detrended = Panel(panel.data - deterministic, panel.missing_mask)
     filt = kf_filter(ss, detrended, init_mean, init_cov)
-    return ss, filt, ks_smooth(filt, ss)
+    return filt, ks_smooth(filt, ss)
 
 
 def reduce_moments(
     spec: ModelSpec,
-    layout: StateLayout,
     panel: Panel,
     smooth: SmootherOutput,
     loglik: float,
 ) -> SufficientStats:
-    """Turn smoothed means/covariances into the M-step sufficient statistics."""
+    """Turn smoothed means/covariances, in ``spec.layout`` order, into the M-step sufficient statistics."""
     x, mask = panel.data, panel.missing_mask
     n, T = x.shape
+    layout = spec.layout
     K = layout.K
     r0 = (spec.s + 1) * spec.q
     S = smooth.smoothed_means          # (T+1, K)
@@ -240,7 +239,7 @@ def reduce_moments(
         SA=SA, SB=SB, SC=SC,
         gram_aug=gram_aug, cross_aug=cross_aug, sum_zw=sum_zw,
         sum_xx=sum_xx, sum_xw=sum_xw, sum_ww=sum_ww,
-        n_obs=n_obs, loglik=float(loglik), layout=layout,
+        n_obs=n_obs, loglik=float(loglik),
     )
 
 
@@ -295,10 +294,9 @@ def _solve_measurement(
     return coef
 
 
-def _factor_moment(stats: SufficientStats, j: int, l: int) -> np.ndarray:
+def _factor_moment(stats: SufficientStats, spec: ModelSpec, j: int, l: int) -> np.ndarray:
     """sum_t E[f_{t-j} f_{t-l}'] from the state accumulators."""
-    lay = stats.layout
-    q, c = lay.q, lay.n_lags
+    q, c = spec.q, spec.layout.n_lags
 
     def block(M, a, b):
         return M[q * a:q * (a + 1), q * b:q * (b + 1)]
@@ -322,7 +320,7 @@ def m_step_var(stats: SufficientStats, spec: ModelSpec, T: int):
     expected residual outer product, normalized by T.
     """
     q, p = spec.q, spec.p
-    mu = {(j, l): _factor_moment(stats, j, l) for j in range(p + 1) for l in range(p + 1)}
+    mu = {(j, l): _factor_moment(stats, spec, j, l) for j in range(p + 1) for l in range(p + 1)}
     gram_lag = np.block([[mu[(j + 1, l + 1)] for l in range(p)] for j in range(p)])
     cross = np.hstack([mu[(0, l + 1)] for l in range(p)])
     try:
@@ -354,7 +352,7 @@ def m_step_variances(
     states include the w terms and update the phi device unless a fixed
     policy is set.  Everything is floored to keep the filter defined.
     """
-    lay = stats.layout
+    lay = spec.layout
     n = spec.n
 
     def rw_update(sl: slice, series, out: np.ndarray) -> np.ndarray:
@@ -477,16 +475,16 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
             break
 
     # the final pass refreshes the states; no M-step follows, so no moments are reduced
-    ss, filt, smooth = _filter_and_smooth(spec, params, panel, init_mean, init_cov)
+    filt, smooth = _filter_and_smooth(spec, params, panel, init_mean, init_cov)
     logliks.append(filt.loglik)
 
-    chi = common_component_path(params.loadings, smooth.smoothed_means[1:], ss.layout)
+    lay = spec.layout
+    chi = common_component_path(params.loadings, smooth.smoothed_means[1:], lay)
     smoothed_means = smooth.smoothed_means
 
     if options.standardize:
         chi = chi * scale[:, None]
         params = _rescale_params(params, scale)
-        lay = ss.layout
         smoothed_means = smoothed_means.copy()
         smoothed_means[:, lay.n_factor_states:] *= scale[list(lay.xi_series + lay.alpha_series + lay.beta_series)]
 

@@ -502,7 +502,7 @@ def steady_state_diagnostics(
     n = ss.measurement_base.shape[0]
     q = ss.layout.q
     fb = slice(0, ss.layout.n_factor_states)
-    filt = kf_filter(ss, Panel(np.zeros((n, T_full)), None), np.zeros(ss.K), P0)
+    filt = kf_filter(ss, Panel.from_data(np.zeros((n, T_full))), np.zeros(ss.K), P0)
     P_pred, P_filt = filt.predicted_covs, filt.filtered_covs
     P_smooth = ks_smooth(filt, ss).smoothed_covs
 

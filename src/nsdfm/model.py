@@ -169,6 +169,8 @@ class Params:
 class Panel:
     """n x T observation matrix plus a boolean mask (True = observed).
 
+    Cells the mask marks missing may hold anything, NaN included;
+    :meth:`from_data` builds the mask from an array where NaN marks them.
     Fully missing time columns are allowed; the filter treats them as
     prediction-only steps.
     """
@@ -178,10 +180,7 @@ class Panel:
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
-        if self.missing_mask is None:
-            mask = np.isfinite(data)
-        else:
-            mask = np.asarray(self.missing_mask, dtype=bool)
+        mask = np.asarray(self.missing_mask, dtype=bool)
         if mask.shape != data.shape:
             raise ValueError("missing_mask shape must match data")
         if not np.all(np.isfinite(data[mask])):
@@ -192,7 +191,8 @@ class Panel:
     @classmethod
     def from_data(cls, data: np.ndarray) -> "Panel":
         """Build a panel from an array where NaN marks missing cells."""
-        return cls(np.asarray(data, dtype=float), None)
+        data = np.asarray(data, dtype=float)
+        return cls(data, np.isfinite(data))
 
     @property
     def n(self) -> int:

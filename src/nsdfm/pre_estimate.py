@@ -58,18 +58,19 @@ class PreEstimate:
     detrend_set: frozenset[int]
 
 
-def detrend_ols(series: np.ndarray, mask: np.ndarray | None = None):
-    """OLS of a series on (1, t) with t = 1..T.
+def detrend_ols(series: np.ndarray, mask: np.ndarray):
+    """OLS of a series on (1, t) with t = 1..T over the cells ``mask`` marks observed.
 
-    Returns (alpha, beta, residual series).  Only observed cells enter the
-    regression when a mask is given; residuals at missing cells are NaN.
+    Returns (alpha, beta, residual series).  The residual is formed at every
+    cell, so a NaN-marked missing cell stays NaN.  Fewer than two observed
+    cells give (0, 0, a copy of the series).
     """
     y = np.asarray(series, dtype=float)
     T = y.shape[0]
     if T < 3:
         raise ValueError("detrending needs T >= 3")
     t = np.arange(1, T + 1, dtype=float)
-    obs = np.ones(T, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    obs = np.asarray(mask, dtype=bool)
     if obs.sum() < 2:
         return 0.0, 0.0, y.copy()
     X = np.column_stack([np.ones(obs.sum()), t[obs]])

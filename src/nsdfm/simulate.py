@@ -63,6 +63,9 @@ class MCConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # each series needs two first differences for the generator's variance rescaling
+        if self.T < 3:
+            raise ValueError(f"T must be >= 3, got T={self.T}")
         if not 0 < self.d <= self.q:
             raise ValueError("cointegration rank d must satisfy 0 < d <= q")
         if self.n1 >= self.n or self.nb >= self.n:
@@ -161,12 +164,11 @@ def gen_idiosyncratic(
     tau: float,
     dist: str,
     rng: np.random.Generator,
-    burn_in: int = BURN_IN,
 ):
     """AR(2) idiosyncratic paths with n1 randomly placed unit roots.
 
     Returns (xi, i1_set, rho2, innovation covariance); xi is n x T after
-    discarding the burn-in, started from zeros.
+    discarding ``BURN_IN`` periods, started from zeros.
     """
     if n1 >= n:
         raise ValueError("n1 must be smaller than n")
@@ -181,13 +183,13 @@ def gen_idiosyncratic(
         cov = tau ** np.abs(idx[:, None] - idx[None, :])
     else:
         cov = np.diag(rng.uniform(0.5, 1.5, size=n))
-    e = gen_innovations(n, dist, cov, rng, burn_in + T)
-    xi = np.zeros((n, burn_in + T))
+    e = gen_innovations(n, dist, cov, rng, BURN_IN + T)
+    xi = np.zeros((n, BURN_IN + T))
     xi[:, 0] = e[:, 0]
     xi[:, 1] = phi1 * xi[:, 0] + e[:, 1]
-    for t in range(2, burn_in + T):
+    for t in range(2, BURN_IN + T):
         xi[:, t] = phi1 * xi[:, t - 1] + phi2 * xi[:, t - 2] + e[:, t]
-    return xi[:, burn_in:], i1, rho2, cov
+    return xi[:, BURN_IN:], i1, rho2, cov
 
 
 def apply_trends_and_rescale(

@@ -15,8 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from nsdfm.em import SufficientStats
-from nsdfm.model import (ModelSpec, Panel, Params, StateLayout, StateSpace, build_state_space,
-                         common_component_path)
+from nsdfm.model import ModelSpec, Panel, Params, StateSpace, build_state_space, common_component_path
 
 
 def measurement_map(ss: StateSpace, t: int) -> np.ndarray:
@@ -184,11 +183,11 @@ def per_slot_smooth(filt, ss: StateSpace):
     return s_mean, s_cov, lag1
 
 
-def per_slot_reduce_moments(spec: ModelSpec, layout: StateLayout, panel: Panel, S, P, L1,
-                            loglik: float) -> SufficientStats:
+def per_slot_reduce_moments(spec: ModelSpec, panel: Panel, S, P, L1, loglik: float) -> SufficientStats:
     """M-step sufficient statistics from per-slot smoothed means, covariances and lag-one covariances."""
     x, mask = panel.data, panel.missing_mask
     n, T = x.shape
+    layout = spec.layout
     K = layout.K
     r0 = (spec.s + 1) * spec.q
 
@@ -242,7 +241,7 @@ def per_slot_reduce_moments(spec: ModelSpec, layout: StateLayout, panel: Panel, 
         SA=SA, SB=SB, SC=SC,
         gram_aug=gram_aug, cross_aug=cross_aug, sum_zw=sum_zw,
         sum_xx=sum_xx, sum_xw=sum_xw, sum_ww=sum_ww,
-        n_obs=n_obs, loglik=float(loglik), layout=layout,
+        n_obs=n_obs, loglik=float(loglik),
     )
 
 

@@ -142,6 +142,24 @@ def test_criterion_7_consistency_trend():
            f"median MSE over (50,100,200): {medians[0]:.4f} > {medians[1]:.4f} > {medians[2]:.4f}")
 
 
+def test_stationary_mse_follows_the_paper_rate():
+    # min(sqrt n, sqrt T)-consistency means MSE ~ c (1/n + 1/T), so the scaled median
+    # MSE is flat across the cells.  (1/n + 1/T)^-1 spans a factor 4 over them (25 to
+    # 100), and so does T/(n + T) between (50, 200) and (200, 50): an MSE that did not
+    # fall, or fell in n alone or in T alone, would spread by 4.  The bound is the
+    # geometric middle of 1 and 4.
+    cells = [(50, 50), (100, 100), (200, 200), (50, 200), (200, 50), (100, 400), (400, 100)]
+    scaled = []
+    for n, T in cells:
+        cfg = MCConfig(n=n, T=T, q=2, s=0, n1=0, nb=0, tau=0.5, seed=20243, replications=20)
+        rep = run_cell(cfg, EMOptions(max_iter=100), jobs=JOBS)
+        assert rep.is_valid
+        scaled.append(rep.aggregate()["median_mse_em"] / (1 / n + 1 / T))
+    spread = max(scaled) / min(scaled)
+    print("[acceptance] median MSE / (1/n + 1/T) over", cells, ":", np.round(scaled, 2))
+    assert spread < 2.0, f"scaled median MSE spreads by {spread:.2f} across the cells"
+
+
 def test_criterion_8_missing_data_invariance():
     rng = np.random.default_rng(5150)
     worst_change = 0.0

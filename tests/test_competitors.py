@@ -21,7 +21,7 @@ def test_pc_levels_exact_on_rank_r_panel(rng):
 def test_pc_levels_projection_idempotent(rng):
     x = exact_factor_panel(rng) + rng.standard_normal((15, 120))
     chi1 = pc_levels(Panel.from_data(x), 2)
-    chi2 = pc_levels(Panel(chi1, None), 2)
+    chi2 = pc_levels(Panel.from_data(chi1), 2)
     np.testing.assert_allclose(chi1, chi2, atol=1e-8)
 
 

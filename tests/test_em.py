@@ -12,7 +12,7 @@ from oracles import (joint_gaussian_moments, lag_one_covs, per_slot_reduce_momen
                      simulate_from_params)
 
 
-def stats_from_states(F: np.ndarray, x: np.ndarray, layout, spec):
+def stats_from_states(F: np.ndarray, x: np.ndarray, spec):
     """Degenerate sufficient statistics: states observed, covariances zero."""
     T = F.shape[0] - 1
     n = x.shape[0]
@@ -28,27 +28,12 @@ def stats_from_states(F: np.ndarray, x: np.ndarray, layout, spec):
         SA=SA, SB=SB, SC=SC, gram_aug=gram_aug, cross_aug=cross_aug,
         sum_zw=np.zeros((n, r0 + 2)), sum_xx=(x ** 2).sum(axis=1),
         sum_xw=np.zeros(n), sum_ww=np.zeros(n),
-        n_obs=np.full(n, T), loglik=0.0, layout=layout,
+        n_obs=np.full(n, T), loglik=0.0,
     )
 
 
 def test_loadings_hand_solve():
     # Gram [[2,0],[0,1]], cross (4,3) -> lambda = (2,3)
-    spec = ModelSpec(n=2, T=5, q=1, s=1, p=1)
-    layout = build_state_space(
-        spec,
-        Params(
-            loadings=[np.ones((2, 1)), np.ones((2, 1))],
-            var_coeffs=[np.array([[0.1]])],
-            gamma_u=np.eye(1),
-            gamma_e_diag=np.ones(2),
-            sigma2_omega=np.zeros(2),
-            sigma2_eta=np.zeros(2),
-            sigma2_nu=np.zeros(2),
-            alpha0=np.zeros(2),
-            beta0=np.zeros(2),
-        ),
-    ).layout
     gram_aug = np.zeros((1, 4, 4))
     gram_aug[0, :2, :2] = [[2.0, 0.0], [0.0, 1.0]]
     gram_aug[0, 2:, 2:] = np.eye(2)
@@ -59,7 +44,7 @@ def test_loadings_hand_solve():
         gram_aug=gram_aug, cross_aug=cross_aug,
         sum_zw=np.zeros((1, 4)), sum_xx=np.zeros(1), sum_xw=np.zeros(1),
         sum_ww=np.zeros(1),
-        n_obs=np.array([5]), loglik=0.0, layout=layout,
+        n_obs=np.array([5]), loglik=0.0,
     )
     no = np.zeros(1, dtype=bool)
     coef = _solve_measurement(stats, no, no, np.zeros((1, 4)))
@@ -76,7 +61,7 @@ def test_m_step_var_reduces_to_ols_with_zero_covariances(rng):
         F[t] = ss.transition_map @ F[t - 1]
         F[t, : spec.q] += rng.standard_normal(spec.q)
     x = rng.standard_normal((spec.n, spec.T))
-    stats = stats_from_states(F, x, ss.layout, spec)
+    stats = stats_from_states(F, x, spec)
     A, gamma_u = m_step_var(stats, spec, spec.T)
 
     # direct OLS of f_t on (f_{t-1}, f_{t-2}) using the same state-implied lags
@@ -208,11 +193,9 @@ def test_banked_e_step_equals_per_slot_oracle(case):
     np.testing.assert_array_equal(smooth.smoothed_means, S)
     np.testing.assert_array_equal(smooth.smoothed_covs, P)
     np.testing.assert_array_equal(lag_one_covs(smooth), L1)
-    oracle = per_slot_reduce_moments(spec, ss.layout, panel, S, P, L1, filt.loglik)
+    oracle = per_slot_reduce_moments(spec, panel, S, P, L1, filt.loglik)
     for field in dataclasses.fields(SufficientStats):
-        if field.name != "layout":
-            np.testing.assert_array_equal(getattr(stats, field.name), getattr(oracle, field.name),
-                                          err_msg=field.name)
+        np.testing.assert_array_equal(getattr(stats, field.name), getattr(oracle, field.name), err_msg=field.name)
 
     if case == "settled":
         # the banks hold fewer matrices than slots, so the reduction ran over bank entries

@@ -207,11 +207,12 @@ def test_cli_simulate_deterministic(tmp_path):
 
 
 def test_cli_simulate_rejects_single_period(tmp_path, capsys):
-    # as at T = 2, the generator's zero-variance error exits 2 and writes no panel
-    with pytest.warns(RuntimeWarning):
-        assert main(["simulate", "--n", "10", "--T", "1", "--out-dir", str(tmp_path)]) == 2
-    assert "zero-variance" in capsys.readouterr().err
-    assert not (tmp_path / "panel.csv").exists()
+    # T < 3 is a configuration error: one line naming T, exit 2, no panel written
+    for T in ("1", "2"):
+        assert main(["simulate", "--n", "10", "--T", T, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and f"T={T}" in err
+        assert not (tmp_path / "panel.csv").exists()
 
 
 def test_truth_with_rho_from_older_versions_still_loads(tmp_path):

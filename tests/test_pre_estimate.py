@@ -18,7 +18,7 @@ from oracles import lyapunov_fixed_point, ols_line_fit, power_iteration_leading_
 
 def test_detrend_exact_line():
     t = np.arange(1, 21, dtype=float)
-    a, b, resid = detrend_ols(2 + 3 * t)
+    a, b, resid = detrend_ols(2 + 3 * t, np.ones(20, dtype=bool))
     assert a == pytest.approx(2.0, abs=1e-10)
     assert b == pytest.approx(3.0, abs=1e-10)
     np.testing.assert_allclose(resid, 0.0, atol=1e-10)
@@ -27,7 +27,7 @@ def test_detrend_exact_line():
 def test_detrend_matches_normal_equations(rng):
     t = np.arange(1, 201, dtype=float)
     y = 1.0 + 0.5 * t + rng.standard_normal(200)
-    a, b, _ = detrend_ols(y)
+    a, b, _ = detrend_ols(y, np.ones(200, dtype=bool))
     a0, b0 = ols_line_fit(y)
     assert a == pytest.approx(a0, abs=1e-10)
     assert b == pytest.approx(b0, abs=1e-10)

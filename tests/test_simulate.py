@@ -154,10 +154,13 @@ def test_config_validation():
 
 
 def test_single_period_panel_rejected():
-    # T = 1 leaves no differences, so their variances are NaN (numpy warns):
-    # rejected like the zero variances of T = 2, not turned into a NaN panel
-    with pytest.raises(ValueError, match="zero-variance"), pytest.warns(RuntimeWarning):
-        simulate_panel(MCConfig(n=10, T=1, tau=0.0, seed=1, replications=1), 0)
+    # T = 1 leaves no first difference and T = 2 one per series, too few for the
+    # generator's variance rescaling: the config names T before any work (and
+    # before numpy could warn on an empty variance)
+    for T in (1, 2):
+        with pytest.raises(ValueError, match="T must be >= 3"):
+            simulate_panel(MCConfig(n=10, T=T, tau=0.0, seed=1, replications=1), 0)
+    assert simulate_panel(MCConfig(n=10, T=3, tau=0.0, seed=1, replications=1), 0).x.shape == (10, 3)
 
 
 def test_eigenvalue_growth_invariant():
