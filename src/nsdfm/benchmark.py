@@ -22,7 +22,7 @@ import numpy as np
 
 from .competitors import pc_diff_corrected, pc_diff_cumulate, pc_levels
 from .em import EMOptions, fit
-from .kalman import DEFAULT_KAPPA, steady_state_diagnostics, steady_state_onset
+from .kalman import steady_state_diagnostics, steady_state_onset
 from .metrics import DEFAULT_T_MIN, mse_common
 from .model import build_state_space
 from .pre_estimate import initial_state_cov
@@ -151,11 +151,11 @@ def run_diagnostics(
 
     Uses the true simulated parameters (no estimation); the covariance
     recursion is data-free, so each replication contributes one
-    deterministic trace path per n.  The filter starts from
-    :func:`initial_state_cov` at the true parameters with the default
-    kappa.  Each n maps to the averaged :func:`steady_state_diagnostics`
-    keys plus ``steady_state_t``: the first t after which the averaged
-    one-step-ahead trace changes by less than ``tol`` (None if never).
+    deterministic trace path per n, from :func:`initial_state_cov` at the
+    true VAR(2) whatever ``config.p`` says.  Each n maps to the averaged
+    :func:`steady_state_diagnostics` keys plus ``steady_state_t``: the
+    first t after which the averaged one-step-ahead trace changes by less
+    than ``tol`` (None if never).
     """
     per_n: dict[int, dict] = {}
     for n in n_grid:
@@ -163,8 +163,9 @@ def run_diagnostics(
         runs = []
         for rep in range(config.replications):
             sim = simulate_panel(cfg, rep)
-            ss = build_state_space(sim.spec, sim.params)
-            P00 = initial_state_cov(sim.spec, sim.params.var_coeffs, sim.params.gamma_u, DEFAULT_KAPPA)
+            spec = replace(sim.spec, p=len(sim.params.var_coeffs))
+            ss = build_state_space(spec, sim.params)
+            P00 = initial_state_cov(spec, sim.params.var_coeffs, sim.params.gamma_u)
             runs.append(steady_state_diagnostics(ss, P00, horizon=horizon, T_total=config.T))
         avg = {key: np.mean([run[key] for run in runs], axis=0) for key in runs[0]}
         avg["steady_state_t"] = steady_state_onset(avg["tr_pred_over_q"] * config.q, tol)

@@ -26,9 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kalman import DEFAULT_KAPPA, FilterOutput, SmootherOutput, kf_filter, ks_smooth
+from .kalman import FilterOutput, SmootherOutput, kf_filter, ks_smooth
 from .model import ModelSpec, Panel, Params, build_state_space, common_component_path
-from .pre_estimate import VARIANCE_FLOOR, pre_estimate
+from .pre_estimate import VARIANCE_FLOOR, floor_gamma_u, pre_estimate
 
 __all__ = [
     "EMOptions",
@@ -48,9 +48,8 @@ class EMOptions:
     ``max_iter`` caps the number of E/M iterations.  The loop stops as
     converged once the relative change of the log-likelihood between two
     iterations, |l_k - l_{k-1}| / ((|l_k| + |l_{k-1}|) / 2), falls below
-    ``tolerance``.  ``kappa`` is the diffuse initial variance of the
-    idiosyncratic, local-level and local-trend states (kappa * I); the
-    factor block starts from the shrunk Lyapunov solution instead.
+    ``tolerance``.  Initial values (the diffuse ``KAPPA`` included) and
+    variance floors are constants of :mod:`nsdfm.pre_estimate`, not options.
 
     ``standardize`` divides each series by the standard deviation of its
     observed first differences (by 1 where that is zero or undefined)
@@ -73,7 +72,6 @@ class EMOptions:
     max_iter: int = 500
     tolerance: float = 1.0e-4
     phi_policy: str | float = "estimated"
-    kappa: float = DEFAULT_KAPPA
     detrend: frozenset[int] | None = None
     standardize: bool = False
 
@@ -273,22 +271,18 @@ def _solve_measurement(
     r0 = stats.r0
     coef = prev_coef.copy()
     obs = stats.n_obs > 0
-    groups = [
-        (~alpha_free & ~beta_free, list(range(r0))),
-        (alpha_free & ~beta_free, list(range(r0)) + [r0]),
-        (~alpha_free & beta_free, list(range(r0)) + [r0 + 1]),
-        (alpha_free & beta_free, list(range(r0 + 2))),
-    ]
     try:
-        for sel, cols in groups:
-            idx = np.nonzero(obs & sel)[0]
-            if not idx.size:
-                continue
-            G = stats.gram_aug[np.ix_(idx, cols, cols)]
-            rhs = stats.cross_aug[np.ix_(idx, cols)]
-            sol = np.linalg.solve(G, rhs[:, :, None])[:, :, 0]
-            coef[np.ix_(idx, [c for c in range(r0 + 2) if c not in cols])] = 0.0
-            coef[np.ix_(idx, cols)] = sol
+        for beta_on in (False, True):
+            for alpha_on in (False, True):
+                idx = np.nonzero(obs & (alpha_free == alpha_on) & (beta_free == beta_on))[0]
+                if not idx.size:
+                    continue
+                cols = list(range(r0)) + [r0] * alpha_on + [r0 + 1] * beta_on
+                G = stats.gram_aug[np.ix_(idx, cols, cols)]
+                rhs = stats.cross_aug[np.ix_(idx, cols)]
+                sol = np.linalg.solve(G, rhs[:, :, None])[:, :, 0]
+                coef[np.ix_(idx, [c for c in range(r0 + 2) if c not in cols])] = 0.0
+                coef[np.ix_(idx, cols)] = sol
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("singular expected factor Gram; smoothed factors are collinear") from exc
     return coef
@@ -354,14 +348,11 @@ def m_step_variances(
     """
     lay = spec.layout
     n = spec.n
+    # sum_t E[(s_t - s_{t-1})^2] / T of each state; the random-walk states read theirs
+    rw = np.maximum((np.diag(stats.SA) + np.diag(stats.SC) - 2.0 * np.diag(stats.SB)) / T, VARIANCE_FLOOR)
 
-    def rw_update(sl: slice, series, out: np.ndarray) -> np.ndarray:
-        for j, i in enumerate(series):
-            k = sl.start + j
-            out[i] = max((stats.SA[k, k] + stats.SC[k, k] - 2.0 * stats.SB[k, k]) / T, VARIANCE_FLOOR)
-        return out
-
-    ge = rw_update(lay.xi_slice, lay.xi_series, np.array(params_prev.gamma_e_diag))
+    ge = np.array(params_prev.gamma_e_diag)
+    ge[list(lay.xi_series)] = rw[lay.xi_slice]
 
     sum_zx = stats.cross_aug + stats.sum_zw
     quad = np.einsum("nr,nrs,ns->n", coef, stats.gram_aug, coef)
@@ -384,8 +375,10 @@ def m_step_variances(
     else:
         s2nu[im] = float(options.phi_policy)
 
-    s2w = rw_update(lay.alpha_slice, lay.alpha_series, np.zeros(n))
-    s2e = rw_update(lay.beta_slice, lay.beta_series, np.zeros(n))
+    s2w = np.zeros(n)
+    s2w[list(lay.alpha_series)] = rw[lay.alpha_slice]
+    s2e = np.zeros(n)
+    s2e[list(lay.beta_series)] = rw[lay.beta_slice]
     return ge, s2w, s2e, s2nu
 
 
@@ -403,13 +396,11 @@ def _m_step(
     prev_coef = np.column_stack([*params_prev.loadings, params_prev.alpha0, params_prev.beta0])
     coef = _solve_measurement(stats, alpha_free, beta_free, prev_coef)
     A, gamma_u = m_step_var(stats, spec, T)
-    if np.linalg.eigvalsh(gamma_u)[0] <= VARIANCE_FLOOR:
-        gamma_u = gamma_u + VARIANCE_FLOOR * np.eye(q)
     ge, s2w, s2e, s2nu = m_step_variances(stats, spec, coef, params_prev, options, T)
     return Params(
         loadings=[coef[:, k * q:(k + 1) * q] for k in range(s + 1)],
         var_coeffs=A,
-        gamma_u=gamma_u,
+        gamma_u=floor_gamma_u(gamma_u),
         gamma_e_diag=ge,
         sigma2_omega=s2w,
         sigma2_eta=s2e,
@@ -445,7 +436,7 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
             scale[i] = sd if sd > 0 else 1.0
         panel = Panel(panel.data / scale[:, None], panel.missing_mask)
 
-    pre = pre_estimate(spec, panel, options.detrend, options.kappa)
+    pre = pre_estimate(spec, panel, options.detrend)
 
     # deterministic intercept/slope parameters: active for the detrend set,
     # minus any component that lives in the state instead, and zero elsewhere
@@ -486,7 +477,7 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
         chi = chi * scale[:, None]
         params = _rescale_params(params, scale)
         smoothed_means = smoothed_means.copy()
-        smoothed_means[:, lay.n_factor_states:] *= scale[list(lay.xi_series + lay.alpha_series + lay.beta_series)]
+        smoothed_means[:, lay.n_factor_states:] *= scale[list(lay.extra_series)]
 
     return EMResult(
         params=params,

@@ -79,11 +79,7 @@ __all__ = [
     "ks_smooth",
     "steady_state_diagnostics",
     "steady_state_onset",
-    "DEFAULT_KAPPA",
 ]
-
-# Default variance for diffuse state blocks ("very large value" initialization).
-DEFAULT_KAPPA = 1.0e7
 
 # Entries a filter bank starts with when steps can repeat; it doubles when full.
 _BANK_START = 16

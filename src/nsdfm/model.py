@@ -190,9 +190,9 @@ class Panel:
 
     @classmethod
     def from_data(cls, data: np.ndarray) -> "Panel":
-        """Build a panel from an array where NaN marks missing cells."""
+        """Build a panel from an array where NaN marks missing cells; ±inf is rejected as an observed cell."""
         data = np.asarray(data, dtype=float)
-        return cls(data, np.isfinite(data))
+        return cls(data, ~np.isnan(data))
 
     @property
     def n(self) -> int:
@@ -219,13 +219,18 @@ class StateLayout:
 
     @property
     def K(self) -> int:
-        return self.n_factor_states + len(self.xi_series) + len(self.alpha_series) + len(self.beta_series)
+        return self.n_factor_states + len(self.extra_series)
 
     def factor_block(self, lag: int) -> slice:
         """Slice of the state holding f_{t-lag}."""
         if not 0 <= lag < self.n_lags:
             raise ValueError(f"lag {lag} outside companion range 0..{self.n_lags - 1}")
         return slice(self.q * lag, self.q * (lag + 1))
+
+    @property
+    def extra_series(self) -> tuple[int, ...]:
+        """Series of the states after the factor block: state n_factor_states + j belongs to series j of this tuple."""
+        return self.xi_series + self.alpha_series + self.beta_series
 
     @property
     def xi_slice(self) -> slice:
@@ -250,6 +255,8 @@ class StateSpace:
     matrix; the loading on a trend-slope state is its base entry times the
     (one-based) time index.  The Kalman filter forms those products
     itself, overwriting the slope entries of one copy of the base per step.
+    ``K`` and ``time_varying`` (the measurement matrix changes with t, which
+    it does when a trend-slope state exists) are read off the layout.
     """
 
     layout: StateLayout
@@ -257,11 +264,14 @@ class StateSpace:
     state_innovation_cov: np.ndarray  # K x K
     measurement_base: np.ndarray      # n x K
     measurement_cov_diag: np.ndarray  # n
-    time_varying: bool
 
     @property
     def K(self) -> int:
         return self.layout.K
+
+    @property
+    def time_varying(self) -> bool:
+        return bool(self.layout.beta_series)
 
 
 def companion(var_coeffs: list[np.ndarray], n_lags: int) -> np.ndarray:
@@ -287,33 +297,25 @@ def build_state_space(spec: ModelSpec, params: Params) -> StateSpace:
     available coefficients load zeros.  Deterministic given its inputs.
     """
     params.validate(spec)
-    q, s = spec.q, spec.s
+    q = spec.q
     layout = spec.layout
     K = layout.K
     r = layout.n_factor_states
 
-    Theta = np.zeros((K, K))
+    Theta = np.eye(K)  # the extra states are random walks
     Theta[:r, :r] = companion(params.var_coeffs, layout.n_lags)
-    for blk in (layout.xi_slice, layout.alpha_slice, layout.beta_slice):
-        Theta[blk, blk] = np.eye(blk.stop - blk.start)
 
     Q = np.zeros((K, K))
     Q[0:q, 0:q] = params.gamma_u
-    Q[layout.xi_slice, layout.xi_slice] = np.diag(params.gamma_e_diag[list(layout.xi_series)])
-    if layout.alpha_series:
-        Q[layout.alpha_slice, layout.alpha_slice] = np.diag(params.sigma2_omega[list(layout.alpha_series)])
-    if layout.beta_series:
-        Q[layout.beta_slice, layout.beta_slice] = np.diag(params.sigma2_eta[list(layout.beta_series)])
+    Q[r:, r:] = np.diag(np.concatenate([params.gamma_e_diag[list(layout.xi_series)],
+                                        params.sigma2_omega[list(layout.alpha_series)],
+                                        params.sigma2_eta[list(layout.beta_series)]]))
 
     Z = np.zeros((spec.n, K))
-    for k in range(s + 1):
-        Z[:, layout.factor_block(k)] = params.loadings[k]
-    for j, i in enumerate(layout.xi_series):
-        Z[i, layout.xi_slice.start + j] = 1.0
-    for j, i in enumerate(layout.alpha_series):
-        Z[i, layout.alpha_slice.start + j] = 1.0
-    for j, i in enumerate(layout.beta_series):
-        Z[i, layout.beta_slice.start + j] = 1.0  # Z_t multiplies it by the time label (see StateSpace)
+    for k, B in enumerate(params.loadings):
+        Z[:, layout.factor_block(k)] = B
+    # Z_t multiplies the trend-slope entries by the time label (see StateSpace)
+    Z[list(layout.extra_series), np.arange(r, K)] = 1.0
 
     im = spec.idio_im
     R = np.array([params.sigma2_nu[i] if i in im else params.gamma_e_diag[i] for i in range(spec.n)])
@@ -324,7 +326,6 @@ def build_state_space(spec: ModelSpec, params: Params) -> StateSpace:
         state_innovation_cov=_frozen(Q),
         measurement_base=_frozen(Z),
         measurement_cov_diag=_frozen(R),
-        time_varying=bool(layout.beta_series),
     )
 
 

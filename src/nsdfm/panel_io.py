@@ -196,7 +196,7 @@ SCHEMA = {
         "local_trend": parse_index_set, "detrend": parse_index_set, "standardize": parse_boolean,
     },
     "em": {
-        "max_iter": int, "tolerance": float, "kappa": float,
+        "max_iter": int, "tolerance": float,
         "phi_policy": lambda text: text if text == "estimated" else float(text),
     },
     "mc": {

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kalman import DEFAULT_KAPPA
 from .model import ModelSpec, Panel, Params, companion
 
 __all__ = [
@@ -29,6 +28,7 @@ __all__ = [
     "lagged_loadings",
     "var_prefit",
     "gamma_e_init",
+    "floor_gamma_u",
     "p00_init",
     "initial_state_cov",
     "pre_estimate",
@@ -38,6 +38,9 @@ __all__ = [
 SIGMA2_OMEGA_INIT = 1.0e-2
 SIGMA2_ETA_INIT = 1.0e-2
 SIGMA2_NU_INIT = 1.0e-5
+
+# Diffuse initial variance of the extra states (Durbin & Koopman 2012, sec. 5.6)
+KAPPA = 1.0e7
 
 VARIANCE_FLOOR = 1.0e-12
 
@@ -226,6 +229,14 @@ def gamma_e_init(
     return out
 
 
+def floor_gamma_u(gamma_u: np.ndarray) -> np.ndarray:
+    """``gamma_u`` + (VARIANCE_FLOOR + max(0, -smallest eigenvalue)) * I if that eigenvalue is <= VARIANCE_FLOOR."""
+    low = np.linalg.eigvalsh(gamma_u)[0]
+    if low <= VARIANCE_FLOOR:
+        gamma_u = gamma_u + (VARIANCE_FLOOR + abs(min(0.0, low))) * np.eye(len(gamma_u))
+    return gamma_u
+
+
 def p00_init(companion: np.ndarray, gamma_u: np.ndarray) -> np.ndarray:
     """Initial factor-block covariance from a shrunk discrete Lyapunov equation.
 
@@ -246,12 +257,11 @@ def p00_init(companion: np.ndarray, gamma_u: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
-def initial_state_cov(spec: ModelSpec, var_coeffs: list[np.ndarray], gamma_u: np.ndarray,
-                      kappa: float) -> np.ndarray:
-    """kappa * I over the state, with the :func:`p00_init` block for the factor companion."""
+def initial_state_cov(spec: ModelSpec, var_coeffs: list[np.ndarray], gamma_u: np.ndarray) -> np.ndarray:
+    """KAPPA * I over the state, with the :func:`p00_init` block for the factor companion."""
     layout = spec.layout
     r = layout.n_factor_states
-    P0 = np.eye(layout.K) * kappa
+    P0 = np.eye(layout.K) * KAPPA
     P0[:r, :r] = p00_init(companion(var_coeffs, layout.n_lags), gamma_u)
     return P0
 
@@ -260,14 +270,13 @@ def pre_estimate(
     spec: ModelSpec,
     panel: Panel,
     detrend: frozenset[int] | None = None,
-    kappa: float = DEFAULT_KAPPA,
 ) -> PreEstimate:
     """Full iteration-0 estimation for (spec, panel).
 
     ``detrend`` defaults to local_level | local_trend; passing a larger
     set also removes constant linear trends from series that carry no
     time-varying state.  The returned initial state covariance uses the
-    Lyapunov block for the factors and kappa * I for the extra states.
+    Lyapunov block for the factors and KAPPA * I for the extra states.
     """
     n, T, q = spec.n, spec.T, spec.q
     if (panel.n, panel.T) != (n, T):
@@ -293,9 +302,7 @@ def pre_estimate(
     lag = lagged_loadings(dx, B0, f_tilde, spec.s)
     loadings = [B0] + lag
     A, gamma_u = var_prefit(f_tilde, spec.p)
-    gamma_u = 0.5 * (gamma_u + gamma_u.T)
-    if np.linalg.eigvalsh(gamma_u)[0] <= VARIANCE_FLOOR:
-        gamma_u = gamma_u + (VARIANCE_FLOOR + abs(min(0.0, np.linalg.eigvalsh(gamma_u)[0]))) * np.eye(q)
+    gamma_u = floor_gamma_u(0.5 * (gamma_u + gamma_u.T))
     ge = np.maximum(gamma_e_init(dx, loadings, f_tilde, spec.idio_i1), VARIANCE_FLOOR)
 
     im = spec.idio_im
@@ -328,6 +335,6 @@ def pre_estimate(
         params=params,
         f_tilde=f_tilde,
         init_state_mean=init_mean,
-        init_state_cov=initial_state_cov(spec, A, gamma_u, kappa),
+        init_state_cov=initial_state_cov(spec, A, gamma_u),
         detrend_set=D,
     )

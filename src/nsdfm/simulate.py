@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelSpec, Panel, Params
+from .pre_estimate import SIGMA2_NU_INIT
 
 __all__ = [
     "MCConfig",
@@ -260,7 +261,7 @@ def simulate_panel(config: MCConfig, replication: int = 0) -> SimulatedPanel:
     s2_inn = np.diag(cov_e) * scale ** 2
     ge = s2_inn / (1.0 - rho2 ** 2)
     s2nu = np.zeros(n)
-    s2nu[list(i1)] = 1.0e-5
+    s2nu[list(i1)] = SIGMA2_NU_INIT
     params = Params(
         loadings=loadings,
         var_coeffs=[A1, A2],

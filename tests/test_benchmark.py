@@ -50,6 +50,16 @@ def test_diagnostics_shapes():
     assert diag[40]["tr_filt_over_q"][-1] < diag[10]["tr_filt_over_q"][-1]
 
 
+def test_diagnostics_do_not_depend_on_the_estimators_var_order():
+    # the truth is a VAR(2) whatever [mc] p says, and diagnostics run at the truth
+    diag = {p: run_diagnostics(MCConfig(n=10, T=30, q=2, p=p, seed=3, replications=2), n_grid=(10,), horizon=5)
+            for p in (1, 2, 3)}
+    for p in (1, 3):
+        assert diag[p][10].keys() == diag[2][10].keys()
+        for key, value in diag[2][10].items():
+            np.testing.assert_array_equal(diag[p][10][key], value, strict=True)
+
+
 def test_phi_device_leaves_factor_mse_unaffected():
     # extra latent states behind a tiny measurement variance change the
     # true-parameter factor MSE by less than 10 percent

@@ -155,9 +155,10 @@ def test_config_unknown_key_rejected(tmp_path):
     cfg.write_text("[weird]\nn = 10\n")
     with pytest.raises(ConfigError, match="weird"):
         load_config(cfg)
-    cfg.write_text("[mc]\ndelta = 0.2\n")
-    with pytest.raises(ConfigError, match="delta"):
-        load_config(cfg)
+    for section, key in (("mc", "delta"), ("em", "kappa")):  # keys of earlier versions
+        cfg.write_text(f"[{section}]\n{key} = 0.2\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(cfg)
     for key in ("n", "T"):  # [model] takes n and T from the panel
         cfg.write_text(f"[model]\n{key} = 5\n")
         with pytest.raises(ConfigError, match=f"'{key}'"):

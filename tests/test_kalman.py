@@ -19,7 +19,7 @@ from nsdfm.kalman import (
     steady_state_diagnostics,
     steady_state_onset,
 )
-from nsdfm.pre_estimate import initial_state_cov, pre_estimate
+from nsdfm.pre_estimate import KAPPA, initial_state_cov, pre_estimate
 from nsdfm.simulate import MCConfig, simulate_panel
 from conftest import random_instance, random_panel, settled_panel
 from oracles import (joint_gaussian_moments, lag_one_covs, measurement_map, per_slot_smooth, prediction_error_loglik,
@@ -440,12 +440,16 @@ def test_filter_raises_naming_t_when_a_factorization_fails(case, t_fail):
 def test_step_factors_equal_numpy_linalg_bitwise(monkeypatch, n1, kappa):
     # the step calls the gufuncs behind np.linalg.cholesky and np.linalg.inv
     # directly; cP, cPi, cM and cMi must be the bytes those functions return,
-    # at K = 24 and K = 54, with and without a diffuse block
+    # at K = 24 and K = 54, with and without a diffuse block (the extra
+    # states' initial variance KAPPA, or 1 written over it)
     sim = simulate_panel(MCConfig(n=60, T=12, q=2, s=0, n1=n1, seed=5, replications=1), 0)
     pre = pre_estimate(sim.spec, sim.panel)
     ss = build_state_space(sim.spec, pre.params)
     assert ss.K == n1 + 4
-    init_cov = initial_state_cov(sim.spec, pre.params.var_coeffs, pre.params.gamma_u, kappa)
+    init_cov = initial_state_cov(sim.spec, pre.params.var_coeffs, pre.params.gamma_u)
+    extra = np.arange(ss.layout.n_factor_states, ss.K)
+    assert np.all(init_cov[extra, extra] == KAPPA)
+    init_cov[extra, extra] = kappa
     mask = np.random.default_rng(n1).random(sim.x.shape) >= 0.2
     calls = []  # (name, input, output) of every factorization the filter makes
 

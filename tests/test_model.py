@@ -174,6 +174,14 @@ def test_builder_deterministic():
     assert np.array_equal(measurement_map(ss1, 4), measurement_map(ss2, 4))
 
 
+def test_from_data_marks_nan_missing_and_rejects_infinities():
+    p = Panel.from_data([[1.0, np.nan], [2.0, 3.0]])
+    assert p.missing_mask.tolist() == [[True, False], [True, True]]
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Panel.from_data([[1.0, bad, np.nan], [2.0, 3.0, 4.0]])
+
+
 def test_panel_accepts_fully_missing_columns():
     data = np.array([[1.0, np.nan], [2.0, np.nan]])
     p = Panel.from_data(data)

@@ -6,6 +6,7 @@ from nsdfm.pre_estimate import (
     _filled_differences,
     _filled_levels,
     detrend_ols,
+    floor_gamma_u,
     gamma_e_init,
     lagged_loadings,
     p00_init,
@@ -165,6 +166,27 @@ def test_gamma_e_zero_residuals():
     dx = np.zeros((2, 50))
     ge = gamma_e_init(dx, [np.zeros((2, 1))], np.zeros((1, 51)), frozenset())
     np.testing.assert_array_equal(ge, 0.0)
+
+
+def test_floor_gamma_u(rng):
+    # one floor for pre_estimate and the M-step: a negative smallest eigenvalue
+    # is lifted to about the floor, one in (0, floor] gets the floor added
+    V, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+
+    def with_smallest(low):
+        g = (V * np.array([low, 0.5, 2.0])) @ V.T
+        return 0.5 * (g + g.T)
+
+    negative = with_smallest(-1e-6)
+    assert np.linalg.eigvalsh(negative)[0] < 0
+    lifted = floor_gamma_u(negative)
+    assert np.linalg.eigvalsh(lifted)[0] > 0
+    np.linalg.cholesky(lifted)
+    tiny = with_smallest(5e-13)
+    assert 0 < np.linalg.eigvalsh(tiny)[0] <= 1e-12
+    np.testing.assert_array_equal(floor_gamma_u(tiny), tiny + 1e-12 * np.eye(3), strict=True)
+    fine = with_smallest(1e-3)
+    assert floor_gamma_u(fine) is fine
 
 
 def test_p00_scalar_geometric_sum():
