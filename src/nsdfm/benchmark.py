@@ -23,7 +23,7 @@ import numpy as np
 from .competitors import pc_diff_corrected, pc_diff_cumulate, pc_levels
 from .em import EMOptions, fit
 from .kalman import steady_state_diagnostics, steady_state_onset
-from .metrics import DEFAULT_T_MIN, mse_common
+from .metrics import mse_common
 from .model import build_state_space
 from .pre_estimate import initial_state_cov
 from .simulate import MCConfig, simulate_panel
@@ -39,6 +39,9 @@ MAX_FAILURE_SHARE = 0.05
 # EM options of a Monte Carlo fit when none are given; ``nsdfm benchmark``
 # lays its [em] keys over these
 MC_EM_OPTIONS = EMOptions(max_iter=100)
+
+# Periods of the trace table of run_diagnostics and of ``nsdfm diagnose``
+DIAGNOSTIC_HORIZON = 10
 
 
 @dataclass
@@ -91,41 +94,31 @@ class CellReport:
         return out
 
 
-def run_replication(
-    config: MCConfig,
-    replication: int,
-    em_options: EMOptions | None = None,
-    t_min: int = DEFAULT_T_MIN,
-) -> ReplicationResult:
-    """Simulate, estimate and score one replication."""
+def run_replication(config: MCConfig, replication: int, em_options: EMOptions | None = None) -> ReplicationResult:
+    """Simulate, estimate and score one replication; the fit's VAR order is ``config.p``."""
     rec = ReplicationResult(replication=replication)
     try:
         sim = simulate_panel(config, replication)
         base = em_options or MC_EM_OPTIONS
         opts = replace(base, detrend=frozenset(sim.trend_set | sim.spec.local_level | sim.spec.local_trend))
-        res = fit(sim.spec, sim.panel, opts)
-        rec.mse_em = mse_common(res.chi, sim.chi, t_min)
+        res = fit(replace(sim.spec, p=config.p), sim.panel, opts)
+        rec.mse_em = mse_common(res.chi, sim.chi)
         rec.converged = res.converged
         rec.iterations = res.iterations
         r = config.q * (config.s + 1)
         panel = sim.panel
         cumulated = pc_diff_cumulate(panel, r)
         rec.mse_competitors = {
-            "pc_levels": mse_common(pc_levels(panel, r), sim.chi, t_min),
-            "pc_diff_cumulate": mse_common(cumulated, sim.chi, t_min),
-            "pc_diff_corrected": mse_common(pc_diff_corrected(panel, cumulated), sim.chi, t_min),
+            "pc_levels": mse_common(pc_levels(panel, r), sim.chi),
+            "pc_diff_cumulate": mse_common(cumulated, sim.chi),
+            "pc_diff_corrected": mse_common(pc_diff_corrected(panel, cumulated), sim.chi),
         }
     except Exception as exc:  # recorded, never silently dropped
         rec.error = f"{type(exc).__name__}: {exc}"
     return rec
 
 
-def run_cell(
-    config: MCConfig,
-    em_options: EMOptions | None = None,
-    jobs: int = 1,
-    t_min: int = DEFAULT_T_MIN,
-) -> CellReport:
+def run_cell(config: MCConfig, em_options: EMOptions | None = None, jobs: int = 1) -> CellReport:
     """Run all replications of one Monte Carlo cell, optionally in parallel."""
     start = time.perf_counter()
     reps = range(config.replications)
@@ -134,9 +127,9 @@ def run_cell(
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_replication, [config] * config.replications, reps,
-                                    [em_options] * config.replications, [t_min] * config.replications))
+                                    [em_options] * config.replications))
     else:
-        results = [run_replication(config, rep, em_options, t_min) for rep in reps]
+        results = [run_replication(config, rep, em_options) for rep in reps]
     elapsed = time.perf_counter() - start
     return CellReport(config=config, replications=results, elapsed_seconds=elapsed)
 
@@ -144,7 +137,7 @@ def run_cell(
 def run_diagnostics(
     config: MCConfig,
     n_grid: tuple[int, ...] = (25, 100),
-    horizon: int = 10,
+    horizon: int = DIAGNOSTIC_HORIZON,
     tol: float = 1.0e-6,
 ) -> dict:
     """Filter/smoother trace table over an n-grid, averaged over ``config.replications``.
@@ -152,7 +145,7 @@ def run_diagnostics(
     Uses the true simulated parameters (no estimation); the covariance
     recursion is data-free, so each replication contributes one
     deterministic trace path per n, from :func:`initial_state_cov` at the
-    true VAR(2) whatever ``config.p`` says.  Each n maps to the averaged
+    true VAR(2) (``sim.spec``'s, whatever ``config.p`` says).  Each n maps to the averaged
     :func:`steady_state_diagnostics` keys plus ``steady_state_t``: the
     first t after which the averaged one-step-ahead trace changes by less
     than ``tol`` (None if never).
@@ -163,9 +156,8 @@ def run_diagnostics(
         runs = []
         for rep in range(config.replications):
             sim = simulate_panel(cfg, rep)
-            spec = replace(sim.spec, p=len(sim.params.var_coeffs))
-            ss = build_state_space(spec, sim.params)
-            P00 = initial_state_cov(spec, sim.params.var_coeffs, sim.params.gamma_u)
+            ss = build_state_space(sim.spec, sim.params)
+            P00 = initial_state_cov(sim.spec, sim.params.var_coeffs, sim.params.gamma_u)
             runs.append(steady_state_diagnostics(ss, P00, horizon=horizon, T_total=config.T))
         avg = {key: np.mean([run[key] for run in runs], axis=0) for key in runs[0]}
         avg["steady_state_t"] = steady_state_onset(avg["tr_pred_over_q"] * config.q, tol)

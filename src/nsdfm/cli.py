@@ -1,8 +1,12 @@
 """Command-line interface: simulate, estimate, benchmark, diagnose.
 
 Every command accepts ``--config`` (an INI file with sections [model],
-[em], [mc], [io]) plus one flag per config key it reads, declared once
-with its parser in ``panel_io.SCHEMA``.  Flags win over the file; the
+[em], [mc], [io]) plus one flag per config key it reads, built from
+``panel_io.SCHEMA``: every key of its [model], [em] and [mc] sections,
+with [mc] cells and [io] jobs on benchmark only.  The flags that mirror
+no key are ``--config``, ``--out-dir`` (for [io] out_dir, not echoed),
+estimate's ``--input`` and ``--truth``, simulate's ``--replication`` and
+diagnose's ``--n-grid``.  Flags win over the file; the
 merged text of the sections a command reads is what it parses and what
 its outputs echo, and the file's other sections are checked but left out.  Exit
 codes: 0 success (estimate: converged), 2 usage/configuration error (a
@@ -21,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .benchmark import MC_EM_OPTIONS, METHODS, ReplicationResult, run_cell, run_diagnostics
+from .benchmark import DIAGNOSTIC_HORIZON, MC_EM_OPTIONS, METHODS, ReplicationResult, run_cell, run_diagnostics
 from .em import EMOptions, fit
 from .metrics import DEFAULT_T_MIN, mse_common
 from .panel_io import (
@@ -47,16 +51,17 @@ EXIT_DATA = 3
 EXIT_NONCONVERGED = 4
 EXIT_NUMERIC = 5
 
-# [mc] keys with a flag on simulate, benchmark and diagnose
-_MC_FLAGS = ("n", "T", "q", "s", "d", "n1", "nb", "tau", "theta", "mu", "replications", "dist", "seed")
-
 
 def _add_command(sub, name: str, handler, reads: tuple[str, ...], help: str) -> argparse.ArgumentParser:
-    """A subcommand that runs ``handler(args)`` and reads the config sections ``reads``."""
+    """A subcommand that runs ``handler(args)``, reads the config sections ``reads`` and
+    takes a flag per key of its [model], [em] and [mc] sections but [mc] cells."""
     p = sub.add_parser(name, help=help)
     p.set_defaults(handler=handler, reads=reads)
     p.add_argument("--config", type=str, default=None, help="INI config file")
     p.add_argument("--out-dir", type=str, default=None, help="output directory")
+    for section in reads:
+        if section != "io":
+            _add_keys(p, section, [key for key in SCHEMA[section] if key != "cells"])
     return p
 
 
@@ -74,26 +79,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = _add_command(sub, "simulate", cmd_simulate, ("mc", "io"),
                          help="generate a benchmark panel plus its truth sidecar")
-    _add_keys(p_sim, "mc", _MC_FLAGS)
     p_sim.add_argument("--replication", type=int, default=0, help="replication index to write")
 
     p_est = _add_command(sub, "estimate", cmd_estimate, ("model", "em", "io"), help="fit the model to a CSV panel")
     p_est.add_argument("--input", type=str, required=True, help="panel CSV path")
     p_est.add_argument("--truth", type=str, default=None, help="truth sidecar for MSE reporting")
-    _add_keys(p_est, "model", SCHEMA["model"])
-    _add_keys(p_est, "em", ("max_iter", "tolerance"))
 
+    # only benchmark runs a grid of cells or worker processes
     p_bench = _add_command(sub, "benchmark", cmd_benchmark, ("mc", "em", "io"),
                            help="run Monte Carlo cells against the PC competitors")
-    _add_keys(p_bench, "mc", _MC_FLAGS + ("cells",))
-    _add_keys(p_bench, "io", ("jobs", "format"))
+    _add_keys(p_bench, "mc", ("cells",))
+    _add_keys(p_bench, "io", ("jobs",))
 
     p_diag = _add_command(sub, "diagnose", cmd_diagnose, ("mc", "io"),
                           help="filter/smoother MSE traces at true parameters")
-    _add_keys(p_diag, "mc", _MC_FLAGS)
     p_diag.add_argument("--n-grid", type=str, default="25,100", help="comma list of panel sizes")
-    p_diag.add_argument("--horizon", type=int, default=10)
-    p_diag.add_argument("--ss-tol", type=float, default=1e-6, help="steady-state flag tolerance")
     return parser
 
 
@@ -175,8 +175,7 @@ def cmd_estimate(args) -> int:
         except (OSError, ValueError, KeyError) as exc:
             print(f"error: cannot read truth sidecar: {exc}", file=sys.stderr)
             return EXIT_DATA
-        t_min = parse_section("io", sections.get("io", {})).get("t_min", DEFAULT_T_MIN)
-        summary["mse_common"] = mse_common(res.chi, truth["chi"], t_min)
+        summary["mse_common"] = mse_common(res.chi, truth["chi"])
     (out / "estimate.json").write_text(json.dumps(summary), encoding="utf-8")
     msg = "converged" if res.converged else f"NOT converged after {res.iterations} iterations"
     print(f"estimate: {msg}; loglik={res.loglik_path[-1]:.3f}; outputs in {out}")
@@ -224,24 +223,21 @@ def cmd_benchmark(args) -> int:
     base = mc_config_from_section(mc)
     cells = _parse_cells(mc.get("cells", ""), mc) or [base]
     out = _out_dir(args, sections)
-    io = parse_section("io", sections.get("io", {}))
-    jobs, t_min = io.get("jobs", 1), io.get("t_min", DEFAULT_T_MIN)
+    jobs = parse_section("io", sections.get("io", {})).get("jobs", 1)
     em_options = replace(MC_EM_OPTIONS, **parse_section("em", sections.get("em", {})))
 
     cell_rows = []
     replication_rows = []
     reports = []
     for cfg in cells:
-        report = run_cell(cfg, em_options=em_options, jobs=jobs, t_min=t_min)
+        report = run_cell(cfg, em_options=em_options, jobs=jobs)
         agg = report.aggregate()
         reports.append({"config": asdict(cfg), **agg})
         cell_rows.append(_cell_row(cfg, agg))
         replication_rows += [_replication_row(cfg, rec) for rec in report.replications]
-    echo = _config_echo(sections, {"seed": base.seed, "jobs": jobs, "t_min": t_min})
+    echo = _config_echo(sections, {"seed": base.seed, "jobs": jobs, "t_min": DEFAULT_T_MIN})
     (out / "report.json").write_text(json.dumps({"cells": reports, "config": echo}), encoding="utf-8")
-    if io.get("format", "csv") != "json":
-        write_table(out / "report.csv", list(cell_rows[0]), [list(row.values()) for row in cell_rows],
-                    metadata=echo)
+    write_table(out / "report.csv", list(cell_rows[0]), [list(row.values()) for row in cell_rows], metadata=echo)
     # the header is named by a blank record, so a cell of no replications still writes it
     write_table(out / "replications.csv", list(_replication_row(base, ReplicationResult(0))),
                 [list(row.values()) for row in replication_rows], metadata=echo)
@@ -264,12 +260,12 @@ def cmd_diagnose(args) -> int:
     except ValueError:
         print(f"error: bad --n-grid {args.n_grid!r}", file=sys.stderr)
         return EXIT_USAGE
-    diag = run_diagnostics(cfg, n_grid=n_grid, horizon=args.horizon, tol=args.ss_tol)
-    echo = _config_echo(sections, {"seed": cfg.seed, "horizon": args.horizon})
+    diag = run_diagnostics(cfg, n_grid=n_grid)
+    echo = _config_echo(sections, {"seed": cfg.seed, "horizon": DIAGNOSTIC_HORIZON})
     rows = []
     for n in n_grid:
         d = diag[n]
-        for t in range(args.horizon):
+        for t in range(DIAGNOSTIC_HORIZON):
             rows.append([n, t + 1, d["tr_pred_over_q"][t], d["tr_filt_over_q"][t], d["tr_smooth_over_q"][t]])
     write_table(out / "diagnose.csv", ["n", "t", "tr_pred_over_q", "tr_filt_over_q", "tr_smooth_over_q"],
                 rows, metadata=echo)
@@ -281,7 +277,7 @@ def cmd_diagnose(args) -> int:
                 srows, metadata=echo)
     for n in n_grid:
         d = diag[n]
-        print(f"n={n}: tr(P00)/q={d['tr_init_over_q']:.1f} pred(t={args.horizon})={d['tr_pred_over_q'][-1]:.6f} "
+        print(f"n={n}: tr(P00)/q={d['tr_init_over_q']:.1f} pred(t={DIAGNOSTIC_HORIZON})={d['tr_pred_over_q'][-1]:.6f} "
               f"filt={d['tr_filt_over_q'][-1]:.6f} smooth={d['tr_smooth_over_q'][-1]:.6f} "
               f"steady_state_t={d['steady_state_t']}")
     return EXIT_OK

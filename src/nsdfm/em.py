@@ -76,14 +76,15 @@ class EMOptions:
     standardize: bool = False
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        # written as 0 < x < inf, the bound checks fail for NaN too
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ValueError("max_iter must be an integer >= 1")
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError("tolerance must be positive and finite")
         if isinstance(self.phi_policy, str) and self.phi_policy != "estimated":
             raise ValueError("phi_policy must be 'estimated' or a fixed value")
-        if not isinstance(self.phi_policy, str) and self.phi_policy <= 0:
-            raise ValueError("a fixed phi must be positive")
+        if not isinstance(self.phi_policy, str) and not 0 < self.phi_policy < np.inf:
+            raise ValueError("a fixed phi must be positive and finite")
 
 
 @dataclass

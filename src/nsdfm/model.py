@@ -317,8 +317,9 @@ def build_state_space(spec: ModelSpec, params: Params) -> StateSpace:
     # Z_t multiplies the trend-slope entries by the time label (see StateSpace)
     Z[list(layout.extra_series), np.arange(r, K)] = 1.0
 
-    im = spec.idio_im
-    R = np.array([params.sigma2_nu[i] if i in im else params.gamma_e_diag[i] for i in range(spec.n)])
+    im = np.zeros(spec.n, dtype=bool)
+    im[list(spec.idio_im)] = True
+    R = np.where(im, params.sigma2_nu, params.gamma_e_diag)
 
     return StateSpace(
         layout=layout,

@@ -183,27 +183,31 @@ def parse_boolean(text: str) -> bool:
     return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
 
 
-def _one_of(*choices):
-    """Parser of one word of ``choices``; ``tuple.index`` raises ValueError on any other."""
-    return lambda text: choices[choices.index(text)]
+def parse_finite(text: str) -> float:
+    """The float ``text`` spells, which must be finite: ``float`` also reads ``nan`` and ``inf``."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
 
 
 # The one config schema: section -> key -> parser of the key's text.  The CLI
-# adds one flag per key a command reads, so a flag and its key never differ.
+# builds its flags from it, one per key a command reads, so a flag and its key
+# never differ ([mc] cells and [io] jobs are benchmark's; [io] out_dir is --out-dir).
 SCHEMA = {
     "model": {
         "q": int, "s": int, "p": int, "idio_i1": parse_index_set, "local_level": parse_index_set,
         "local_trend": parse_index_set, "detrend": parse_index_set, "standardize": parse_boolean,
     },
     "em": {
-        "max_iter": int, "tolerance": float,
-        "phi_policy": lambda text: text if text == "estimated" else float(text),
+        "max_iter": int, "tolerance": parse_finite,
+        "phi_policy": lambda text: text if text == "estimated" else parse_finite(text),
     },
     "mc": {
-        "n": int, "T": int, "q": int, "s": int, "d": int, "p": int, "n1": int, "nb": int, "tau": float,
-        "theta": float, "mu": float, "dist": str, "replications": int, "seed": int, "cells": str,
+        "n": int, "T": int, "q": int, "s": int, "d": int, "p": int, "n1": int, "nb": int, "tau": parse_finite,
+        "theta": parse_finite, "mu": parse_finite, "replications": int, "dist": str, "seed": int, "cells": str,
     },
-    "io": {"out_dir": str, "format": _one_of("csv", "json"), "jobs": int, "t_min": int},
+    "io": {"out_dir": str, "jobs": int},
 }
 
 

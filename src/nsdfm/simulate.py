@@ -73,8 +73,8 @@ class MCConfig:
             raise ValueError("n1 and nb must be smaller than n")
         if self.s not in (0, 1):
             raise ValueError("the benchmark design uses s in {0, 1}")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+        if not (0 < self.theta < np.inf and np.isfinite(self.tau) and np.isfinite(self.mu)):
+            raise ValueError("theta must be positive, and theta, tau and mu finite")
         if self.innovation_dist not in ("gaussian", "student_t4"):
             raise ValueError(f"unknown innovation_dist {self.innovation_dist!r}")
 
@@ -233,7 +233,8 @@ def simulate_panel(config: MCConfig, replication: int = 0) -> SimulatedPanel:
     model's parameterization: stationary idiosyncratic components enter
     as white measurement noise with their full stationary variance, and
     random-walk ones as state innovations with the variance of their
-    (serially correlated) increments.
+    (serially correlated) increments.  The returned spec is the truth's,
+    a VAR(2) whatever ``config.p`` (the estimator's order) says.
     """
     rng = replication_rng(config.seed, replication)
     n, T, q, s = config.n, config.T, config.q, config.s
@@ -255,7 +256,6 @@ def simulate_panel(config: MCConfig, replication: int = 0) -> SimulatedPanel:
         chi, xi, config.nb, config.theta, rng
     )
 
-    spec = ModelSpec(n=n, T=T, q=q, s=s, p=config.p, idio_i1=i1)
     # innovation variances after rescaling; increments/levels of an AR
     # component with the unit root removed have variance s2/(1-rho2^2)
     s2_inn = np.diag(cov_e) * scale ** 2
@@ -283,7 +283,7 @@ def simulate_panel(config: MCConfig, replication: int = 0) -> SimulatedPanel:
         i1_set=i1,
         trend_set=trend_set,
         rho2=rho2,
-        spec=spec,
+        spec=ModelSpec(n=n, T=T, q=q, s=s, p=len(params.var_coeffs), idio_i1=i1),
         params=params,
         config=config,
         replication=replication,

@@ -1,5 +1,6 @@
 import numpy as np
 
+import nsdfm.benchmark
 from nsdfm.benchmark import run_cell, run_diagnostics, run_replication
 from nsdfm.em import EMOptions
 from nsdfm.simulate import MCConfig
@@ -12,6 +13,17 @@ def test_replication_record_fields():
     assert rec.mse_em > 0
     assert set(rec.mse_competitors) == {"pc_levels", "pc_diff_cumulate", "pc_diff_corrected"}
     assert all(v > 0 for v in rec.mse_competitors.values())
+
+
+def test_replication_fits_at_the_configured_var_order(monkeypatch):
+    # the panel's spec is the truth's, a VAR(2); the fit takes the estimator's order config.p
+    orders = []
+    fit = nsdfm.benchmark.fit
+    monkeypatch.setattr(nsdfm.benchmark, "fit", lambda spec, *rest: orders.append(spec.p) or fit(spec, *rest))
+    for p in (1, 2, 3):
+        rec = run_replication(MCConfig(n=10, T=20, q=1, p=p, tau=0.0, seed=4, replications=1), 0, EMOptions(max_iter=3))
+        assert rec.error is None
+    assert orders == [1, 2, 3]
 
 
 def test_cell_aggregation_independent_of_parallelism():

@@ -93,8 +93,11 @@ def test_metrics_values():
     assert mse_common(np.zeros((2, 5)), np.zeros((2, 5))) == 0.0
     chi = np.arange(10.0).reshape(2, 5)
     assert mse_common(chi + 1.0, chi) == pytest.approx(1.0)
-    a = np.array([[0.0, 1.0], [2.0, 2.0]])
-    b = np.array([[0.0, 0.0], [0.0, 2.0]])
-    assert mse_common(a, b, t_min=1) == pytest.approx(1.25)
+    # periods 1 and 2 are the filter warm-up, outside the window
+    a = np.array([[9.0, 9.0, 0.0, 1.0], [9.0, 9.0, 2.0, 2.0]])
+    b = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 2.0]])
+    assert mse_common(a, b) == pytest.approx(1.25)
     with pytest.raises(ValueError):
         mse_common(np.zeros((2, 3)), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="ends before period 3"):
+        mse_common(np.zeros((2, 2)), np.zeros((2, 2)))

@@ -389,3 +389,12 @@ def test_result_accessors(rng):
     off = [i for i in range(20) if i not in sim.trend_set]
     np.testing.assert_array_equal(res.params.alpha0[off], 0.0)
     np.testing.assert_array_equal(res.params.beta0[off], 0.0)
+
+
+def test_options_reject_non_finite_values_and_a_non_integer_max_iter():
+    # a NaN passes every bound check written with <=, so each bound is written 0 < x < inf
+    for kwargs in ({"tolerance": np.nan}, {"tolerance": np.inf}, {"phi_policy": np.nan}, {"phi_policy": np.inf},
+                   {"max_iter": 2.5}, {"max_iter": np.nan}, {"max_iter": 0}):
+        with pytest.raises(ValueError):
+            EMOptions(**kwargs)
+    assert EMOptions(max_iter=np.int64(3), phi_policy=1e-5).max_iter == 3

@@ -11,12 +11,12 @@ import pytest
 
 import nsdfm
 from nsdfm.benchmark import MC_EM_OPTIONS, METHODS, run_cell
-from nsdfm.cli import _parse_cells, main
+from nsdfm.cli import _parse_cells, build_parser, main
 from nsdfm.em import EMOptions, fit
-from nsdfm.metrics import mse_common
 from nsdfm.model import Panel, Params
 from nsdfm.panel_io import (
     ConfigError,
+    SCHEMA,
     load_config,
     mc_config_from_section,
     params_from_dict,
@@ -155,7 +155,7 @@ def test_config_unknown_key_rejected(tmp_path):
     cfg.write_text("[weird]\nn = 10\n")
     with pytest.raises(ConfigError, match="weird"):
         load_config(cfg)
-    for section, key in (("mc", "delta"), ("em", "kappa")):  # keys of earlier versions
+    for section, key in (("mc", "delta"), ("em", "kappa"), ("io", "format"), ("io", "t_min")):  # earlier keys
         cfg.write_text(f"[{section}]\n{key} = 0.2\n")
         with pytest.raises(ConfigError, match=key):
             load_config(cfg)
@@ -325,6 +325,7 @@ def test_cli_benchmark_smoke(tmp_path):
     cell = report["cells"][0]
     assert cell["failed"] == 0
     assert cell["mean_rel_mse_pc_levels"] > 0
+    assert cell["elapsed_seconds"] > 0
 
 
 def test_cli_diagnose_smoke(tmp_path):
@@ -346,8 +347,8 @@ def test_cli_bad_config_exit_code(tmp_path):
 
 
 def test_cli_benchmark_only_flags_rejected_elsewhere(tmp_path):
-    # only benchmark runs workers or writes a cell table
-    for flag, value in (("--jobs", "2"), ("--format", "json")):
+    # only benchmark runs workers or a grid of cells
+    for flag, value in (("--jobs", "2"), ("--cells", "n=12")):
         rc = main(["simulate", "--n", "10", "--T", "20", "--tau", "0", flag, value,
                    "--out-dir", str(tmp_path)])
         assert rc == 2
@@ -356,6 +357,25 @@ def test_cli_benchmark_only_flags_rejected_elsewhere(tmp_path):
     rc = main(["estimate", "--input", str(tmp_path / "p.csv"), "--seed", "3",
                "--out-dir", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "benchmark", "diagnose"])
+def test_cli_flags_are_the_schema_keys(command):
+    # every key of a command's [model], [em] and [mc] sections has a flag; cells and jobs are benchmark's
+    args = vars(build_parser().parse_args([command] + (["--input", "p.csv"] if command == "estimate" else [])))
+    expected = {f"{section}.{key}" for section in args["reads"] if section != "io" for key in SCHEMA[section]}
+    if command == "benchmark":
+        expected.add("io.jobs")
+    else:
+        expected.discard("mc.cells")
+    assert {dest for dest in args if "." in dest} == expected
+
+
+def test_cli_removed_flags_rejected(tmp_path):
+    # the cell table is always CSV, and diagnose runs at run_diagnostics' horizon and tolerance
+    for argv in (["benchmark", "--format", "json"], ["diagnose", "--horizon", "5"], ["diagnose", "--ss-tol", "1e-5"]):
+        assert main(argv + ["--n", "10", "--T", "20", "--replications", "1", "--out-dir", str(tmp_path)]) == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_entrypoint_subprocess(tmp_path):
@@ -367,16 +387,6 @@ def test_cli_entrypoint_subprocess(tmp_path):
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
-
-
-def test_cli_benchmark_json_format(tmp_path):
-    rc = main(["benchmark", "--n", "15", "--T", "25", "--q", "1", "--tau", "0",
-               "--replications", "1", "--seed", "2", "--format", "json",
-               "--out-dir", str(tmp_path)])
-    assert rc == 0
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert report["cells"][0]["elapsed_seconds"] > 0
-    assert not (tmp_path / "report.csv").exists()
 
 
 def _small_panel(tmp_path):
@@ -406,19 +416,21 @@ def test_cli_standardize_key_takes_boolean_spellings(tmp_path):
 
 
 @pytest.mark.parametrize("section, key, value", [
-    ("io", "format", "xml"),
     ("em", "tolerance", "abc"),
     ("io", "jobs", "two"),
+    # float() reads nan and inf, and a NaN passes every bound check written with <=
+    ("mc", "theta", "nan"), ("mc", "tau", "nan"), ("mc", "mu", "inf"),
+    ("em", "phi_policy", "nan"), ("em", "tolerance", "nan"), ("em", "tolerance", "-inf"),
 ])
 def test_cli_bad_config_value_rejected_and_named(tmp_path, capsys, section, key, value):
     cfg = tmp_path / "c.ini"
     cfg.write_text(f"[{section}]\n{key} = {value}\n")
-    rc = main(["benchmark", "--n", "15", "--T", "25", "--q", "1", "--tau", "0",
+    rc = main(["benchmark", "--n", "15", "--T", "25", "--q", "1",
                "--replications", "1", "--seed", "2", "--config", str(cfg),
                "--out-dir", str(tmp_path / "out")])
     assert rc == 2
-    assert f"{section}.{key}" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "report.csv").exists()
+    assert f"bad value for {section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
         load_config(cfg)
 
@@ -434,18 +446,6 @@ def test_cli_estimate_echoes_flags(tmp_path):
         assert f"# {key}={value}" in header
     config = json.loads((out / "estimate.json").read_text())["config"]
     assert {k: config[k] for k in expected} == expected
-
-
-def test_cli_estimate_reads_io_t_min(tmp_path):
-    panel = _small_panel(tmp_path)
-    cfg = tmp_path / "c.ini"
-    cfg.write_text("[io]\nt_min = 20\n")
-    main(["estimate", "--input", str(panel), "--truth", str(tmp_path / "truth.json"),
-          "--q", "1", "--max-iter", "5", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
-    chi, _, _ = read_panel(tmp_path / "out" / "chi.csv")
-    summary = json.loads((tmp_path / "out" / "estimate.json").read_text())
-    truth = read_truth(tmp_path / "truth.json")["chi"]
-    assert summary["mse_common"] == mse_common(chi.data, truth, 20) != mse_common(chi.data, truth)
 
 
 DEMOS = sorted(p.name for p in (Path(__file__).resolve().parents[1] / "demos").glob("*.py"))

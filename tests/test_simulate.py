@@ -151,6 +151,18 @@ def test_config_validation():
         MCConfig(n=10, T=10, n1=10)
     with pytest.raises(ValueError):
         MCConfig(n=10, T=10, innovation_dist="cauchy")
+    for field in ("theta", "tau", "mu"):  # a NaN passes every bound check written with <=
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                MCConfig(n=10, T=10, **{field: value})
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_simulated_spec_is_the_truths(p):
+    # the truth is a VAR(2) whatever the estimator's order config.p says
+    sim = simulate_panel(MCConfig(n=10, T=20, p=p, seed=1, replications=1), 0)
+    sim.params.validate(sim.spec)
+    assert sim.spec.p == 2
 
 
 def test_single_period_panel_rejected():
