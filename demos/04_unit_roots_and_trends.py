@@ -7,6 +7,8 @@ per-series intercept/slope parameters re-estimated inside the EM).  PC
 on levels breaks down here; the state-space estimator does not.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from nsdfm import EMOptions, MCConfig, fit, mse_common, simulate_panel
@@ -18,7 +20,7 @@ print(f"{cfg.n1} series have I(1) idiosyncratic components: {sorted(sim.i1_set)[
 print(f"{cfg.nb} series have linear trends, slopes in [0.3, 0.5]")
 
 # the estimator is told which series are which (sets are inputs, not estimated)
-res = fit(sim.spec, sim.panel, EMOptions(max_iter=100, detrend=sim.trend_set))
+res = fit(replace(sim.spec, detrend=sim.trend_set), sim.panel, EMOptions(max_iter=100))
 
 m_em = mse_common(res.chi, sim.chi)
 m_b = mse_common(pc_levels(sim.panel, 2), sim.chi)

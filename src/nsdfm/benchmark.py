@@ -99,9 +99,7 @@ def run_replication(config: MCConfig, replication: int, em_options: EMOptions | 
     rec = ReplicationResult(replication=replication)
     try:
         sim = simulate_panel(config, replication)
-        base = em_options or MC_EM_OPTIONS
-        opts = replace(base, detrend=frozenset(sim.trend_set | sim.spec.local_level | sim.spec.local_trend))
-        res = fit(replace(sim.spec, p=config.p), sim.panel, opts)
+        res = fit(replace(sim.spec, p=config.p, detrend=sim.trend_set), sim.panel, em_options or MC_EM_OPTIONS)
         rec.mse_em = mse_common(res.chi, sim.chi)
         rec.converged = res.converged
         rec.iterations = res.iterations

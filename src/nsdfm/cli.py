@@ -142,7 +142,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     sections = _sections(args)
-    out = _out_dir(args, sections)
     try:
         panel, names, meta = read_panel(args.input)
     except (OSError, ValueError) as exc:
@@ -150,10 +149,9 @@ def cmd_estimate(args) -> int:
         return EXIT_DATA
 
     spec = model_spec_from_section(sections.get("model", {}), panel.n, panel.T)
-    model = parse_section("model", sections.get("model", {}))
-    options = EMOptions(detrend=model.get("detrend"), standardize=model.get("standardize", False),
+    options = EMOptions(standardize=parse_section("model", sections.get("model", {})).get("standardize", False),
                         **parse_section("em", sections.get("em", {})))
-
+    out = _out_dir(args, sections)
     res = fit(spec, panel, options)
 
     echo = _config_echo(sections, {"input": args.input})

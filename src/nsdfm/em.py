@@ -63,16 +63,12 @@ class EMOptions:
 
     ``phi_policy`` is either "estimated" (the small measurement variances
     of series with extra states are updated every iteration) or a float,
-    which fixes them at that value.  ``detrend`` lists series that carry
-    a deterministic intercept and linear trend in the measurement
-    equation; it defaults to the series with time-varying intercepts or
-    slopes (whose states then absorb only the stochastic part).
+    which fixes them at that value.
     """
 
     max_iter: int = 500
     tolerance: float = 1.0e-4
     phi_policy: str | float = "estimated"
-    detrend: frozenset[int] | None = None
     standardize: bool = False
 
     def __post_init__(self):
@@ -289,24 +285,6 @@ def _solve_measurement(
     return coef
 
 
-def _factor_moment(stats: SufficientStats, spec: ModelSpec, j: int, l: int) -> np.ndarray:
-    """sum_t E[f_{t-j} f_{t-l}'] from the state accumulators."""
-    q, c = spec.q, spec.layout.n_lags
-
-    def block(M, a, b):
-        return M[q * a:q * (a + 1), q * b:q * (b + 1)]
-
-    if j <= c - 1 and l <= c - 1:
-        return block(stats.SA, j, l)
-    if j <= c - 1 and l == c:
-        return block(stats.SB, j, c - 1)
-    if j == c and l <= c - 1:
-        return block(stats.SB, l, c - 1).T
-    if j == c and l == c:
-        return block(stats.SC, c - 1, c - 1)
-    raise ValueError(f"factor moment lag ({j},{l}) outside companion range")
-
-
 def m_step_var(stats: SufficientStats, spec: ModelSpec, T: int):
     """VAR coefficient and innovation covariance updates.
 
@@ -315,9 +293,12 @@ def m_step_var(stats: SufficientStats, spec: ModelSpec, T: int):
     expected residual outer product, normalized by T.
     """
     q, p = spec.q, spec.p
-    mu = {(j, l): _factor_moment(stats, spec, j, l) for j in range(p + 1) for l in range(p + 1)}
-    gram_lag = np.block([[mu[(j + 1, l + 1)] for l in range(p)] for j in range(p)])
-    cross = np.hstack([mu[(0, l + 1)] for l in range(p)])
+    r = spec.layout.n_factor_states
+    last = slice(r - q, r)
+    # sum_t E[g g'] for g = (f_t, ..., f_{t-n_lags}): SA covers lags 0..n_lags-1, SB and SC the oldest
+    M = np.block([[stats.SA[:r, :r], stats.SB[:r, last]], [stats.SB[:r, last].T, stats.SC[last, last]]])
+    mu = {(j, l): M[q * j:q * (j + 1), q * l:q * (l + 1)] for j in range(p + 1) for l in range(p + 1)}
+    gram_lag, cross = M[q:(p + 1) * q, q:(p + 1) * q], M[:q, q:(p + 1) * q]
     try:
         A_stack = np.linalg.solve(gram_lag.T, cross.T).T
     except np.linalg.LinAlgError as exc:
@@ -437,15 +418,12 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
             scale[i] = sd if sd > 0 else 1.0
         panel = Panel(panel.data / scale[:, None], panel.missing_mask)
 
-    pre = pre_estimate(spec, panel, options.detrend)
+    pre = pre_estimate(spec, panel)
 
     # deterministic intercept/slope parameters: active for the detrend set,
     # minus any component that lives in the state instead, and zero elsewhere
-    n, T = spec.n, spec.T
-    detrend_mask = np.zeros(n, dtype=bool)
-    detrend_mask[list(pre.detrend_set)] = True
-    alpha_free = detrend_mask & ~np.isin(np.arange(n), list(spec.local_level))
-    beta_free = detrend_mask & ~np.isin(np.arange(n), list(spec.local_trend))
+    alpha_free = np.isin(np.arange(spec.n), list(spec.detrend_set - spec.local_level))
+    beta_free = np.isin(np.arange(spec.n), list(spec.detrend_set - spec.local_trend))
     params = replace(pre.params, alpha0=np.where(alpha_free, pre.params.alpha0, 0.0),
                      beta0=np.where(beta_free, pre.params.beta0, 0.0))
     init_mean = pre.init_state_mean
@@ -459,7 +437,7 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
         stats, smooth = e_step(spec, params, panel, init_mean, init_cov)
         logliks.append(stats.loglik)
         iterations = k + 1
-        params = _m_step(stats, spec, params, options, alpha_free, beta_free, T)
+        params = _m_step(stats, spec, params, options, alpha_free, beta_free, spec.T)
         init_mean = smooth.smoothed_means[0]
         init_cov = smooth.cov_bank[smooth.cov_index[0]]
         if k >= 1 and _relative_change(logliks[-1], logliks[-2]) < options.tolerance:

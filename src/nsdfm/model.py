@@ -51,7 +51,12 @@ class ModelSpec:
     Index sets use zero-based series positions.  ``idio_i1`` marks series
     with a random-walk idiosyncratic component, ``local_level`` series with
     a time-varying intercept, ``local_trend`` series with a time-varying
-    trend slope.
+    trend slope, and ``detrend`` series with a deterministic intercept and
+    linear trend in the measurement equation; None stands for
+    ``local_level | local_trend`` (see :attr:`detrend_set`), whose states
+    then absorb only the stochastic part.  A series may not be both
+    ``idio_i1`` and ``local_level``: two random walks on one series are not
+    identified.
     """
 
     n: int
@@ -62,11 +67,9 @@ class ModelSpec:
     idio_i1: frozenset[int] = frozenset()
     local_level: frozenset[int] = frozenset()
     local_trend: frozenset[int] = frozenset()
+    detrend: frozenset[int] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "idio_i1", frozenset(self.idio_i1))
-        object.__setattr__(self, "local_level", frozenset(self.local_level))
-        object.__setattr__(self, "local_trend", frozenset(self.local_trend))
         if self.n <= 0 or self.T <= 0:
             raise ValueError("n and T must be positive")
         if not 0 < self.q < self.n:
@@ -75,10 +78,19 @@ class ModelSpec:
             raise ValueError("loading lag order s must be >= 0")
         if self.p < 1:
             raise ValueError("VAR order p must be >= 1")
-        for name in ("idio_i1", "local_level", "local_trend"):
-            idx = getattr(self, name)
-            if any(i < 0 or i >= self.n for i in idx):
-                raise ValueError(f"{name} contains indices outside 0..{self.n - 1}")
+        for name in ("idio_i1", "local_level", "local_trend", "detrend"):  # detrend alone may be None
+            if getattr(self, name) is not None:
+                idx = frozenset(getattr(self, name))
+                object.__setattr__(self, name, idx)
+                if any(i < 0 or i >= self.n for i in idx):
+                    raise ValueError(f"{name} contains indices outside 0..{self.n - 1}")
+        if self.idio_i1 & self.local_level:
+            raise ValueError(f"series {sorted(self.idio_i1 & self.local_level)} are in both idio_i1 and local_level")
+
+    @property
+    def detrend_set(self) -> frozenset[int]:
+        """The series with a deterministic intercept and slope: ``detrend``, or local_level | local_trend if None."""
+        return self.local_level | self.local_trend if self.detrend is None else self.detrend
 
     @property
     def idio_im(self) -> frozenset[int]:

@@ -258,7 +258,7 @@ def mc_config_from_section(section: dict[str, str]) -> MCConfig:
 
 
 def model_spec_from_section(section: dict[str, str], n: int, T: int) -> ModelSpec:
-    """Build a ModelSpec from the [model] section for an n x T panel; the EM keys are skipped."""
+    """Build a ModelSpec from the [model] section for an n x T panel; ``standardize``, an EMOptions key, is skipped."""
     values = parse_section("model", section)
     fields = {k: v for k, v in values.items() if k in ModelSpec.__dataclass_fields__}
     try:

@@ -50,7 +50,7 @@ class PreEstimate:
     """Iteration-0 estimates plus the Kalman filter initialization.
 
     ``params`` holds every iteration-0 parameter; its ``alpha0`` and
-    ``beta0`` are the OLS intercepts and slopes (0 off ``detrend_set``).
+    ``beta0`` are the OLS intercepts and slopes (0 off ``spec.detrend_set``).
     ``init_state_mean`` and ``init_state_cov`` follow ``spec.layout``.
     """
 
@@ -58,7 +58,6 @@ class PreEstimate:
     f_tilde: np.ndarray              # q x T pre-factor path
     init_state_mean: np.ndarray
     init_state_cov: np.ndarray
-    detrend_set: frozenset[int]
 
 
 def detrend_ols(series: np.ndarray, mask: np.ndarray):
@@ -266,32 +265,24 @@ def initial_state_cov(spec: ModelSpec, var_coeffs: list[np.ndarray], gamma_u: np
     return P0
 
 
-def pre_estimate(
-    spec: ModelSpec,
-    panel: Panel,
-    detrend: frozenset[int] | None = None,
-) -> PreEstimate:
+def pre_estimate(spec: ModelSpec, panel: Panel) -> PreEstimate:
     """Full iteration-0 estimation for (spec, panel).
 
-    ``detrend`` defaults to local_level | local_trend; passing a larger
-    set also removes constant linear trends from series that carry no
-    time-varying state.  The returned initial state covariance uses the
-    Lyapunov block for the factors and KAPPA * I for the extra states.
+    The series of ``spec.detrend_set`` are OLS-detrended first.  The
+    returned initial state covariance uses the Lyapunov block for the
+    factors and KAPPA * I for the extra states.
     """
     n, T, q = spec.n, spec.T, spec.q
     if (panel.n, panel.T) != (n, T):
         raise ValueError(f"panel is {panel.n}x{panel.T}, spec says {n}x{T}")
     if T < q + 2:
         raise ValueError("T too small for the differenced PCA")
-    D = frozenset(detrend) if detrend is not None else (spec.local_level | spec.local_trend)
-    if any(i < 0 or i >= n for i in D):
-        raise ValueError("detrend set contains out-of-range indices")
 
     x, mask = panel.data, panel.missing_mask
     alpha_check = np.zeros(n)
     beta_check = np.zeros(n)
     x_det = np.array(x)
-    for i in sorted(D):
+    for i in sorted(spec.detrend_set):
         alpha_check[i], beta_check[i], x_det[i] = detrend_ols(x[i], mask[i])
 
     dx = _filled_differences(x_det, mask)
@@ -336,5 +327,4 @@ def pre_estimate(
         f_tilde=f_tilde,
         init_state_mean=init_mean,
         init_state_cov=initial_state_cov(spec, A, gamma_u),
-        detrend_set=D,
     )

@@ -73,8 +73,15 @@ class MCConfig:
             raise ValueError("n1 and nb must be smaller than n")
         if self.s not in (0, 1):
             raise ValueError("the benchmark design uses s in {0, 1}")
-        if not (0 < self.theta < np.inf and np.isfinite(self.tau) and np.isfinite(self.mu)):
-            raise ValueError("theta must be positive, and theta, tau and mu finite")
+        # each bound fails NaN too; mu is the stationary factor roots' modulus, tau^|i-j| a correlation if |tau| < 1
+        if not 0 < self.theta < np.inf:
+            raise ValueError("theta must be positive and finite")
+        if not 0 < self.mu < 1:
+            raise ValueError(f"mu must be finite in (0, 1), got mu={self.mu}")
+        if not 0 <= self.tau < 1:
+            raise ValueError(f"tau must be finite in [0, 1), got tau={self.tau}")
+        if self.replications < 1:
+            raise ValueError("replications must be >= 1")
         if self.innovation_dist not in ("gaussian", "student_t4"):
             raise ValueError(f"unknown innovation_dist {self.innovation_dist!r}")
 

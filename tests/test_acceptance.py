@@ -4,6 +4,8 @@ Heavy Monte Carlo criteria run at desk scale (B = 100 or 50) with two
 worker processes; every tolerance below is fixed, not calibrated.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from nsdfm.benchmark import run_cell, run_diagnostics
@@ -67,7 +69,7 @@ def test_criterion_2_em_monotonicity():
             seed=1000 + k, replications=1,
         )
         sim = simulate_panel(cfg, 0)
-        res = fit(sim.spec, sim.panel, EMOptions(max_iter=60, detrend=sim.trend_set))
+        res = fit(replace(sim.spec, detrend=sim.trend_set), sim.panel, EMOptions(max_iter=60))
         ll = np.array(res.loglik_path)
         drops = np.diff(ll) + 1e-8 * np.maximum(1.0, np.abs(ll[:-1]))
         worst = min(np.min(drops), worst)

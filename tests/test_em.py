@@ -258,7 +258,7 @@ def test_fit_noiseless_panel_plateaus(rng):
 def test_fit_with_trend_series_detrends():
     cfg = MCConfig(n=25, T=80, q=2, s=0, n1=0, nb=5, tau=0.0, seed=7, replications=1)
     sim = simulate_panel(cfg, 0)
-    res = fit(sim.spec, sim.panel, EMOptions(max_iter=40, detrend=sim.trend_set))
+    res = fit(dataclasses.replace(sim.spec, detrend=sim.trend_set), sim.panel, EMOptions(max_iter=40))
     # OLS slopes are noisy under stochastic trends but live on the right set
     off = [i for i in range(cfg.n) if i not in sim.trend_set]
     np.testing.assert_array_equal(res.params.beta0[off], 0.0)
@@ -384,7 +384,7 @@ def test_standardize_fit_returns_original_scale(rng):
 def test_result_accessors(rng):
     cfg = MCConfig(n=20, T=40, q=1, s=0, n1=3, nb=3, tau=0.0, seed=13, replications=1)
     sim = simulate_panel(cfg, 0)
-    res = fit(sim.spec, sim.panel, EMOptions(max_iter=20, detrend=sim.trend_set))
+    res = fit(dataclasses.replace(sim.spec, detrend=sim.trend_set), sim.panel, EMOptions(max_iter=20))
     assert res.params.alpha0.shape == res.params.beta0.shape == (20,)
     off = [i for i in range(20) if i not in sim.trend_set]
     np.testing.assert_array_equal(res.params.alpha0[off], 0.0)
@@ -398,3 +398,33 @@ def test_options_reject_non_finite_values_and_a_non_integer_max_iter():
         with pytest.raises(ValueError):
             EMOptions(**kwargs)
     assert EMOptions(max_iter=np.int64(3), phi_policy=1e-5).max_iter == 3
+
+
+def test_fit_is_permutation_equivariant():
+    # relabelling the series relabels chi: this guards the index-set plumbing from
+    # ModelSpec through the pre-estimate, the layout and the M-step
+    cfg = MCConfig(n=40, T=60, n1=5, nb=5, seed=3)
+    sim = simulate_panel(cfg, 0)
+    rng = np.random.default_rng(3)
+    mask = rng.random((cfg.n, cfg.T)) >= 0.05
+    local = sorted(set(range(cfg.n)) - sim.i1_set - sim.trend_set)[:6]
+    sets = {"idio_i1": sim.i1_set, "local_level": set(local[:3]), "local_trend": set(local[3:]),
+            "detrend": sim.trend_set | set(local)}
+    assert all(sets.values())
+
+    def fitted(perm):
+        new = np.argsort(perm)  # series i of the original panel is series new[i] of the permuted one
+        spec = ModelSpec(cfg.n, cfg.T, cfg.q, p=cfg.p, **{k: {int(new[i]) for i in v} for k, v in sets.items()})
+        return fit(spec, Panel(np.where(mask, sim.x, 0.0)[perm], mask[perm]))
+
+    base = fitted(np.arange(cfg.n))
+    assert base.iterations > 2
+    # the deterministic intercept and slope are parameters exactly where no state carries them
+    series = np.arange(cfg.n)
+    np.testing.assert_array_equal(base.params.alpha0 != 0, np.isin(series, list(sets["detrend"] - sets["local_level"])))
+    np.testing.assert_array_equal(base.params.beta0 != 0, np.isin(series, list(sets["detrend"] - sets["local_trend"])))
+    for _ in range(4):
+        perm = rng.permutation(cfg.n)
+        res = fitted(perm)
+        assert res.iterations == base.iterations
+        assert np.max(np.abs(res.chi - base.chi[perm])) <= 1e-10 * np.max(np.abs(base.chi))

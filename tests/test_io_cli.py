@@ -175,6 +175,14 @@ def test_readme_config_example_loads(tmp_path):
     assert [(c.n, c.T, c.q) for c in cells] == [(75, 75, 2), (100, 100, 2), (200, 200, 2)]
 
 
+def test_readme_library_quickstart_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    converged, mse = capsys.readouterr().out.split()
+    assert converged == "True" and 0 < float(mse) < np.inf
+
+
 def test_cells_use_mc_key_names():
     cell = _parse_cells("n=30, q=1, dist=student_t4", {"T": "40"})[0]
     assert (cell.n, cell.T, cell.q, cell.innovation_dist) == (30, 40, 1, "student_t4")
@@ -433,6 +441,25 @@ def test_cli_bad_config_value_rejected_and_named(tmp_path, capsys, section, key,
     assert not (tmp_path / "out").exists()
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
         load_config(cfg)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["estimate", "--q", "200"], "q must satisfy"),
+    (["estimate", "--detrend", "500"], "detrend contains indices"),
+    (["estimate", "--idio-i1", "1,2", "--local-level", "2"], "in both idio_i1 and local_level"),
+    (["simulate", "--mu", "1.5"], "mu must be"),
+    (["simulate", "--tau", "-2"], "tau must be"),
+    (["benchmark", "--replications", "0"], "replications must be"),
+    (["diagnose", "--mu", "1"], "mu must be"),
+])
+def test_cli_rejected_spec_or_cell_writes_nothing(tmp_path, capsys, argv, named):
+    # the spec, the options and the cells are built before the output directory is made
+    if argv[0] == "estimate":
+        argv = argv + ["--input", str(_small_panel(tmp_path))]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and named in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_estimate_echoes_flags(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,21 @@ def test_non_spd_gamma_u_rejected():
             alpha0=np.zeros(3),
             beta0=np.zeros(3),
         ).validate(spec)
+
+
+def test_spec_index_sets():
+    spec = ModelSpec(n=6, T=10, q=1, idio_i1=[0], local_level=[1], local_trend=[1, 2])
+    assert spec.detrend is None and spec.detrend_set == {1, 2}
+    # None is resolved on each read, so a replaced local set carries over
+    assert replace(spec, local_trend={3}).detrend_set == {1, 3}
+    assert replace(spec, detrend=[4]).detrend_set == frozenset({4})
+    with pytest.raises(ValueError, match="detrend contains indices outside 0..5"):
+        ModelSpec(n=6, T=10, q=1, detrend={6})
+    # two random walks on one series are not identified; a local level and a local trend
+    # make a local linear trend, and stay allowed
+    with pytest.raises(ValueError, match=r"series \[2\] are in both idio_i1 and local_level"):
+        ModelSpec(n=6, T=10, q=1, idio_i1={0, 2}, local_level={2})
+    assert ModelSpec(n=6, T=10, q=1, idio_i1={0}, local_trend={0}).idio_im == {0}
 
 
 def test_state_dim_formula():

@@ -155,6 +155,15 @@ def test_config_validation():
         for value in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 MCConfig(n=10, T=10, **{field: value})
+    # mu is the modulus of the stationary factor roots, and tau^|i-j| is a correlation
+    # matrix only for |tau| < 1; a negative tau used to run as tau = 0
+    for field, values in (("mu", (0.0, -0.5, 1.0, 1.5)), ("tau", (-2.0, -0.5, 1.0, 1.5))):
+        for value in values:
+            with pytest.raises(ValueError, match=f"{field} must be finite in"):
+                MCConfig(n=10, T=10, **{field: value})
+    with pytest.raises(ValueError, match="replications must be >= 1"):
+        MCConfig(n=10, T=10, replications=0)
+    assert MCConfig(n=10, T=10, tau=0.0, mu=0.99, replications=1).tau == 0.0
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
