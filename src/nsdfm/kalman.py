@@ -9,9 +9,13 @@ Cholesky factor of P_{t|t-1}^{-1} + Z'R^{-1}Z, which costs O(n K^2) per
 step with the diagonal measurement covariance.  The innovation's
 quadratic form is a sum of two squares, e'R^{-1}e + m'P_{t|t-1}^{-1}m with
 m the gain times the innovation and e = x - Z a_{t|t}, so no term cancels
-however small a measurement variance is.  The filtered covariance is
-formed in Joseph form and re-symmetrized, which keeps the recursion
-stable under the near-diffuse initialization used for unit-root states.
+however small a measurement variance is.  With Z fixed, the filtered
+covariance is (P_{t|t-1}^{-1} + Z'R^{-1}Z)^{-1} = cMi'cMi, the matrix the
+gain is formed from, re-symmetrized: positive semidefinite by construction,
+like the Joseph form, and free of its four products per step.  A local-trend
+slope makes Z change with t, and there the filtered covariance stays in
+Joseph form, so that those fits keep their numbers: on such systems EM
+carries a one-ulp change of P_{t|t} into chi by more than 1e-12.
 
 The per-slot loops carry the recursion and little else.  The filter's
 loop updates the mean and keeps w_t = cPi m_t, with cPi the inverse
@@ -204,10 +208,12 @@ def _filter_step(ss: StateSpace, P_prev: np.ndarray, block: tuple | None, t: int
     Returns (P_{t|t-1}, P_{t|t}, gain, cPi, diag cP, diag cM): cPi is the
     inverse of the Cholesky factor cP of P_{t|t-1}, which the innovation's
     quadratic form needs, and cM the Cholesky factor of P_{t|t-1}^{-1} +
-    Z'R^{-1}Z; the two diagonals give log det S.  Only the two covariances
-    are returned when no row is observed.  The covariances are formed in
-    ``out[0]`` and ``out[1]`` (a (2, K, K) bank entry), with the bytes of
-    the out-of-place products.
+    Z'R^{-1}Z; the two diagonals give log det S.  The gain is cMi'cMi Z'R^{-1}
+    with cMi the inverse of cM.  P_{t|t} is sym(cMi'cMi) when Z does not
+    change with t, and the Joseph form of P_{t|t-1} and the gain when it does.
+    Only the two covariances are returned when no row is observed.  The
+    covariances are formed in ``out[0]`` and ``out[1]`` (a (2, K, K) bank
+    entry), with the bytes of the out-of-place products.
     """
     P, P_filt = out
     np.matmul(ss.transition_map @ P_prev, ss.transition_map.T, out=P)
@@ -225,11 +231,15 @@ def _filter_step(ss: StateSpace, P_prev: np.ndarray, block: tuple | None, t: int
             M += ZrZ
             cM = _umath_linalg.cholesky_lo(_symmetrize(M), signature="d->d")
             cMi = _umath_linalg.inv(cM, signature="d->d")
-        gain = (cMi.T @ cMi) @ Zr
+        # (P^{-1} + Z' R^{-1} Z)^{-1}, which is P_{t|t}; the Joseph form overwrites it where Z varies
+        gain = np.matmul(cMi.T, cMi, out=P_filt) @ Zr
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"P_{{t|t-1}} or P_{{t|t-1}}^-1 + Z'R^-1 Z not positive definite at t={t}; check the variances"
         ) from exc
+    if not ss.time_varying:
+        _symmetrize(P_filt)
+        return P, P_filt, gain, cPi, cP.diagonal(), cM.diagonal()
     IKZ = gain @ Z
     np.negative(IKZ, out=IKZ)
     IKZ.ravel()[::P.shape[0] + 1] += 1.0         # I - gain Z without a K x K identity per step

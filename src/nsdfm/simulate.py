@@ -69,8 +69,11 @@ class MCConfig:
             raise ValueError(f"T must be >= 3, got T={self.T}")
         if not 0 < self.d <= self.q:
             raise ValueError("cointegration rank d must satisfy 0 < d <= q")
-        if self.n1 >= self.n or self.nb >= self.n:
-            raise ValueError("n1 and nb must be smaller than n")
+        if self.p < 1:
+            raise ValueError(f"VAR order p must be >= 1, got p={self.p}")
+        for name in ("n1", "nb"):
+            if not 0 <= getattr(self, name) < self.n:
+                raise ValueError(f"{name} must be in [0, n), got {name}={getattr(self, name)} with n={self.n}")
         if self.s not in (0, 1):
             raise ValueError("the benchmark design uses s in {0, 1}")
         # each bound fails NaN too; mu is the stationary factor roots' modulus, tau^|i-j| a correlation if |tau| < 1

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nsdfm.em import EMOptions, SufficientStats, _solve_measurement, e_step, fit, m_step_var
+from nsdfm.em import EMOptions, SufficientStats, _scale_exponent, _solve_measurement, e_step, fit, m_step_var
 from nsdfm.kalman import kf_filter
 from nsdfm.model import ModelSpec, Panel, Params, build_state_space
 from nsdfm.simulate import MCConfig, simulate_panel
@@ -428,3 +428,54 @@ def test_fit_is_permutation_equivariant():
         res = fitted(perm)
         assert res.iterations == base.iterations
         assert np.max(np.abs(res.chi - base.chi[perm])) <= 1e-10 * np.max(np.abs(base.chi))
+
+
+def _slack_adjusted_fall(loglik_path) -> float:
+    """Largest fall of a log-likelihood path beyond criterion 2's slack (0 when none)."""
+    ll = np.array(loglik_path)
+    return float(max(0.0, -np.min(np.diff(ll) + 1e-8 * np.maximum(1.0, np.abs(ll[:-1])))))
+
+
+@pytest.mark.parametrize("c", [1.0e3, 1.0e6])
+def test_fit_at_large_data_scale_converges_without_a_fall(c):
+    # ROADMAP item 2's probe: unscaled, x1000 fell by 3.5 nats and x1e6 raised LinAlgError at t = 1
+    sim = simulate_panel(MCConfig(n=40, T=60, n1=5, seed=3), 0)
+    res = fit(sim.spec, Panel(sim.panel.data * c, sim.panel.missing_mask), EMOptions(max_iter=50))
+    assert res.converged and res.iterations <= 10
+    assert _slack_adjusted_fall(res.loglik_path) == 0.0
+
+
+def test_fit_outside_the_scale_band_is_power_of_two_equivariant():
+    # outside [2^-4, 2^4) fit divides the panel by 2^k; so x and 2^j x, both outside, fit the same
+    # panel, and every output maps back exactly, loglik_path by the Jacobian -N_obs j ln 2
+    sim = simulate_panel(MCConfig(n=40, T=60, n1=5, seed=3), 0)
+    mask = sim.panel.missing_mask.copy()
+    mask[np.random.default_rng(4).random(mask.shape) < 0.05] = False
+    x = np.where(mask, sim.x * 1000.0, np.nan)
+    base = fit(sim.spec, Panel(x, mask), EMOptions(max_iter=50))
+    factors = slice(0, sim.spec.layout.n_factor_states)
+    for j in (-30, 12):
+        res = fit(sim.spec, Panel(x * 2.0 ** j, mask), EMOptions(max_iter=50))
+        assert res.iterations == base.iterations
+        np.testing.assert_array_equal(res.chi, base.chi * 2.0 ** j)
+        np.testing.assert_array_equal(res.params.loadings[0], base.params.loadings[0] * 2.0 ** j)
+        np.testing.assert_array_equal(res.params.gamma_e_diag, base.params.gamma_e_diag * 4.0 ** j)
+        np.testing.assert_array_equal(res.smoothed_means[:, factors], base.smoothed_means[:, factors])
+        np.testing.assert_array_equal(res.smoothed_means[:, factors.stop:],
+                                      base.smoothed_means[:, factors.stop:] * 2.0 ** j)
+        shifted = np.array(base.loglik_path) - mask.sum() * j * np.log(2.0)
+        np.testing.assert_allclose(res.loglik_path, shifted, rtol=1e-12, atol=0.0)
+
+
+def test_scale_exponent_band():
+    # k = 0 while the median differenced sd lies in [2^-4, 2^4); outside, the panel divided by 2^k
+    # has that median in [1, 2).  Missing cells hold inf, which the median must not read.
+    rng = np.random.default_rng(5)
+    walk = np.cumsum(rng.standard_normal((30, 80)), axis=1)
+    walk /= np.median(np.std(np.diff(walk, axis=1), axis=1))
+    full = np.ones(walk.shape, dtype=bool)
+    for c, k in ((0.0626, 0), (0.0624, -5), (15.9, 0), (16.1, 4), (1.0e-30, -100), (0.0, 0)):
+        assert _scale_exponent(Panel(walk * c, full)) == k, c
+    mask = rng.random(walk.shape) >= 0.1
+    for c, k in ((1.0, 0), (1.4e-3, -10), (7.0e5, 19)):
+        assert _scale_exponent(Panel(np.where(mask, walk * c, np.inf), mask)) == k, c

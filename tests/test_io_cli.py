@@ -451,6 +451,11 @@ def test_cli_bad_config_value_rejected_and_named(tmp_path, capsys, section, key,
     (["simulate", "--tau", "-2"], "tau must be"),
     (["benchmark", "--replications", "0"], "replications must be"),
     (["diagnose", "--mu", "1"], "mu must be"),
+    (["benchmark", "--n", "10", "--T", "20", "--replications", "2", "--p", "0"], "p must be >= 1, got p=0"),
+    (["simulate", "--p", "0"], "p must be >= 1"),
+    (["simulate", "--n1", "-1"], "n1 must be in [0, n)"),
+    (["simulate", "--nb", "-2"], "nb must be in [0, n)"),
+    (["simulate", "--n", "10", "--nb", "10"], "nb must be in [0, n)"),
 ])
 def test_cli_rejected_spec_or_cell_writes_nothing(tmp_path, capsys, argv, named):
     # the spec, the options and the cells are built before the output directory is made

@@ -14,6 +14,7 @@ from nsdfm.kalman import (
     _BANK_START,
     _filter_step,
     _measurement_block,
+    _symmetrize,
     kf_filter,
     ks_smooth,
     steady_state_diagnostics,
@@ -435,13 +436,9 @@ def test_filter_raises_naming_t_when_a_factorization_fails(case, t_fail):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.mark.parametrize("n1", [20, 50])
-@pytest.mark.parametrize("kappa", [1.0e7, 1.0])
-def test_step_factors_equal_numpy_linalg_bitwise(monkeypatch, n1, kappa):
-    # the step calls the gufuncs behind np.linalg.cholesky and np.linalg.inv
-    # directly; cP, cPi, cM and cMi must be the bytes those functions return,
-    # at K = 24 and K = 54, with and without a diffuse block (the extra
-    # states' initial variance KAPPA, or 1 written over it)
+def factor_test_system(n1, kappa):
+    """K = n1 + 4 fixed-Z system of a simulated panel with 20 % of cells missing, and its initial
+    moments with the extra states' initial variance set to ``kappa``."""
     sim = simulate_panel(MCConfig(n=60, T=12, q=2, s=0, n1=n1, seed=5, replications=1), 0)
     pre = pre_estimate(sim.spec, sim.panel)
     ss = build_state_space(sim.spec, pre.params)
@@ -451,7 +448,12 @@ def test_step_factors_equal_numpy_linalg_bitwise(monkeypatch, n1, kappa):
     assert np.all(init_cov[extra, extra] == KAPPA)
     init_cov[extra, extra] = kappa
     mask = np.random.default_rng(n1).random(sim.x.shape) >= 0.2
-    calls = []  # (name, input, output) of every factorization the filter makes
+    return ss, Panel(np.where(mask, sim.x, np.nan), mask), pre.init_state_mean, init_cov
+
+
+def filter_recording_factors(monkeypatch, ss, panel, init_mean, init_cov):
+    """``kf_filter``'s output and the (name, input, output) of every factorization and inverse it made."""
+    calls = []
 
     def recording(name):
         def call(a, **kwargs):
@@ -462,9 +464,79 @@ def test_step_factors_equal_numpy_linalg_bitwise(monkeypatch, n1, kappa):
 
     monkeypatch.setattr(nsdfm.kalman, "_umath_linalg",
                         types.SimpleNamespace(cholesky_lo=recording("cholesky_lo"), inv=recording("inv")))
-    filt = kf_filter(ss, Panel(np.where(mask, sim.x, np.nan), mask), pre.init_state_mean, init_cov)
-    observed_steps = len(set(filt.step_index[1:][mask.any(axis=0)].tolist()))
+    return kf_filter(ss, panel, init_mean, init_cov), calls
+
+
+@pytest.mark.parametrize("n1", [20, 50])
+@pytest.mark.parametrize("kappa", [1.0e7, 1.0])
+def test_step_factors_equal_numpy_linalg_bitwise(monkeypatch, n1, kappa):
+    # the step calls the gufuncs behind np.linalg.cholesky and np.linalg.inv
+    # directly; cP, cPi, cM and cMi must be the bytes those functions return,
+    # at K = 24 and K = 54, with and without a diffuse block (the extra
+    # states' initial variance KAPPA, or 1 written over it)
+    ss, panel, init_mean, init_cov = factor_test_system(n1, kappa)
+    filt, calls = filter_recording_factors(monkeypatch, ss, panel, init_mean, init_cov)
+    observed_steps = len(set(filt.step_index[1:][panel.missing_mask.any(axis=0)].tolist()))
     assert [name for name, _, _ in calls] == ["cholesky_lo", "inv", "cholesky_lo", "inv"] * observed_steps
     reference = {"cholesky_lo": np.linalg.cholesky, "inv": np.linalg.inv}
     for name, a, out in calls:
         np.testing.assert_array_equal(out, reference[name](a), strict=True)
+
+
+def computed_steps(filt, panel, calls):
+    """Per computed step that observed a row, in the order computed: (P_{t|t-1}, P_{t|t}, observed rows,
+    zero-based time index, the inverse Cholesky factor cMi of P_{t|t-1}^{-1} + Z'R^{-1}Z)."""
+    cMi = iter(out for _, _, out in calls[3::4])
+    first_slot = {}
+    for t, j in enumerate(filt.step_index.tolist()):
+        first_slot.setdefault(j, t)
+    for j in range(1, len(filt.cov_bank)):
+        obs = panel.missing_mask[:, first_slot[j] - 1].nonzero()[0]
+        if obs.size:
+            yield (*filt.cov_bank[j], obs, first_slot[j] - 1, next(cMi))
+
+
+def joseph_form(P_pred, Z, r_diag, gain):
+    """(I - gain Z) P_{t|t-1} (I - gain Z)' + gain R gain', symmetrized, in the filter's order of operations."""
+    IKZ = gain @ Z
+    np.negative(IKZ, out=IKZ)
+    IKZ.ravel()[::len(IKZ) + 1] += 1.0
+    P = (IKZ @ P_pred) @ IKZ.T
+    P += (gain * r_diag) @ gain.T
+    return _symmetrize(P)
+
+
+@pytest.mark.parametrize("n1", [20, 50])
+@pytest.mark.parametrize("kappa", [1.0e7, 1.0])
+def test_fixed_z_filtered_cov_is_the_gain_factors_inverse(monkeypatch, n1, kappa):
+    # with Z fixed, P_{t|t} is sym(cMi' cMi) = (P_{t|t-1}^{-1} + Z'R^{-1}Z)^{-1}, the matrix the gain
+    # is formed from.  It must agree with the Joseph form of the same P_{t|t-1} and gain to 1e-9 of
+    # each entry's scale sqrt(P_ii P_jj): the largest gap over these 48 steps is 3.2e-11, at K = 54
+    # on the diffuse first step, where P_{t|t} has condition number 4e13
+    ss, panel, init_mean, init_cov = factor_test_system(n1, kappa)
+    assert not ss.time_varying
+    filt, calls = filter_recording_factors(monkeypatch, ss, panel, init_mean, init_cov)
+    steps = list(computed_steps(filt, panel, calls))
+    assert len(steps) == len(calls) // 4 > 0
+    for P_pred, P_filt, obs, _, cMi in steps:
+        Minv = cMi.T @ cMi
+        np.testing.assert_array_equal(P_filt, _symmetrize(Minv.copy()), strict=True)
+        Z, r_diag = ss.measurement_base[obs], ss.measurement_cov_diag[obs]
+        joseph = joseph_form(P_pred, Z, r_diag, Minv @ (Z.T / r_diag))
+        d = np.sqrt(np.diag(P_filt))
+        assert np.max(np.abs(P_filt - joseph) / np.outer(d, d)) < 1.0e-9
+
+
+def test_time_varying_filtered_cov_stays_the_joseph_form(monkeypatch):
+    # with a local-trend slope Z changes with t, and P_{t|t} is the Joseph form, bit for bit
+    rng = np.random.default_rng(213)
+    spec, params, panel = ragged_local_trend_panel(rng)
+    ss = build_state_space(spec, params)
+    assert ss.time_varying
+    filt, calls = filter_recording_factors(monkeypatch, ss, panel, np.zeros(ss.K), np.eye(ss.K) * 10.0)
+    steps = list(computed_steps(filt, panel, calls))
+    assert len(steps) == len(calls) // 4 > 0
+    for P_pred, P_filt, obs, t, cMi in steps:
+        Z, r_diag = measurement_map(ss, t)[obs], ss.measurement_cov_diag[obs]
+        joseph = joseph_form(P_pred, Z, r_diag, (cMi.T @ cMi) @ (Z.T / r_diag))
+        np.testing.assert_array_equal(P_filt, joseph, strict=True)
