@@ -252,13 +252,15 @@ def cmd_benchmark(args) -> int:
 def cmd_diagnose(args) -> int:
     sections = _sections(args)
     cfg = mc_config_from_section(sections.get("mc", {}))
-    out = _out_dir(args, sections)
     try:
         n_grid = tuple(int(tok) for tok in args.n_grid.split(",") if tok.strip())
     except ValueError:
-        print(f"error: bad --n-grid {args.n_grid!r}", file=sys.stderr)
+        n_grid = ()
+    if not n_grid:
+        print(f"error: bad --n-grid {args.n_grid!r}: name at least one panel size", file=sys.stderr)
         return EXIT_USAGE
-    diag = run_diagnostics(cfg, n_grid=n_grid)
+    diag = run_diagnostics(cfg, n_grid=n_grid)  # a bad size raises here, before the output directory is made
+    out = _out_dir(args, sections)
     echo = _config_echo(sections, {"seed": cfg.seed, "horizon": DIAGNOSTIC_HORIZON})
     rows = []
     for n in n_grid:

@@ -51,18 +51,12 @@ class EMOptions:
     ``tolerance``.  Initial values (the diffuse ``KAPPA`` included) and
     variance floors are constants of :mod:`nsdfm.pre_estimate`, not options.
 
-    ``standardize`` divides each series by the standard deviation of its
-    observed first differences (by 1 where that is zero or undefined)
-    before the fit, then maps chi, the parameters and the xi, alpha and
-    beta paths of ``smoothed_means`` back to the data's scale (the factor
-    paths need no map: the loadings carry the scale); ``loglik_path``
-    stays on the standardized scale.  It moves the numbers even on data of
-    unit scale: a standard deviation near 1 still rescales every value, and
-    the fixed initial variances and floors, being absolute, weigh
-    differently against the rescaled series.  Without ``standardize``,
-    ``fit`` still rescales the whole panel by a power of two when its scale
-    lies outside [2^-4, 2^4) (see :func:`fit`); that is exact, and no
-    option controls it.
+    ``standardize`` makes ``fit`` divide each series by the standard
+    deviation of its observed first differences, in place of the one power
+    of two it divides the whole panel by otherwise (see :func:`fit`).  It
+    moves the numbers even on data of unit scale: a standard deviation near
+    1 still rescales every value, and the fixed initial variances and
+    floors, being absolute, weigh differently against the rescaled series.
 
     ``phi_policy`` is either "estimated" (the small measurement variances
     of series with extra states are updated every iteration) or a float,
@@ -409,20 +403,22 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
     the last iterate, not the best one seen, with ``converged=False``.
 
     The initial variances, floors and diffuse ``KAPPA`` are absolute, so
-    they suit data of one scale.  Unless ``options.standardize`` is set,
-    ``fit`` reads the median over series of the standard deviation of the
-    observed first differences.  Inside [2^-4, 2^4) it fits the panel as
-    given.  Outside, it divides the panel by 2^k, k = floor(log2 median),
-    fits that, and maps chi, the parameters and the xi, alpha and beta
-    paths of ``smoothed_means`` back; ``loglik_path`` is shifted by the
-    exact Jacobian -N_obs k ln 2, so it is the data's log-likelihood.
-    Division by a power of two is exact, so panels x and 2^j x both outside
-    the band give fits equal up to that factor, bit for bit.  The rescaled
-    median lies in [1, 2): the stopping rule is relative to the size of the
-    log-likelihood, which moves with the scale, and on the simulated panel
-    ``MCConfig(n=40, T=60, n1=5, seed=3)`` scaled by 1e-3 to 1e6 that
-    target stops EM in 5-6 iterations, as at the panel's own scale, where
-    [1/2, 1) took up to 27.
+    they suit data of one scale.  ``fit`` divides each series i by a
+    divisor c_i read from the standard deviations of the series' observed
+    first differences, fits that panel, and maps chi, the parameters and
+    the xi, alpha and beta paths of ``smoothed_means`` back (the factor
+    paths need no map: the loadings carry the scale); ``loglik_path`` is
+    shifted by the Jacobian -sum_i N_obs,i log c_i, so it is the data's
+    log-likelihood.  Under ``options.standardize`` c_i is series i's own
+    standard deviation.  Otherwise every c_i is 2^k: k = 0 while the median
+    standard deviation lies in [2^-4, 2^4), and k = floor(log2 median)
+    outside, so the divided median lies in [1, 2).  Division by a power of
+    two is exact, so panels x and 2^j x both outside the band give fits
+    equal up to that factor, bit for bit.  The target is [1, 2) because the
+    stopping rule is relative to the size of the log-likelihood, which moves
+    with the scale: on the simulated panel ``MCConfig(n=40, T=60, n1=5,
+    seed=3)`` scaled by 1e-3 to 1e6 it stops EM in 5-6 iterations, as at
+    the panel's own scale, where [1/2, 1) took up to 27.
 
     With the tiny phi device on series that carry extra states, the
     smoothed extra states are almost exactly x - lambda'f, so the M-step's
@@ -433,18 +429,8 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
     if (panel.n, panel.T) != (spec.n, spec.T):
         raise ValueError(f"panel is {panel.n}x{panel.T}, spec says {spec.n}x{spec.T}")
 
-    scale = np.ones(spec.n)
-    exponent = 0
-    if options.standardize:
-        dx = np.diff(panel.data, axis=1)
-        ok = panel.missing_mask[:, 1:] & panel.missing_mask[:, :-1]
-        for i in range(spec.n):
-            sd = np.std(dx[i, ok[i]]) if ok[i].any() else 1.0
-            scale[i] = sd if sd > 0 else 1.0
-    else:
-        exponent = _scale_exponent(panel)
-        scale[:] = np.ldexp(1.0, exponent)
-    rescaled = options.standardize or exponent != 0
+    scale = _series_scale(panel, options.standardize)
+    rescaled = bool(np.any(scale != 1.0))
     if rescaled:
         panel = Panel(panel.data / scale[:, None], panel.missing_mask)
 
@@ -487,9 +473,8 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
         params = _rescale_params(params, scale)
         smoothed_means = smoothed_means.copy()
         smoothed_means[:, lay.n_factor_states:] *= scale[list(lay.extra_series)]
-    if exponent:
-        # the density of 2^k y is 2^(-k) per observed cell times that of y
-        shift = int(panel.missing_mask.sum()) * exponent * np.log(2.0)
+        # the density of x_i = c_i y_i is 1/c_i per observed cell times that of y_i
+        shift = float(panel.missing_mask.sum(axis=1) @ np.log(scale))
         logliks = [ll - shift for ll in logliks]
 
     return EMResult(
@@ -502,28 +487,28 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
     )
 
 
-def _scale_exponent(panel: Panel) -> int:
-    """The k of ``fit``'s power-of-two rescaling: 0 when the data's scale lies in [2^-4, 2^4) or is 0.
+def _series_scale(panel: Panel, standardize: bool) -> np.ndarray:
+    """The per-series divisor ``fit`` applies to the panel before it fits.
 
-    The scale is the median over series of the standard deviation of each
-    series' first differences between observed neighbours (series with no
-    such pair are left out); outside the band k is floor(log2) of it, read
-    exactly from its ``frexp`` exponent, so the panel divided by 2^k has that
-    median in [1, 2).
+    Both choices read each series' standard deviation of its first
+    differences between observed neighbours.  Under ``standardize`` the
+    divisor is that value, or 1 where it is 0 (a constant series, or no
+    such pair).  Otherwise every series gets one power of two, 2^k: k = 0
+    when the median of those values over the series that have a pair lies
+    in [2^-4, 2^4) or is 0, and else floor(log2 median), read exactly from
+    its ``frexp`` exponent, so that the divided panel has that median in [1, 2).
     """
     mask = panel.missing_mask
     ok = mask[:, 1:] & mask[:, :-1]
     pairs = ok.sum(axis=1)
-    seen = pairs > 0
-    if not seen.any():
-        return 0
     dx = np.where(ok, np.diff(np.where(mask, panel.data, 0.0), axis=1), 0.0)
-    mean = dx[seen].sum(axis=1) / pairs[seen]
-    var = (np.where(ok[seen], dx[seen] - mean[:, None], 0.0) ** 2).sum(axis=1) / pairs[seen]
-    median = float(np.median(np.sqrt(var)))
-    if 2.0 ** -4 <= median < 2.0 ** 4 or median == 0.0:
-        return 0
-    return int(np.frexp(median)[1]) - 1
+    mean = dx.sum(axis=1) / np.maximum(pairs, 1)
+    sd = np.sqrt((np.where(ok, dx - mean[:, None], 0.0) ** 2).sum(axis=1) / np.maximum(pairs, 1))
+    if standardize:
+        return np.where(sd > 0, sd, 1.0)
+    median = float(np.median(sd[pairs > 0])) if pairs.any() else 0.0
+    k = 0 if 2.0 ** -4 <= median < 2.0 ** 4 or median == 0.0 else int(np.frexp(median)[1]) - 1
+    return np.full(panel.n, np.ldexp(1.0, k))
 
 
 def _rescale_params(params: Params, scale: np.ndarray) -> Params:

@@ -191,6 +191,14 @@ def parse_finite(text: str) -> float:
     return value
 
 
+def parse_positive(text: str) -> int:
+    """The integer ``text`` spells, which must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} is below 1")
+    return value
+
+
 # The one config schema: section -> key -> parser of the key's text.  The CLI
 # builds its flags from it, one per key a command reads, so a flag and its key
 # never differ ([mc] cells and [io] jobs are benchmark's; [io] out_dir is --out-dir).
@@ -207,7 +215,7 @@ SCHEMA = {
         "n": int, "T": int, "q": int, "s": int, "d": int, "p": int, "n1": int, "nb": int, "tau": parse_finite,
         "theta": parse_finite, "mu": parse_finite, "replications": int, "dist": str, "seed": int, "cells": str,
     },
-    "io": {"out_dir": str, "jobs": int},
+    "io": {"out_dir": str, "jobs": parse_positive},
 }
 
 

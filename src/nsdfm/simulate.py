@@ -67,6 +67,8 @@ class MCConfig:
         # each series needs two first differences for the generator's variance rescaling
         if self.T < 3:
             raise ValueError(f"T must be >= 3, got T={self.T}")
+        if not 0 < self.q < self.n:
+            raise ValueError(f"q must satisfy 0 < q < n, got q={self.q} with n={self.n}")
         if not 0 < self.d <= self.q:
             raise ValueError("cointegration rank d must satisfy 0 < d <= q")
         if self.p < 1:

@@ -8,6 +8,8 @@ moments and the log-density directly, with no Kalman recursion involved.
 the moment reduction as plain per-slot recursions over (T+1, K, K) arrays,
 the references for the banked versions.  ``measurement_map`` and
 ``lag_one_covs`` form Z_t and the per-slot lag-one covariances directly.
+``expected_complete_loglik`` is the objective the M-step maximizes,
+written from the model over per-slot smoothed moments.
 """
 
 from __future__ import annotations
@@ -243,6 +245,58 @@ def per_slot_reduce_moments(spec: ModelSpec, panel: Panel, S, P, L1, loglik: flo
         sum_xx=sum_xx, sum_xw=sum_xw, sum_ww=sum_ww,
         n_obs=n_obs, loglik=float(loglik),
     )
+
+
+def expected_complete_loglik(spec: ModelSpec, params: Params, panel: Panel, means, covs, lag_covs) -> float:
+    """Expected complete-data log-likelihood Q(params) over t = 1..T, given s_0.
+
+    ``means`` (T+1, K), ``covs`` (T+1, K, K) and ``lag_covs`` (T+1, K, K),
+    whose slot t holds Cov(s_t, s_{t-1}), are per-slot smoothed moments in
+    ``spec.layout`` order.  Q sums three kinds of Gaussian log-density, each
+    in expectation under those moments, E[(a'v)^2] = (a'E v)^2 + a' Cov(v) a:
+    the factor VAR innovation f_t - sum_k A_k f_{t-k}; the random-walk
+    innovation of each extra state (xi of ``idio_i1`` with variance
+    ``gamma_e_diag``, alpha of ``local_level`` with ``sigma2_omega``, beta of
+    ``local_trend`` with ``sigma2_eta``, each block in sorted series order);
+    and each observed cell x_it - alpha0_i - beta0_i t - sum_k b_ik' f_{t-k}
+    - xi_it - alpha_it - t beta_it, with variance ``sigma2_nu`` on series
+    with an extra state and ``gamma_e_diag`` elsewhere.  It reads neither
+    :class:`SufficientStats` nor :func:`build_state_space`.
+    """
+    x, mask = panel.data, panel.missing_mask
+    q, K = spec.q, means.shape[1]
+    r = q * max(spec.s + 1, spec.p)
+    # (series, innovation variance, whether the state is a slope, which loads t) of each extra state
+    extra = ([(i, params.gamma_e_diag[i], False) for i in sorted(spec.idio_i1)]
+             + [(i, params.sigma2_omega[i], False) for i in sorted(spec.local_level)]
+             + [(i, params.sigma2_eta[i], True) for i in sorted(spec.local_trend)])
+    gamma_inv = np.linalg.inv(params.gamma_u)
+    log_det = np.linalg.slogdet(params.gamma_u)[1]
+    log2pi = np.log(2.0 * np.pi)
+    # u_t = G (s_t, s_{t-1}): f_t is block 0 of s_t, and f_{t-k} block k-1 of s_{t-1}
+    G = np.zeros((q, 2 * K))
+    G[:, :q] = np.eye(q)
+    for k, A in enumerate(params.var_coeffs):
+        G[:, K + k * q:K + (k + 1) * q] = -A
+    Q = 0.0
+    for t in range(1, spec.T + 1):
+        m = np.concatenate([means[t], means[t - 1]])
+        E = np.outer(m, m) + np.block([[covs[t], lag_covs[t]], [lag_covs[t].T, covs[t - 1]]])
+        Q -= 0.5 * (q * log2pi + log_det + np.trace(gamma_inv @ G @ E @ G.T))
+        for j, (_, var, _) in enumerate(extra):
+            dv = E[r + j, r + j] + E[K + r + j, K + r + j] - 2.0 * E[r + j, K + r + j]
+            Q -= 0.5 * (log2pi + np.log(var) + dv / var)
+        for i in np.nonzero(mask[:, t - 1])[0]:
+            h = np.zeros(K)
+            for k, B in enumerate(params.loadings):
+                h[k * q:(k + 1) * q] = B[i]
+            for j, (series, _, slope) in enumerate(extra):
+                if series == i:
+                    h[r + j] = float(t) if slope else 1.0
+            resid = x[i, t - 1] - params.alpha0[i] - params.beta0[i] * t - h @ means[t]
+            var = params.sigma2_nu[i] if i in spec.idio_im else params.gamma_e_diag[i]
+            Q -= 0.5 * (log2pi + np.log(var) + (resid ** 2 + h @ covs[t] @ h) / var)
+    return float(Q)
 
 
 def ols_line_fit(y: np.ndarray):

@@ -3,13 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nsdfm.em import EMOptions, SufficientStats, _scale_exponent, _solve_measurement, e_step, fit, m_step_var
+from nsdfm.em import (EMOptions, SufficientStats, _m_step, _series_scale, _solve_measurement, e_step, fit,
+                      m_step_var)
 from nsdfm.kalman import kf_filter
 from nsdfm.model import ModelSpec, Panel, Params, build_state_space
 from nsdfm.simulate import MCConfig, simulate_panel
 from conftest import random_instance, random_panel, settled_panel
-from oracles import (joint_gaussian_moments, lag_one_covs, per_slot_reduce_moments, per_slot_smooth,
-                     simulate_from_params)
+from oracles import (expected_complete_loglik, joint_gaussian_moments, lag_one_covs, per_slot_reduce_moments,
+                     per_slot_smooth, simulate_from_params)
 
 
 def stats_from_states(F: np.ndarray, x: np.ndarray, spec):
@@ -202,6 +203,66 @@ def test_banked_e_step_equals_per_slot_oracle(case):
         assert len(smooth.cov_bank) < panel.T and len(smooth.lag_bank) < panel.T
     else:
         assert len(filt.cov_bank) == len(smooth.cov_bank) == len(smooth.lag_bank) == panel.T + 1
+
+
+def _m_step_instance(case: str, rng):
+    """(spec, params, panel) for the M-step check: extra states or none, gaps, detrended series."""
+    while True:
+        spec, params = random_instance(rng, n=5, T=40, with_states=case != "plain")
+        if case == "plain" or (case == "states" and spec.idio_im) or spec.local_trend:
+            break
+    detrend = frozenset() if case == "plain" else frozenset(rng.choice(spec.n, size=2, replace=False).tolist())
+    spec = dataclasses.replace(spec, detrend=detrend | spec.local_level | spec.local_trend)
+    return spec, params, random_panel(spec, rng, missing_frac=0.0 if case == "plain" else 0.1)
+
+
+def _block_perturbations(spec, new, alpha_free, beta_free, rng, h=1e-4):
+    """Small feasible moves of each M-step block of ``new``, both ways along random directions."""
+    q = spec.q
+    moves = []
+    for sign in (1.0, -1.0):
+        step = sign * h
+        for i in range(spec.n):
+            # series i's loadings, with its intercept and slope (scaled by 1/T, as it multiplies t)
+            # where they are parameters
+            loadings = [B.copy() for B in new.loadings]
+            for B in loadings:
+                B[i] += step * rng.standard_normal(q)
+            alpha0, beta0 = new.alpha0.copy(), new.beta0.copy()
+            alpha0[i] += step * rng.standard_normal() * alpha_free[i]
+            beta0[i] += step * rng.standard_normal() * beta_free[i] / spec.T
+            moves.append((f"coef[{i}]", dataclasses.replace(new, loadings=loadings, alpha0=alpha0, beta0=beta0)))
+        moves.append(("var_coeffs", dataclasses.replace(
+            new, var_coeffs=[A + step * rng.standard_normal(A.shape) for A in new.var_coeffs])))
+        W = rng.standard_normal((q, q))
+        moves.append(("gamma_u", dataclasses.replace(new, gamma_u=new.gamma_u + step * (W + W.T))))
+        for name in ("gamma_e_diag", "sigma2_omega", "sigma2_eta", "sigma2_nu"):
+            v = getattr(new, name)
+            moves.append((name, dataclasses.replace(new, **{name: v * np.exp(step * rng.standard_normal(v.shape))})))
+    return moves
+
+
+@pytest.mark.parametrize("case, seed", [("plain", 0), ("plain", 1), ("states", 2), ("states", 3),
+                                        ("local_trend", 4), ("local_trend", 5)])
+def test_m_step_maximizes_the_expected_complete_loglik(case, seed):
+    # EM's M-step must return the maximizer of Q over every block; Q is written from the model over
+    # the smoother's per-slot moments, so a fault in reduce_moments moves the M-step off its maximum
+    rng = np.random.default_rng(seed + 300)
+    spec, params, panel = _m_step_instance(case, rng)
+    K = spec.layout.K
+    stats, smooth = e_step(spec, params, panel, np.zeros(K), np.eye(K) * 2.0)
+    alpha_free = np.isin(np.arange(spec.n), list(spec.detrend_set - spec.local_level))
+    beta_free = np.isin(np.arange(spec.n), list(spec.detrend_set - spec.local_trend))
+    new = _m_step(stats, spec, params, EMOptions(), alpha_free, beta_free, spec.T)
+
+    def Q(p):
+        return expected_complete_loglik(spec, p, panel, smooth.smoothed_means, smooth.smoothed_covs,
+                                        lag_one_covs(smooth))
+
+    best = Q(new)
+    assert best > Q(params)
+    for block, moved in _block_perturbations(spec, new, alpha_free, beta_free, rng):
+        assert Q(moved) <= best + 1e-12 * abs(best), block
 
 
 def test_loadings_fixed_point_with_exact_factors(rng):
@@ -468,14 +529,39 @@ def test_fit_outside_the_scale_band_is_power_of_two_equivariant():
 
 
 def test_scale_exponent_band():
-    # k = 0 while the median differenced sd lies in [2^-4, 2^4); outside, the panel divided by 2^k
-    # has that median in [1, 2).  Missing cells hold inf, which the median must not read.
+    # without standardize every series gets 2^k: k = 0 while the median differenced sd lies in
+    # [2^-4, 2^4); outside, the panel divided by 2^k has that median in [1, 2).  Missing cells
+    # hold inf, which the median must not read.
     rng = np.random.default_rng(5)
     walk = np.cumsum(rng.standard_normal((30, 80)), axis=1)
     walk /= np.median(np.std(np.diff(walk, axis=1), axis=1))
     full = np.ones(walk.shape, dtype=bool)
     for c, k in ((0.0626, 0), (0.0624, -5), (15.9, 0), (16.1, 4), (1.0e-30, -100), (0.0, 0)):
-        assert _scale_exponent(Panel(walk * c, full)) == k, c
+        np.testing.assert_array_equal(_series_scale(Panel(walk * c, full), False), 2.0 ** k, str(c))
     mask = rng.random(walk.shape) >= 0.1
     for c, k in ((1.0, 0), (1.4e-3, -10), (7.0e5, 19)):
-        assert _scale_exponent(Panel(np.where(mask, walk * c, np.inf), mask)) == k, c
+        np.testing.assert_array_equal(_series_scale(Panel(np.where(mask, walk * c, np.inf), mask), False),
+                                      2.0 ** k, str(c))
+
+
+def test_standardize_is_per_series_power_of_two_equivariant():
+    # each series' differenced sd scales exactly with a power of two, so fit(D x) divides down to
+    # the panel fit(x) divides down to, and every output maps back through D; loglik_path is the
+    # data's log-likelihood, shifted by the Jacobian -sum_i N_obs,i k_i ln 2
+    sim = simulate_panel(MCConfig(n=40, T=60, n1=5, seed=3), 0)
+    mask = sim.panel.missing_mask.copy()
+    mask[np.random.default_rng(4).random(mask.shape) < 0.05] = False
+    k = np.random.default_rng(6).integers(-20, 21, size=sim.spec.n)
+    d = 2.0 ** k
+    options = EMOptions(max_iter=50, standardize=True)
+    x = np.where(mask, sim.x, np.nan)
+    base = fit(sim.spec, Panel(x, mask), options)
+    res = fit(sim.spec, Panel(x * d[:, None], mask), options)
+    assert res.iterations == base.iterations
+    np.testing.assert_array_equal(res.chi, base.chi * d[:, None])
+    layout = sim.spec.layout
+    extra = slice(layout.n_factor_states, None)
+    np.testing.assert_array_equal(res.smoothed_means[:, extra],
+                                  base.smoothed_means[:, extra] * d[list(layout.extra_series)])
+    shifted = np.array(base.loglik_path) - mask.sum(axis=1) @ k * np.log(2.0)
+    np.testing.assert_allclose(res.loglik_path, shifted, rtol=1e-12, atol=0.0)

@@ -456,6 +456,12 @@ def test_cli_bad_config_value_rejected_and_named(tmp_path, capsys, section, key,
     (["simulate", "--n1", "-1"], "n1 must be in [0, n)"),
     (["simulate", "--nb", "-2"], "nb must be in [0, n)"),
     (["simulate", "--n", "10", "--nb", "10"], "nb must be in [0, n)"),
+    (["diagnose", "--n-grid", ""], "bad --n-grid"),
+    (["diagnose", "--n-grid", ",,"], "bad --n-grid"),
+    (["benchmark", "--jobs", "0"], "bad value for io.jobs"),
+    (["benchmark", "--jobs", "-3"], "bad value for io.jobs"),
+    (["simulate", "--n", "0"], "q must satisfy 0 < q < n, got q=2 with n=0"),
+    (["diagnose", "--n-grid", "-5"], "q must satisfy 0 < q < n, got q=2 with n=-5"),
 ])
 def test_cli_rejected_spec_or_cell_writes_nothing(tmp_path, capsys, argv, named):
     # the spec, the options and the cells are built before the output directory is made
