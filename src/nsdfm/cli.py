@@ -30,7 +30,6 @@ from .em import EMOptions, fit
 from .metrics import DEFAULT_T_MIN, mse_common
 from .panel_io import (
     SCHEMA,
-    ConfigError,
     params_to_dict,
     load_config,
     mc_config_from_section,
@@ -151,6 +150,16 @@ def cmd_estimate(args) -> int:
     spec = model_spec_from_section(sections.get("model", {}), panel.n, panel.T)
     options = EMOptions(standardize=parse_section("model", sections.get("model", {})).get("standardize", False),
                         **parse_section("em", sections.get("em", {})))
+    truth_chi = None
+    if args.truth:  # checked before anything is fitted or written
+        try:
+            truth_chi = read_truth(args.truth)["chi"]
+            if truth_chi.shape != (panel.n, panel.T):
+                raise ValueError(f"its chi is {'x'.join(map(str, truth_chi.shape))}, the panel {panel.n}x{panel.T}")
+        except (OSError, ValueError, KeyError) as exc:
+            why = f"no key {exc}" if isinstance(exc, KeyError) else exc
+            print(f"error: cannot use truth sidecar: {why}", file=sys.stderr)
+            return EXIT_DATA
     out = _out_dir(args, sections)
     res = fit(spec, panel, options)
 
@@ -167,13 +176,8 @@ def cmd_estimate(args) -> int:
         "params": params_to_dict(res.params),
         "config": echo,
     }
-    if args.truth:
-        try:
-            truth = read_truth(args.truth)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"error: cannot read truth sidecar: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        summary["mse_common"] = mse_common(res.chi, truth["chi"])
+    if truth_chi is not None:
+        summary["mse_common"] = mse_common(res.chi, truth_chi)
     (out / "estimate.json").write_text(json.dumps(summary), encoding="utf-8")
     msg = "converged" if res.converged else f"NOT converged after {res.iterations} iterations"
     print(f"estimate: {msg}; loglik={res.loglik_path[-1]:.3f}; outputs in {out}")
@@ -291,9 +295,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

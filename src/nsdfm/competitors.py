@@ -6,7 +6,9 @@ corrected variant that re-anchors a cumulated estimate by re-attaching
 each series' level and deterministic linear trend.  All three are blind
 to which series carry unit roots or trends; that is the point of the
 comparison.  Each fills a missing cell with its series' mean and returns
-its n x T estimate of the common component.
+its n x T estimate of the common component.  The first two share one PC
+projection: the centered rows (demeaned levels, or demeaned first
+differences) projected onto the r leading eigenvectors of their covariance.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ from .pre_estimate import mean_filled
 __all__ = ["pc_levels", "pc_diff_cumulate", "pc_diff_corrected"]
 
 
-def _leading_eigvecs(G: np.ndarray, r: int, strict: bool = False) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(G)
+def _pc_projection(xc: np.ndarray, r: int, strict: bool) -> np.ndarray:
+    """The centered rows ``xc`` projected on the r leading eigenvectors of their covariance (rank >= r if strict)."""
+    vals, vecs = np.linalg.eigh(xc @ xc.T / xc.shape[1])
     if strict and np.sum(vals > max(vals.max(), 0.0) * 1e-10) < r:
         raise ValueError(f"matrix has rank below r={r}")
-    return vecs[:, ::-1][:, :r]
+    V = vecs[:, ::-1][:, :r]
+    return V @ (V.T @ xc)
 
 
 def pc_levels(panel: Panel, r: int) -> np.ndarray:
@@ -34,9 +38,7 @@ def pc_levels(panel: Panel, r: int) -> np.ndarray:
     """
     x = mean_filled(panel.data, panel.missing_mask)
     xbar = x.mean(axis=1, keepdims=True)
-    xc = x - xbar
-    V = _leading_eigvecs(xc @ xc.T / x.shape[1], r, strict=True)
-    return xbar + V @ (V.T @ xc)
+    return xbar + _pc_projection(x - xbar, r, strict=True)
 
 
 def pc_diff_cumulate(panel: Panel, r: int) -> np.ndarray:
@@ -50,10 +52,7 @@ def pc_diff_cumulate(panel: Panel, r: int) -> np.ndarray:
     if x.shape[1] < 3:
         raise ValueError("need T >= 3")
     dx = np.diff(x, axis=1)
-    dxc = dx - dx.mean(axis=1, keepdims=True)
-    G = dxc @ dxc.T / dxc.shape[1]
-    V = _leading_eigvecs(G, r)
-    dchi = V @ (V.T @ dxc)
+    dchi = _pc_projection(dx - dx.mean(axis=1, keepdims=True), r, strict=False)
     return np.concatenate([np.zeros((x.shape[0], 1)), np.cumsum(dchi, axis=1)], axis=1)
 
 

@@ -89,8 +89,8 @@ class SufficientStats:
     sum E[s_{t-1} s_{t-1}'].  Measurement moments are per series, summed
     over each series' observed time points, for the augmented regressor
     z_t = (F_t, 1, t): ``gram_aug`` = sum E[z z'], ``cross_aug`` =
-    sum E[z (x - w)], ``sum_zw`` = sum E[z w], where w is the series'
-    extra-state combination (zero off those series).
+    sum E[z (x - w)], ``sum_zw`` = sum E[z w], where w = level + t * slope
+    is the sum of the series' extra states (zero off those series).
     """
 
     SA: np.ndarray
@@ -193,38 +193,29 @@ def reduce_moments(
     sum_xx = (xz ** 2).sum(axis=1)
     n_obs = mask.sum(axis=1)
 
-    # w_it = xi + alpha + t * beta for series with extra latent states
-    im = sorted(spec.idio_im)
+    # w_it = level + t * slope on series with extra latent states: the level is the series' xi or
+    # alpha state (a spec allows at most one), the slope its beta state, and K indexes the zero pad
+    im = np.array(sorted(spec.idio_im), dtype=int)
+    level = dict(zip(layout.xi_series + layout.alpha_series, range(layout.xi_slice.start, layout.alpha_slice.stop)))
+    slope = dict(zip(layout.beta_series, range(layout.beta_slice.start, layout.beta_slice.stop)))
+    mlv, mbe = (np.array([col.get(i, K) for i in im], dtype=int) for col in (level, slope))
+
+    tcol = tlab[:, None]
+    Spad = np.concatenate([S[1:], np.zeros((T, 1))], axis=1)
+    Ppad = np.pad(P, ((0, 0), (0, 1), (0, 1)))
+    tt = slot[:, None]
+    wbar = Spad[:, mlv] + tcol * Spad[:, mbe]                             # (T, n_m)
+    var_w = Ppad[tt, mlv, mlv] + tcol ** 2 * Ppad[tt, mbe, mbe] + 2.0 * tcol * Ppad[tt, mlv, mbe]
+    cov_Fw = Ppad[:, :r0, mlv][slot] + tcol[:, None] * Ppad[:, :r0, mbe][slot]   # (T, r0, n_m)
+    mask_m = m[im].T                                                      # (T, n_m)
     sum_ww = np.zeros(n)
     sum_xw = np.zeros(n)
     sum_zw = np.zeros((n, r0 + 2))
-    if im:
-        # state column of each im series in the xi, alpha and beta blocks; K indexes the zero pad
-        blocks = ((layout.xi_slice, layout.xi_series), (layout.alpha_slice, layout.alpha_series),
-                  (layout.beta_slice, layout.beta_series))
-        cols = [dict(zip(series, range(sl.start, sl.stop))) for sl, series in blocks]
-        mxi, mal, mbe = (np.array([col.get(i, K) for i in im]) for col in cols)
-
-        tcol = tlab[:, None]
-        Spad = np.concatenate([S[1:], np.zeros((T, 1))], axis=1)
-        Ppad = np.pad(P, ((0, 0), (0, 1), (0, 1)))
-        tt = slot[:, None]
-        wbar = Spad[:, mxi] + Spad[:, mal] + tcol * Spad[:, mbe]          # (T, n_m)
-        var_w = (
-            Ppad[tt, mxi, mxi] + Ppad[tt, mal, mal] + tcol ** 2 * Ppad[tt, mbe, mbe]
-            + 2.0 * Ppad[tt, mxi, mal] + 2.0 * tcol * Ppad[tt, mxi, mbe]
-            + 2.0 * tcol * Ppad[tt, mal, mbe]
-        )
-        cov_Fw = (
-            (Ppad[:, :r0, mxi] + Ppad[:, :r0, mal])[slot] + tcol[:, None] * Ppad[:, :r0, mbe][slot]
-        )                                                                 # (T, r0, n_m)
-        mask_m = m[im].T                                                  # (T, n_m)
-        xz_m = xz[im].T
-        sum_ww[im] = (mask_m * (wbar ** 2 + var_w)).sum(axis=0)
-        sum_xw[im] = (mask_m * xz_m * wbar).sum(axis=0)
-        sum_zw_m = np.einsum("tn,tr->nr", mask_m * wbar, Z)
-        sum_zw_m[:, :r0] += np.einsum("tn,trn->nr", mask_m, cov_Fw)
-        sum_zw[im] = sum_zw_m
+    sum_ww[im] = (mask_m * (wbar ** 2 + var_w)).sum(axis=0)
+    sum_xw[im] = (mask_m * xz[im].T * wbar).sum(axis=0)
+    sum_zw_m = np.einsum("tn,tr->nr", mask_m * wbar, Z)
+    sum_zw_m[:, :r0] += np.einsum("tn,trn->nr", mask_m, cov_Fw)
+    sum_zw[im] = sum_zw_m
 
     cross_aug -= sum_zw
     return SufficientStats(
@@ -412,13 +403,15 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
     log-likelihood.  Under ``options.standardize`` c_i is series i's own
     standard deviation.  Otherwise every c_i is 2^k: k = 0 while the median
     standard deviation lies in [2^-4, 2^4), and k = floor(log2 median)
-    outside, so the divided median lies in [1, 2).  Division by a power of
-    two is exact, so panels x and 2^j x both outside the band give fits
-    equal up to that factor, bit for bit.  The target is [1, 2) because the
-    stopping rule is relative to the size of the log-likelihood, which moves
-    with the scale: on the simulated panel ``MCConfig(n=40, T=60, n1=5,
-    seed=3)`` scaled by 1e-3 to 1e6 it stops EM in 5-6 iterations, as at
-    the panel's own scale, where [1/2, 1) took up to 27.
+    outside, so the divided median lies in [1, 2).  Every fit takes this one
+    path; inside the band every c_i is 1, and x 1, / 1 and log 1 = 0 are
+    exact.  Division by a power of two is exact too, so panels x and 2^j x
+    both outside the band give fits equal up to that factor, bit for bit.
+    The target is [1, 2) because the stopping rule is relative to the size
+    of the log-likelihood, which moves with the scale: on the simulated
+    panel ``MCConfig(n=40, T=60, n1=5, seed=3)`` scaled by 1e-3 to 1e6 it
+    stops EM in 5-6 iterations, as at the panel's own scale, where [1/2, 1)
+    took up to 27.
 
     With the tiny phi device on series that carry extra states, the
     smoothed extra states are almost exactly x - lambda'f, so the M-step's
@@ -430,9 +423,7 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
         raise ValueError(f"panel is {panel.n}x{panel.T}, spec says {spec.n}x{spec.T}")
 
     scale = _series_scale(panel, options.standardize)
-    rescaled = bool(np.any(scale != 1.0))
-    if rescaled:
-        panel = Panel(panel.data / scale[:, None], panel.missing_mask)
+    panel = Panel(panel.data / scale[:, None], panel.missing_mask)
 
     pre = pre_estimate(spec, panel)
 
@@ -446,17 +437,14 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
     init_cov = pre.init_state_cov
     logliks: list[float] = []
     converged = False
-    smooth = None
-    iterations = 0
 
-    for k in range(options.max_iter):
+    for iterations in range(1, options.max_iter + 1):
         stats, smooth = e_step(spec, params, panel, init_mean, init_cov)
         logliks.append(stats.loglik)
-        iterations = k + 1
         params = _m_step(stats, spec, params, options, alpha_free, beta_free, spec.T)
         init_mean = smooth.smoothed_means[0]
         init_cov = smooth.cov_bank[smooth.cov_index[0]]
-        if k >= 1 and _relative_change(logliks[-1], logliks[-2]) < options.tolerance:
+        if iterations >= 2 and _relative_change(logliks[-1], logliks[-2]) < options.tolerance:
             converged = True
             break
 
@@ -465,23 +453,15 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
     logliks.append(filt.loglik)
 
     lay = spec.layout
-    chi = common_component_path(params.loadings, smooth.smoothed_means[1:], lay)
-    smoothed_means = smooth.smoothed_means
-
-    if rescaled:
-        chi = chi * scale[:, None]
-        params = _rescale_params(params, scale)
-        smoothed_means = smoothed_means.copy()
-        smoothed_means[:, lay.n_factor_states:] *= scale[list(lay.extra_series)]
-        # the density of x_i = c_i y_i is 1/c_i per observed cell times that of y_i
-        shift = float(panel.missing_mask.sum(axis=1) @ np.log(scale))
-        logliks = [ll - shift for ll in logliks]
-
+    chi = common_component_path(params.loadings, smooth.smoothed_means[1:], lay) * scale[:, None]
+    smooth.smoothed_means[:, lay.n_factor_states:] *= scale[list(lay.extra_series)]
+    # the density of x_i = c_i y_i is 1/c_i per observed cell times that of y_i
+    shift = float(panel.missing_mask.sum(axis=1) @ np.log(scale))
     return EMResult(
-        params=params,
+        params=_rescale_params(params, scale),
         chi=chi,
-        smoothed_means=smoothed_means,
-        loglik_path=logliks,
+        smoothed_means=smooth.smoothed_means,
+        loglik_path=[ll - shift for ll in logliks],
         iterations=iterations,
         converged=converged,
     )
@@ -512,7 +492,7 @@ def _series_scale(panel: Panel, standardize: bool) -> np.ndarray:
 
 
 def _rescale_params(params: Params, scale: np.ndarray) -> Params:
-    """Map parameters of the standardized panel back to the raw scale."""
+    """Map parameters of the divided panel back to the raw scale."""
     return replace(
         params,
         loadings=[B * scale[:, None] for B in params.loadings],

@@ -211,9 +211,10 @@ def _filter_step(ss: StateSpace, P_prev: np.ndarray, block: tuple | None, t: int
     Z'R^{-1}Z; the two diagonals give log det S.  The gain is cMi'cMi Z'R^{-1}
     with cMi the inverse of cM.  P_{t|t} is sym(cMi'cMi) when Z does not
     change with t, and the Joseph form of P_{t|t-1} and the gain when it does.
-    Only the two covariances are returned when no row is observed.  The
-    covariances are formed in ``out[0]`` and ``out[1]`` (a (2, K, K) bank
-    entry), with the bytes of the out-of-place products.
+    With no row observed, P_{t|t} = P_{t|t-1}, the gain and cPi are None and
+    the diagonals ones.  The covariances are formed in ``out[0]`` and
+    ``out[1]`` (a (2, K, K) bank entry), with the bytes of the out-of-place
+    products.
     """
     P, P_filt = out
     np.matmul(ss.transition_map @ P_prev, ss.transition_map.T, out=P)
@@ -221,7 +222,7 @@ def _filter_step(ss: StateSpace, P_prev: np.ndarray, block: tuple | None, t: int
     _symmetrize(P)
     if block is None:
         P_filt[...] = P
-        return P, P_filt
+        return P, P_filt, None, None, 1.0, 1.0
     Z, r_diag, Zr, ZrZ = block
     try:
         with np.errstate(**_FACTOR_ERRSTATE):
@@ -332,11 +333,7 @@ def kf_filter(
                 bank, chol_diag = _grown(bank, T + 1), _grown(chol_diag, T + 1)
             step = _filter_step(ss, bank[k, 1], block, t, bank[size])
             k, size = size, size + 1
-            if block is None:
-                gain = cPi = None
-                chol_diag[k] = 1.0
-            else:
-                gain, cPi, chol_diag[k, 0], chol_diag[k, 1] = step[2:]
+            gain, cPi, chol_diag[k, 0], chol_diag[k, 1] = step[2:]
             if reuse:
                 computed[key] = (k, gain, cPi)
                 entry_class.append(classes.setdefault(step[1].tobytes(), k))

@@ -105,8 +105,6 @@ def _filled_levels(x: np.ndarray, mask: np.ndarray, dx_fill: np.ndarray) -> np.n
     before it, a leading gap steps backward from the first observation, and
     a series with no observation is all zeros.  Only the gaps are visited.
     """
-    if mask.all():
-        return x
     out = np.where(mask, x, 0.0)
     first = mask.argmax(axis=1).tolist()
     rows, cols = np.nonzero(~mask & mask.any(axis=1)[:, None])
@@ -134,8 +132,7 @@ def pc_first_differences(dx: np.ndarray, q: int):
 
     Returns (B0, M) with M the q leading eigenvalues and B0 = V M^{1/2} for
     their eigenvectors V, columns ordered by descending eigenvalue and
-    signed so the first row of V is positive (falling back to the first
-    nonzero entry of a column).
+    signed so the first nonzero entry of each column of V is positive.
     """
     T_d = dx.shape[1]
     centered = dx - dx.mean(axis=1, keepdims=True)
@@ -147,9 +144,8 @@ def pc_first_differences(dx: np.ndarray, q: int):
     V = vecs[:, :q]
     for j in range(q):
         col = V[:, j]
-        nz = np.nonzero(col)[0]
-        lead = col[0] if col[0] != 0 else (col[nz[0]] if nz.size else 1.0)
-        if lead < 0:
+        # a unit-norm eigenvector has a nonzero entry
+        if col[np.flatnonzero(col)[0]] < 0:
             V[:, j] = -col
     return V * np.sqrt(M), M
 

@@ -108,13 +108,40 @@ def test_var_update_matches_numeric_maximizer(rng):
     assert gamma_u[0, 0] == pytest.approx(g_grid[20], abs=1e-6)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_e_step_moments_match_oracle(seed):
-    rng = np.random.default_rng(seed + 100)
-    while True:
-        spec, params = random_instance(rng)
-        if spec.layout.K * spec.T <= 30:
-            break
+# series carrying a level state and a slope state at once: a local level with a local trend is the
+# paper's local linear trend, and an I(1) idiosyncratic part with a local trend is its other such pair
+LEVEL_AND_SLOPE = {
+    "local_linear_trend": dict(local_level={0, 2}, local_trend={0, 1}),
+    "i1_with_slope": dict(idio_i1={0}, local_level={1}, local_trend={0, 2}),
+}
+
+
+def with_extra_states(spec, params, rng, sets):
+    """``spec`` with the extra-state index sets ``sets``, and ``params`` with their variances drawn."""
+    spec = dataclasses.replace(spec, **{name: frozenset(idx) for name, idx in sets.items()})
+    variances = {}
+    for name, idx, (lo, hi) in (("sigma2_omega", spec.local_level, (0.05, 0.3)),
+                                ("sigma2_eta", spec.local_trend, (0.05, 0.3)),
+                                ("sigma2_nu", spec.idio_im, (0.01, 0.1))):
+        variances[name] = np.zeros(spec.n)
+        variances[name][sorted(idx)] = rng.uniform(lo, hi, size=len(idx))
+    params = dataclasses.replace(params, **variances)
+    params.validate(spec)
+    return spec, params
+
+
+@pytest.mark.parametrize("case", [*range(4), *LEVEL_AND_SLOPE])
+def test_e_step_moments_match_oracle(case):
+    if case in LEVEL_AND_SLOPE:
+        rng = np.random.default_rng(104)
+        spec, params = random_instance(rng, n=3, T=4, q=1, s=0, p=1, with_states=False)
+        spec, params = with_extra_states(spec, params, rng, LEVEL_AND_SLOPE[case])
+    else:
+        rng = np.random.default_rng(case + 100)
+        while True:
+            spec, params = random_instance(rng)
+            if spec.layout.K * spec.T <= 30:
+                break
     ss = build_state_space(spec, params)
     data = rng.standard_normal((spec.n, spec.T))
     panel = Panel.from_data(data)
@@ -207,10 +234,14 @@ def test_banked_e_step_equals_per_slot_oracle(case):
 
 def _m_step_instance(case: str, rng):
     """(spec, params, panel) for the M-step check: extra states or none, gaps, detrended series."""
-    while True:
-        spec, params = random_instance(rng, n=5, T=40, with_states=case != "plain")
-        if case == "plain" or (case == "states" and spec.idio_im) or spec.local_trend:
-            break
+    if case in LEVEL_AND_SLOPE:
+        spec, params = with_extra_states(*random_instance(rng, n=5, T=40, with_states=False), rng,
+                                         LEVEL_AND_SLOPE[case])
+    else:
+        while True:
+            spec, params = random_instance(rng, n=5, T=40, with_states=case != "plain")
+            if case == "plain" or (case == "states" and spec.idio_im) or spec.local_trend:
+                break
     detrend = frozenset() if case == "plain" else frozenset(rng.choice(spec.n, size=2, replace=False).tolist())
     spec = dataclasses.replace(spec, detrend=detrend | spec.local_level | spec.local_trend)
     return spec, params, random_panel(spec, rng, missing_frac=0.0 if case == "plain" else 0.1)
@@ -243,7 +274,8 @@ def _block_perturbations(spec, new, alpha_free, beta_free, rng, h=1e-4):
 
 
 @pytest.mark.parametrize("case, seed", [("plain", 0), ("plain", 1), ("states", 2), ("states", 3),
-                                        ("local_trend", 4), ("local_trend", 5)])
+                                        ("local_trend", 4), ("local_trend", 5),
+                                        ("local_linear_trend", 6), ("i1_with_slope", 7)])
 def test_m_step_maximizes_the_expected_complete_loglik(case, seed):
     # EM's M-step must return the maximizer of Q over every block; Q is written from the model over
     # the smoother's per-slot moments, so a fault in reduce_moments moves the M-step off its maximum

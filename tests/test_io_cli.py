@@ -423,6 +423,31 @@ def test_cli_standardize_key_takes_boolean_spellings(tmp_path):
     assert main(base + ["--config", str(cfg), "--out-dir", str(tmp_path / "maybe")]) == 2
 
 
+@pytest.mark.parametrize("case, named", [
+    ("missing", "No such file"),
+    ("14 series", "its chi is 14x30, the panel 12x30"),
+    ("no factors", "cannot use truth sidecar: no key 'factors'"),
+])
+def test_cli_estimate_bad_truth_sidecar_writes_nothing(tmp_path, capsys, case, named):
+    # the sidecar is read and checked against the panel before the fit runs or any output is written
+    panel = _small_panel(tmp_path)
+    truth = tmp_path / "truth.json"
+    if case == "missing":
+        truth.unlink()
+    elif case == "14 series":
+        write_truth(truth, simulate_panel(MCConfig(n=14, T=30, q=1, s=0, tau=0.0, seed=4), 0))
+    else:
+        d = json.loads(truth.read_text())
+        del d["factors"]
+        truth.write_text(json.dumps(d))
+    rc = main(["estimate", "--input", str(panel), "--truth", str(truth), "--q", "1",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and named in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("em", "tolerance", "abc"),
     ("io", "jobs", "two"),
