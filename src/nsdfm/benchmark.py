@@ -28,8 +28,8 @@ from .model import build_state_space
 from .pre_estimate import initial_state_cov
 from .simulate import MCConfig, simulate_panel
 
-__all__ = ["ReplicationResult", "CellReport", "run_replication", "run_cell", "run_diagnostics", "METHODS",
-           "MC_EM_OPTIONS"]
+__all__ = ["ReplicationResult", "CellReport", "check_fittable", "run_replication", "run_cell", "run_diagnostics",
+           "METHODS", "MC_EM_OPTIONS"]
 
 METHODS = ("pc_levels", "pc_diff_cumulate", "pc_diff_corrected")
 
@@ -94,17 +94,38 @@ class CellReport:
         return out
 
 
+def check_fittable(config: MCConfig) -> None:
+    """Raise ``ValueError`` naming the [mc] keys when no replication of ``config`` can be fitted.
+
+    The bounds are those of the pipeline :func:`run_replication` runs:
+    ``var_prefit`` needs T >= p*q + p + 1 (which implies ``pre_estimate``'s
+    T >= q + 2), ``lagged_loadings`` needs T >= s*q + s + 2 when s >= 1, and
+    ``pc_levels`` needs r = q(s + 1) leading directions of the per-series
+    demeaned levels, whose rank is at most min(n, T - 1).  A cell inside them
+    may still fail a replication on its draws, which ``run_cell`` records.
+    """
+    n, T, q, s, p = config.n, config.T, config.q, config.s, config.p
+    if T < p * q + p + 1:
+        raise ValueError(f"T must be >= p*q + p + 1 = {p * q + p + 1} to fit a VAR(p) on q factors, "
+                         f"got T={T} with p={p}, q={q}")
+    if s and T < s * q + s + 2:
+        raise ValueError(f"T must be >= s*q + s + 2 = {s * q + s + 2} to fit lagged loadings, "
+                         f"got T={T} with s={s}, q={q}")
+    if q * (s + 1) > min(n, T - 1):
+        raise ValueError(f"q*(s+1) must be <= min(n, T-1) for the levels PCA, got q={q}, s={s}, n={n}, T={T}")
+
+
 def run_replication(config: MCConfig, replication: int, em_options: EMOptions | None = None) -> ReplicationResult:
     """Simulate, estimate and score one replication; the fit's VAR order is ``config.p``."""
     rec = ReplicationResult(replication=replication)
     try:
         sim = simulate_panel(config, replication)
-        res = fit(replace(sim.spec, p=config.p, detrend=sim.trend_set), sim.panel, em_options or MC_EM_OPTIONS)
+        panel = sim.panel
+        res = fit(replace(sim.spec, p=config.p, detrend=sim.trend_set), panel, em_options or MC_EM_OPTIONS)
         rec.mse_em = mse_common(res.chi, sim.chi)
         rec.converged = res.converged
         rec.iterations = res.iterations
         r = config.q * (config.s + 1)
-        panel = sim.panel
         cumulated = pc_diff_cumulate(panel, r)
         rec.mse_competitors = {
             "pc_levels": mse_common(pc_levels(panel, r), sim.chi),

@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .benchmark import DIAGNOSTIC_HORIZON, MC_EM_OPTIONS, METHODS, ReplicationResult, run_cell, run_diagnostics
+from .benchmark import (DIAGNOSTIC_HORIZON, MC_EM_OPTIONS, METHODS, ReplicationResult, check_fittable, run_cell,
+                        run_diagnostics)
 from .em import EMOptions, fit
 from .metrics import DEFAULT_T_MIN, mse_common
 from .panel_io import (
@@ -127,8 +128,8 @@ def _config_echo(sections, extra=None) -> dict:
 def cmd_simulate(args) -> int:
     sections = _sections(args)
     cfg = mc_config_from_section(sections.get("mc", {}))
+    sim = simulate_panel(cfg, args.replication)  # a bad replication raises here, before the output directory is made
     out = _out_dir(args, sections)
-    sim = simulate_panel(cfg, args.replication)
     meta = _config_echo(sections, {
         **{f"mc.{k}": v for k, v in asdict(cfg).items()},
         "replication": args.replication,
@@ -224,6 +225,8 @@ def cmd_benchmark(args) -> int:
     mc = sections.get("mc", {})
     base = mc_config_from_section(mc)
     cells = _parse_cells(mc.get("cells", ""), mc) or [base]
+    for cfg in cells:
+        check_fittable(cfg)
     out = _out_dir(args, sections)
     jobs = parse_section("io", sections.get("io", {})).get("jobs", 1)
     em_options = replace(MC_EM_OPTIONS, **parse_section("em", sections.get("em", {})))

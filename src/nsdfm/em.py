@@ -273,7 +273,7 @@ def _solve_measurement(
     return coef
 
 
-def m_step_var(stats: SufficientStats, spec: ModelSpec, T: int):
+def m_step_var(stats: SufficientStats, spec: ModelSpec):
     """VAR coefficient and innovation covariance updates.
 
     The coefficient blocks solve the expected companion regression; the
@@ -297,7 +297,7 @@ def m_step_var(stats: SufficientStats, spec: ModelSpec, T: int):
     for j in range(p + 1):
         for l in range(p + 1):
             gamma_u += tilde[j] @ mu[(j, l)] @ tilde[l].T
-    gamma_u = 0.5 * (gamma_u + gamma_u.T) / T
+    gamma_u = 0.5 * (gamma_u + gamma_u.T) / spec.T
     return A, gamma_u
 
 
@@ -307,7 +307,6 @@ def m_step_variances(
     coef: np.ndarray,
     params_prev: Params,
     options: EMOptions,
-    T: int,
 ):
     """Random-walk innovation variances and measurement variances.
 
@@ -319,7 +318,7 @@ def m_step_variances(
     lay = spec.layout
     n = spec.n
     # sum_t E[(s_t - s_{t-1})^2] / T of each state; the random-walk states read theirs
-    rw = np.maximum((np.diag(stats.SA) + np.diag(stats.SC) - 2.0 * np.diag(stats.SB)) / T, VARIANCE_FLOOR)
+    rw = np.maximum((np.diag(stats.SA) + np.diag(stats.SC) - 2.0 * np.diag(stats.SB)) / spec.T, VARIANCE_FLOOR)
 
     ge = np.array(params_prev.gamma_e_diag)
     ge[list(lay.xi_series)] = rw[lay.xi_slice]
@@ -339,11 +338,7 @@ def m_step_variances(
     im[list(spec.idio_im)] = True
     ge[~im] = sig2[~im]
 
-    s2nu = np.array(params_prev.sigma2_nu)
-    if isinstance(options.phi_policy, str):
-        s2nu[im] = sig2[im]
-    else:
-        s2nu[im] = float(options.phi_policy)
+    s2nu = np.where(im, sig2 if isinstance(options.phi_policy, str) else float(options.phi_policy), 0.0)
 
     s2w = np.zeros(n)
     s2w[list(lay.alpha_series)] = rw[lay.alpha_slice]
@@ -359,14 +354,13 @@ def _m_step(
     options: EMOptions,
     alpha_free: np.ndarray,
     beta_free: np.ndarray,
-    T: int,
 ) -> Params:
     q, s = spec.q, spec.s
     r0 = (s + 1) * q
     prev_coef = np.column_stack([*params_prev.loadings, params_prev.alpha0, params_prev.beta0])
     coef = _solve_measurement(stats, alpha_free, beta_free, prev_coef)
-    A, gamma_u = m_step_var(stats, spec, T)
-    ge, s2w, s2e, s2nu = m_step_variances(stats, spec, coef, params_prev, options, T)
+    A, gamma_u = m_step_var(stats, spec)
+    ge, s2w, s2e, s2nu = m_step_variances(stats, spec, coef, params_prev, options)
     return Params(
         loadings=[coef[:, k * q:(k + 1) * q] for k in range(s + 1)],
         var_coeffs=A,
@@ -419,9 +413,6 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
     those series near their pre-estimated start.
     """
     options = options or EMOptions()
-    if (panel.n, panel.T) != (spec.n, spec.T):
-        raise ValueError(f"panel is {panel.n}x{panel.T}, spec says {spec.n}x{spec.T}")
-
     scale = _series_scale(panel, options.standardize)
     panel = Panel(panel.data / scale[:, None], panel.missing_mask)
 
@@ -441,7 +432,7 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
     for iterations in range(1, options.max_iter + 1):
         stats, smooth = e_step(spec, params, panel, init_mean, init_cov)
         logliks.append(stats.loglik)
-        params = _m_step(stats, spec, params, options, alpha_free, beta_free, spec.T)
+        params = _m_step(stats, spec, params, options, alpha_free, beta_free)
         init_mean = smooth.smoothed_means[0]
         init_cov = smooth.cov_bank[smooth.cov_index[0]]
         if iterations >= 2 and _relative_change(logliks[-1], logliks[-2]) < options.tolerance:

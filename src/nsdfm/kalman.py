@@ -204,17 +204,17 @@ def _measurement_block(ss: StateSpace, obs: np.ndarray, Z_t: np.ndarray) -> tupl
 def _filter_step(ss: StateSpace, P_prev: np.ndarray, block: tuple | None, t: int, out: np.ndarray) -> tuple:
     """The data-free part of filter step t (1-based slot), from P_{t-1|t-1} and the measurement block.
 
-    ``block`` is :func:`_measurement_block` of the rows observed at t.
-    Returns (P_{t|t-1}, P_{t|t}, gain, cPi, diag cP, diag cM): cPi is the
-    inverse of the Cholesky factor cP of P_{t|t-1}, which the innovation's
-    quadratic form needs, and cM the Cholesky factor of P_{t|t-1}^{-1} +
-    Z'R^{-1}Z; the two diagonals give log det S.  The gain is cMi'cMi Z'R^{-1}
-    with cMi the inverse of cM.  P_{t|t} is sym(cMi'cMi) when Z does not
-    change with t, and the Joseph form of P_{t|t-1} and the gain when it does.
-    With no row observed, P_{t|t} = P_{t|t-1}, the gain and cPi are None and
-    the diagonals ones.  The covariances are formed in ``out[0]`` and
-    ``out[1]`` (a (2, K, K) bank entry), with the bytes of the out-of-place
-    products.
+    ``block`` is :func:`_measurement_block` of the rows observed at t, and
+    ``out`` the (2, K, K) bank entry of the step: P_{t|t-1} is formed in
+    ``out[0]`` and P_{t|t} in ``out[1]``, with the bytes of the out-of-place
+    products.  Returns what the caller does not already hold in ``out``:
+    (gain, cPi, diag cP, diag cM).  cPi is the inverse of the Cholesky
+    factor cP of P_{t|t-1}, which the innovation's quadratic form needs, and
+    cM the Cholesky factor of P_{t|t-1}^{-1} + Z'R^{-1}Z; the two diagonals
+    give log det S.  The gain is cMi'cMi Z'R^{-1} with cMi the inverse of cM.
+    P_{t|t} is sym(cMi'cMi) when Z does not change with t, and the Joseph
+    form of P_{t|t-1} and the gain when it does.  With no row observed,
+    P_{t|t} = P_{t|t-1}, the gain and cPi are None and the diagonals ones.
     """
     P, P_filt = out
     np.matmul(ss.transition_map @ P_prev, ss.transition_map.T, out=P)
@@ -222,7 +222,7 @@ def _filter_step(ss: StateSpace, P_prev: np.ndarray, block: tuple | None, t: int
     _symmetrize(P)
     if block is None:
         P_filt[...] = P
-        return P, P_filt, None, None, 1.0, 1.0
+        return None, None, 1.0, 1.0
     Z, r_diag, Zr, ZrZ = block
     try:
         with np.errstate(**_FACTOR_ERRSTATE):
@@ -240,14 +240,14 @@ def _filter_step(ss: StateSpace, P_prev: np.ndarray, block: tuple | None, t: int
         ) from exc
     if not ss.time_varying:
         _symmetrize(P_filt)
-        return P, P_filt, gain, cPi, cP.diagonal(), cM.diagonal()
+        return gain, cPi, cP.diagonal(), cM.diagonal()
     IKZ = gain @ Z
     np.negative(IKZ, out=IKZ)
     IKZ.ravel()[::P.shape[0] + 1] += 1.0         # I - gain Z without a K x K identity per step
     np.matmul(IKZ @ P, IKZ.T, out=P_filt)
     P_filt += (gain * r_diag) @ gain.T
     _symmetrize(P_filt)
-    return P, P_filt, gain, cPi, cP.diagonal(), cM.diagonal()
+    return gain, cPi, cP.diagonal(), cM.diagonal()
 
 
 def kf_filter(
@@ -284,9 +284,9 @@ def kf_filter(
     w = np.zeros((T + 1, K))                     # w_t = cPi m_t, m_t = gain v_t; zero where nothing is observed
     step_index = [0] * (T + 1)
 
-    # a step can repeat only while Z does not change with t; columns with
-    # equal observed rows share a pattern id and one measurement block
+    # a step can repeat only while Z does not change with t
     reuse = not ss.time_varying
+    mask_rows = np.ascontiguousarray(mask.T)     # slot t's observed rows are row t-1
 
     a_pred[0] = a_filt[0] = init_mean
     # an entry per step computed: T + 1 of them when no step can repeat, else a few that double
@@ -298,13 +298,14 @@ def kf_filter(
     # that observes nothing, so its slots add nothing); it grows with the bank
     chol_diag = np.ones((len(bank), 2, K))
     if reuse:
-        pattern, observed = _column_patterns(mask)
-        blocks = [_measurement_block(ss, obs, ss.measurement_base) for obs in observed]
+        # the bytes of a mask column -> its observed rows and their measurement block, built the
+        # first time the pattern appears
+        patterns: dict[bytes, tuple] = {}
         # a step's input is its pattern and the class of P_{t-1|t-1}: the
         # first bank entry whose P_{t|t} has the same bytes
         classes = {bank[0, 1].tobytes(): 0}
         entry_class = [0]
-        computed: dict[tuple[int, int], tuple] = {}  # (pattern, class) -> (entry, gain, cPi)
+        computed: dict[tuple[bytes, int], tuple] = {}  # (pattern, class) -> (entry, gain, cPi)
     else:
         # Z_t is measurement_base with each nonzero slope entry times the time label t:
         # one copy per call, whose slope entries each step overwrites
@@ -313,13 +314,17 @@ def kf_filter(
         slope_rows, slope_cols = np.nonzero(Z_t[:, beta])
         slope_at = slope_rows * K + beta.start + slope_cols   # flat positions in Z_t
         slope_base = Z_t.ravel()[slope_at]
-        mask_rows = np.ascontiguousarray(mask.T)
 
     k = 0  # bank entry of slot t-1
     for t in range(1, T + 1):
         if reuse:
-            key = (pattern[t - 1], entry_class[k])
-            obs, block = observed[key[0]], blocks[key[0]]
+            col = mask_rows[t - 1].tobytes()
+            seen = patterns.get(col)
+            if seen is None:
+                obs = mask_rows[t - 1].nonzero()[0]
+                seen = patterns[col] = obs, _measurement_block(ss, obs, ss.measurement_base)
+            obs, block = seen
+            key = (col, entry_class[k])
             hit = computed.get(key)
         else:
             Z_t.ravel()[slope_at] = slope_base * float(t)
@@ -331,12 +336,11 @@ def kf_filter(
         else:
             if size == len(bank):
                 bank, chol_diag = _grown(bank, T + 1), _grown(chol_diag, T + 1)
-            step = _filter_step(ss, bank[k, 1], block, t, bank[size])
+            gain, cPi, chol_diag[size, 0], chol_diag[size, 1] = _filter_step(ss, bank[k, 1], block, t, bank[size])
             k, size = size, size + 1
-            gain, cPi, chol_diag[k, 0], chol_diag[k, 1] = step[2:]
             if reuse:
                 computed[key] = (k, gain, cPi)
-                entry_class.append(classes.setdefault(step[1].tobytes(), k))
+                entry_class.append(classes.setdefault(bank[k, 1].tobytes(), k))
         step_index[t] = k
 
         a = np.matmul(Theta, a_filt[t - 1], out=a_pred[t])
@@ -388,20 +392,6 @@ def _grown(buffer: np.ndarray, limit: int) -> np.ndarray:
 def _trim(buffer: np.ndarray, stop: int) -> np.ndarray:
     """The first ``stop`` entries of a bank buffer; a copy, so the buffer is freed, unless that is all of it."""
     return buffer if stop == len(buffer) else buffer[:stop].copy()
-
-
-def _column_patterns(mask: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
-    """Per column, an id shared by exactly the columns with the same observed rows, and each id's rows."""
-    ids: dict[bytes, int] = {}
-    rows: list[np.ndarray] = []
-    pattern = []
-    for col in mask.T:
-        key = col.tobytes()
-        if key not in ids:
-            ids[key] = len(rows)
-            rows.append(np.nonzero(col)[0])
-        pattern.append(ids[key])
-    return pattern, rows
 
 
 def ks_smooth(filt: FilterOutput, ss: StateSpace) -> SmootherOutput:

@@ -165,16 +165,13 @@ class Params:
                 raise ValueError(f"{name} has shape {v.shape}, expected {(n,)}")
         if np.any(self.gamma_e_diag <= 0):
             raise ValueError("gamma_e_diag entries must be positive")
-        for name, idx in (("sigma2_omega", spec.local_level), ("sigma2_eta", spec.local_trend)):
+        for name, idx in (("sigma2_omega", spec.local_level), ("sigma2_eta", spec.local_trend),
+                          ("sigma2_nu", spec.idio_im)):
             v = getattr(self, name)
             members = np.zeros(n, dtype=bool)
             members[list(idx)] = True
             if np.any(v[~members] != 0) or np.any(v[members] <= 0):
                 raise ValueError(f"{name} must be positive exactly on its index set")
-        im = np.zeros(n, dtype=bool)
-        im[list(spec.idio_im)] = True
-        if np.any(self.sigma2_nu[~im] != 0) or np.any(self.sigma2_nu[im] <= 0):
-            raise ValueError("sigma2_nu must be positive exactly on idio_i1|local_level|local_trend")
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,8 @@ class MCConfig:
             raise ValueError(f"tau must be finite in [0, 1), got tau={self.tau}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got seed={self.seed}")
         if self.innovation_dist not in ("gaussian", "student_t4"):
             raise ValueError(f"unknown innovation_dist {self.innovation_dist!r}")
 
@@ -116,6 +118,8 @@ class SimulatedPanel:
 
 def replication_rng(seed: int, replication: int) -> np.random.Generator:
     """Independent substream for one replication of a master seed."""
+    if replication < 0:
+        raise ValueError(f"replication must be >= 0, got replication={replication}")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replication,)))
 
 

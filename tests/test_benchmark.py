@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
+import pytest
 
 import nsdfm.benchmark
-from nsdfm.benchmark import run_cell, run_diagnostics, run_replication
+from nsdfm.benchmark import check_fittable, run_cell, run_diagnostics, run_replication
 from nsdfm.em import EMOptions
 from nsdfm.simulate import MCConfig
 
@@ -41,14 +44,40 @@ def test_cell_aggregation_independent_of_parallelism():
 
 
 def test_failed_replication_is_recorded_not_dropped():
-    # q >= n makes the spec invalid for every replication
-    cfg = MCConfig(n=10, T=20, q=2, s=0, tau=0.0, seed=1, replications=2)
-    bad = MCConfig(**{**{k: getattr(cfg, k) for k in cfg.__dataclass_fields__}, "n": 10})
+    # T = 4 is below the T >= p*q + p + 1 = 7 a VAR(2) prefit on 2 factors needs, so every fit fails
+    bad = MCConfig(n=10, T=4, q=2, s=0, p=2, tau=0.0, seed=1, replications=3)
     report = run_cell(bad, EMOptions(max_iter=5), jobs=1)
-    assert report.n_failed == 0  # sanity: this cell is actually fine
+    assert [rec.error for rec in report.replications] == ["ValueError: T=4 too small for a VAR(2) on 2 factors"] * 3
+    assert report.n_failed == 3 and not report.is_valid
+    assert report.aggregate()["failed"] == bad.replications
 
+    cfg = MCConfig(n=10, T=20, q=2, s=0, tau=0.0, seed=1, replications=2)
     rec = run_replication(cfg, 0, EMOptions(max_iter=1, tolerance=1e-12))
     assert rec.error is None  # a short run is not a failure
+
+
+# each bound of check_fittable: the cell at it, which fits, and the cell one step past it, which no replication
+# can fit, with the message check_fittable names it by and the error a replication fails with
+@pytest.mark.parametrize("cell, named, fails", [
+    (dict(n=8, T=7, q=2, p=2), None, None),
+    (dict(n=8, T=6, q=2, p=2), "T must be >= p*q + p + 1 = 7", "too small for a VAR(2) on 2 factors"),
+    (dict(n=8, T=4, q=1, s=1, p=1), None, None),
+    (dict(n=8, T=3, q=1, s=1, p=1), "T must be >= s*q + s + 2 = 4", "too few periods to fit lagged loadings"),
+    (dict(n=4, T=30, q=2, s=1), None, None),
+    (dict(n=3, T=30, q=2, s=1), "q*(s+1) must be <= min(n, T-1)", "rank below r=4"),
+    (dict(n=10, T=7, q=3, s=1, p=1), None, None),
+    (dict(n=10, T=6, q=3, s=1, p=1), "q*(s+1) must be <= min(n, T-1)", "rank below r=6"),
+])
+def test_check_fittable_bounds_are_the_pipelines(cell, named, fails):
+    cfg = MCConfig(tau=0.0, seed=1, replications=1, **cell)
+    rec = run_replication(cfg, 0, EMOptions(max_iter=5))
+    if named is None:
+        check_fittable(cfg)
+        assert rec.error is None
+    else:
+        with pytest.raises(ValueError, match=re.escape(named)):
+            check_fittable(cfg)
+        assert fails in rec.error
 
 
 def test_diagnostics_shapes():

@@ -63,7 +63,7 @@ def test_m_step_var_reduces_to_ols_with_zero_covariances(rng):
         F[t, : spec.q] += rng.standard_normal(spec.q)
     x = rng.standard_normal((spec.n, spec.T))
     stats = stats_from_states(F, x, spec)
-    A, gamma_u = m_step_var(stats, spec, spec.T)
+    A, gamma_u = m_step_var(stats, spec)
 
     # direct OLS of f_t on (f_{t-1}, f_{t-2}) using the same state-implied lags
     f = F[:, : spec.q]
@@ -84,7 +84,7 @@ def test_var_update_matches_numeric_maximizer(rng):
     ss = build_state_space(spec, params)
     panel = Panel.from_data(rng.standard_normal((3, 5)))
     stats, _ = e_step(spec, params, panel, np.zeros(ss.K), np.eye(ss.K) * 5)
-    A, gamma_u = m_step_var(stats, spec, spec.T)
+    A, gamma_u = m_step_var(stats, spec)
 
     Saa = stats.SA[0, 0]
     Sab = stats.SB[0, 0]
@@ -285,7 +285,7 @@ def test_m_step_maximizes_the_expected_complete_loglik(case, seed):
     stats, smooth = e_step(spec, params, panel, np.zeros(K), np.eye(K) * 2.0)
     alpha_free = np.isin(np.arange(spec.n), list(spec.detrend_set - spec.local_level))
     beta_free = np.isin(np.arange(spec.n), list(spec.detrend_set - spec.local_trend))
-    new = _m_step(stats, spec, params, EMOptions(), alpha_free, beta_free, spec.T)
+    new = _m_step(stats, spec, params, EMOptions(), alpha_free, beta_free)
 
     def Q(p):
         return expected_complete_loglik(spec, p, panel, smooth.smoothed_means, smooth.smoothed_covs,
@@ -331,6 +331,12 @@ def test_fit_monotone_loglik_and_chi_recovery():
     from nsdfm.metrics import mse_common
     denom = np.var(sim.chi)
     assert mse_common(res.chi, sim.chi) / denom < 0.5
+
+
+def test_fit_rejects_a_panel_of_another_shape():
+    panel = Panel.from_data(np.random.default_rng(0).standard_normal((5, 30)))
+    with pytest.raises(ValueError, match="panel is 5x30, spec says 6x30"):
+        fit(ModelSpec(n=6, T=30, q=1), panel)
 
 
 def test_fit_noiseless_panel_plateaus(rng):
@@ -443,7 +449,7 @@ def test_sigma2_omega_recovery_at_truth(rng):
     from nsdfm.em import m_step_variances
     lam = np.hstack([np.asarray(B) for B in params.loadings])
     coef = np.concatenate([lam, np.zeros((n, 2))], axis=1)
-    ge, s2w_hat, s2e_hat, s2nu_hat = m_step_variances(stats, spec, coef, params, EMOptions(), T)
+    ge, s2w_hat, s2e_hat, s2nu_hat = m_step_variances(stats, spec, coef, params, EMOptions())
     assert s2w_hat[0] == pytest.approx(0.25, rel=0.10)
     np.testing.assert_array_equal(s2w_hat[1:], 0.0)
     np.testing.assert_array_equal(s2e_hat, 0.0)

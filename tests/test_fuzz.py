@@ -15,7 +15,7 @@ It must never raise, so never end in a traceback, and never warn: the suite
 turns warnings into errors.  Tier-1 runs the seeds ``range(CASES)``; a longer
 range runs outside it with ``PYTHONPATH=src python tests/test_fuzz.py FIRST
 STOP``, which prints every case that breaks the contract and the count of
-cases by exit code.
+cases by exit code, and exits 1 if any case broke it.
 """
 
 from __future__ import annotations
@@ -182,6 +182,7 @@ if __name__ == "__main__":
         warnings.simplefilter("error", category)
     first, stop = (int(a) for a in sys.argv[1:3])
     codes: Counter = Counter()
+    broken = 0
     for seed in range(first, stop):
         with tempfile.TemporaryDirectory() as tmp:
             try:
@@ -190,5 +191,7 @@ if __name__ == "__main__":
                 argv, code, problems = draw_argv(seed, Path(tmp)), "raised", [f"{type(exc).__name__}: {exc}"]
         codes[code] += 1
         if problems:
+            broken += 1
             print(f"seed {seed}: exit {code}: {problems}\n  argv {argv}")
-    print(f"{stop - first} cases, by exit code: {dict(sorted(codes.items(), key=str))}")
+    print(f"{stop - first} cases, by exit code: {dict(sorted(codes.items(), key=str))}; {broken} broke the contract")
+    sys.exit(1 if broken else 0)

@@ -487,6 +487,17 @@ def test_cli_bad_config_value_rejected_and_named(tmp_path, capsys, section, key,
     (["benchmark", "--jobs", "-3"], "bad value for io.jobs"),
     (["simulate", "--n", "0"], "q must satisfy 0 < q < n, got q=2 with n=0"),
     (["diagnose", "--n-grid", "-5"], "q must satisfy 0 < q < n, got q=2 with n=-5"),
+    (["simulate", "--n", "8", "--T", "20", "--seed", "-1"], "seed must be >= 0, got seed=-1"),
+    (["simulate", "--n", "8", "--T", "20", "--replication", "-1"], "replication must be >= 0, got replication=-1"),
+    (["diagnose", "--seed", "-1"], "seed must be >= 0, got seed=-1"),
+    (["benchmark", "--n", "8", "--T", "20", "--seed", "-1", "--replications", "2", "--max-iter", "2"],
+     "seed must be >= 0, got seed=-1"),
+    (["benchmark", "--n", "8", "--T", "4", "--replications", "2", "--max-iter", "2"],
+     "T must be >= p*q + p + 1 = 7 to fit a VAR(p) on q factors, got T=4 with p=2, q=2"),
+    (["benchmark", "--n", "3", "--T", "30", "--q", "2", "--s", "1", "--replications", "2", "--max-iter", "2"],
+     "q*(s+1) must be <= min(n, T-1) for the levels PCA, got q=2, s=1, n=3, T=30"),
+    (["benchmark", "--n", "8", "--T", "20", "--q", "1", "--replications", "1", "--cells", "T=20;T=3,s=1,p=1"],
+     "T must be >= s*q + s + 2 = 4 to fit lagged loadings, got T=3 with s=1, q=1"),
 ])
 def test_cli_rejected_spec_or_cell_writes_nothing(tmp_path, capsys, argv, named):
     # the spec, the options and the cells are built before the output directory is made

@@ -224,9 +224,10 @@ def _check_fresh_steps_and_oracle(ss, panel, reused):
     for t in range(1, panel.T + 1):
         obs = np.nonzero(panel.missing_mask[:, t - 1])[0]
         block = _measurement_block(ss, obs, measurement_map(ss, t - 1))
-        P_pred, P_filt, *_ = _filter_step(ss, filt.filtered_covs[t - 1], block, t, np.empty((2, ss.K, ss.K)))
-        np.testing.assert_array_equal(filt.predicted_covs[t], P_pred)
-        np.testing.assert_array_equal(filt.filtered_covs[t], P_filt)
+        out = np.empty((2, ss.K, ss.K))
+        _filter_step(ss, filt.filtered_covs[t - 1], block, t, out)
+        np.testing.assert_array_equal(filt.predicted_covs[t], out[0])
+        np.testing.assert_array_equal(filt.filtered_covs[t], out[1])
 
     oracle = joint_gaussian_moments(ss, panel, init_mean, init_cov)
     smooth = ks_smooth(filt, ss)
@@ -327,9 +328,10 @@ def test_cycles_longer_than_two_are_reused(monkeypatch):
                 assert key not in computed, f"step at t={t} was computed before"
                 computed.add(key)
             block = _measurement_block(ss, obs, measurement_map(ss, t - 1))
-            P_pred, P_filt, *_ = _filter_step(ss, filt.filtered_covs[t - 1], block, t, np.empty((2, ss.K, ss.K)))
-            np.testing.assert_array_equal(filt.predicted_covs[t], P_pred)
-            np.testing.assert_array_equal(filt.filtered_covs[t], P_filt)
+            out = np.empty((2, ss.K, ss.K))
+            _filter_step(ss, filt.filtered_covs[t - 1], block, t, out)
+            np.testing.assert_array_equal(filt.predicted_covs[t], out[0])
+            np.testing.assert_array_equal(filt.filtered_covs[t], out[1])
         smooth = ks_smooth(filt, ss)
         assert len({P.tobytes() for P in smooth.cov_bank}) == len(smooth.cov_bank)
         every_slot = dataclasses.replace(filt, step_index=np.arange(panel.T + 1),

@@ -115,6 +115,23 @@ def test_constraint_table_local_level():
         build_state_space(spec, bad)
 
 
+@pytest.mark.parametrize("name, off, on", [("sigma2_omega", 1, 0), ("sigma2_eta", 0, 1), ("sigma2_nu", 2, 1)])
+@pytest.mark.parametrize("nonzero_off", [True, False], ids=["nonzero_off_its_set", "zero_on_its_set"])
+def test_structural_variances_are_positive_exactly_on_their_sets(name, off, on, nonzero_off):
+    # series 0 has a local level, series 1 a local trend, so both carry the phi device and series 2 nothing
+    spec = ModelSpec(n=3, T=6, q=1, s=0, p=1, local_level=[0], local_trend=[1])
+    valid = replace(minimal_params(n=3), sigma2_omega=np.array([0.04, 0.0, 0.0]),
+                    sigma2_eta=np.array([0.0, 0.01, 0.0]), sigma2_nu=np.array([1e-5, 1e-5, 0.0]))
+    valid.validate(spec)
+    v = np.array(getattr(valid, name))
+    if nonzero_off:
+        v[off] = 0.5
+    else:
+        v[on] = 0.0
+    with pytest.raises(ValueError, match=f"{name} must be positive exactly on its index set"):
+        replace(valid, **{name: v}).validate(spec)
+
+
 def test_trend_loading_is_time_index():
     n = 2
     spec = ModelSpec(n=n, T=6, q=1, s=0, p=1, local_trend=frozenset({0}))
