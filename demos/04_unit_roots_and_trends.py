@@ -28,7 +28,7 @@ print(f"\ncommon-component MSE: EM = {m_em:.3f}, PC on levels = {m_b:.1f} "
       f"(relative {m_em / m_b:.4f}; levels PCs fail under idiosyncratic unit roots)")
 
 # estimated slopes track the drawn ones
-drawn = np.array([sim.beta0[i] for i in sorted(sim.trend_set)])
+drawn = np.array([sim.params.beta0[i] for i in sorted(sim.trend_set)])
 fitted = np.array([res.params.beta0[i] for i in sorted(sim.trend_set)])
 print(f"\ntrend slopes, drawn vs fitted (first 5):")
 for b0, bh in list(zip(drawn, fitted))[:5]:

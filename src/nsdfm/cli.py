@@ -29,12 +29,12 @@ from .benchmark import (DIAGNOSTIC_HORIZON, MC_EM_OPTIONS, METHODS, ReplicationR
                         run_diagnostics)
 from .em import EMOptions, fit
 from .metrics import DEFAULT_T_MIN, mse_common
+from .model import ModelSpec
 from .panel_io import (
     SCHEMA,
     params_to_dict,
     load_config,
     mc_config_from_section,
-    model_spec_from_section,
     parse_boolean,
     parse_section,
     read_panel,
@@ -148,9 +148,10 @@ def cmd_estimate(args) -> int:
         print(f"error: cannot read panel: {exc}", file=sys.stderr)
         return EXIT_DATA
 
-    spec = model_spec_from_section(sections.get("model", {}), panel.n, panel.T)
-    options = EMOptions(standardize=parse_section("model", sections.get("model", {})).get("standardize", False),
-                        **parse_section("em", sections.get("em", {})))
+    model = parse_section("model", sections.get("model", {}))
+    standardize = model.pop("standardize", False)  # an EMOptions field; the other [model] keys are ModelSpec's
+    spec = ModelSpec(n=panel.n, T=panel.T, **{"q": 1, "p": 2, **model})
+    options = EMOptions(standardize=standardize, **parse_section("em", sections.get("em", {})))
     truth_chi = None
     if args.truth:  # checked before anything is fitted or written
         try:
@@ -264,8 +265,7 @@ def cmd_diagnose(args) -> int:
     except ValueError:
         n_grid = ()
     if not n_grid:
-        print(f"error: bad --n-grid {args.n_grid!r}: name at least one panel size", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"bad --n-grid {args.n_grid!r}: name at least one panel size")
     diag = run_diagnostics(cfg, n_grid=n_grid)  # a bad size raises here, before the output directory is made
     out = _out_dir(args, sections)
     echo = _config_echo(sections, {"seed": cfg.seed, "horizon": DIAGNOSTIC_HORIZON})

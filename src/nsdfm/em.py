@@ -116,7 +116,10 @@ class EMResult:
 
     The smoothed factors are ``smoothed_means[1:, :spec.q]`` (T x q).  The
     estimated deterministic intercepts and slopes are ``params.alpha0`` and
-    ``params.beta0``, zero off the series that carry them.
+    ``params.beta0``, zero off ``spec.free_intercepts`` and
+    ``spec.free_slopes``.  On a ``local_level`` or ``local_trend`` series
+    outside ``idio_i1``, ``params.gamma_e_diag`` is never read by the model,
+    so EM leaves it at its pre-estimated value.
     """
 
     params: Params
@@ -347,16 +350,9 @@ def m_step_variances(
     return ge, s2w, s2e, s2nu
 
 
-def _m_step(
-    stats: SufficientStats,
-    spec: ModelSpec,
-    params_prev: Params,
-    options: EMOptions,
-    alpha_free: np.ndarray,
-    beta_free: np.ndarray,
-) -> Params:
-    q, s = spec.q, spec.s
-    r0 = (s + 1) * q
+def _m_step(stats: SufficientStats, spec: ModelSpec, params_prev: Params, options: EMOptions) -> Params:
+    q, s, r0 = spec.q, spec.s, stats.r0
+    alpha_free, beta_free = (np.isin(np.arange(spec.n), list(idx)) for idx in (spec.free_intercepts, spec.free_slopes))
     prev_coef = np.column_stack([*params_prev.loadings, params_prev.alpha0, params_prev.beta0])
     coef = _solve_measurement(stats, alpha_free, beta_free, prev_coef)
     A, gamma_u = m_step_var(stats, spec)
@@ -417,13 +413,7 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
     panel = Panel(panel.data / scale[:, None], panel.missing_mask)
 
     pre = pre_estimate(spec, panel)
-
-    # deterministic intercept/slope parameters: active for the detrend set,
-    # minus any component that lives in the state instead, and zero elsewhere
-    alpha_free = np.isin(np.arange(spec.n), list(spec.detrend_set - spec.local_level))
-    beta_free = np.isin(np.arange(spec.n), list(spec.detrend_set - spec.local_trend))
-    params = replace(pre.params, alpha0=np.where(alpha_free, pre.params.alpha0, 0.0),
-                     beta0=np.where(beta_free, pre.params.beta0, 0.0))
+    params = pre.params
     init_mean = pre.init_state_mean
     init_cov = pre.init_state_cov
     logliks: list[float] = []
@@ -432,7 +422,7 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
     for iterations in range(1, options.max_iter + 1):
         stats, smooth = e_step(spec, params, panel, init_mean, init_cov)
         logliks.append(stats.loglik)
-        params = _m_step(stats, spec, params, options, alpha_free, beta_free)
+        params = _m_step(stats, spec, params, options)
         init_mean = smooth.smoothed_means[0]
         init_cov = smooth.cov_bank[smooth.cov_index[0]]
         if iterations >= 2 and _relative_change(logliks[-1], logliks[-2]) < options.tolerance:

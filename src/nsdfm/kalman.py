@@ -238,14 +238,12 @@ def _filter_step(ss: StateSpace, P_prev: np.ndarray, block: tuple | None, t: int
         raise np.linalg.LinAlgError(
             f"P_{{t|t-1}} or P_{{t|t-1}}^-1 + Z'R^-1 Z not positive definite at t={t}; check the variances"
         ) from exc
-    if not ss.time_varying:
-        _symmetrize(P_filt)
-        return gain, cPi, cP.diagonal(), cM.diagonal()
-    IKZ = gain @ Z
-    np.negative(IKZ, out=IKZ)
-    IKZ.ravel()[::P.shape[0] + 1] += 1.0         # I - gain Z without a K x K identity per step
-    np.matmul(IKZ @ P, IKZ.T, out=P_filt)
-    P_filt += (gain * r_diag) @ gain.T
+    if ss.time_varying:
+        IKZ = gain @ Z
+        np.negative(IKZ, out=IKZ)
+        IKZ.ravel()[::P.shape[0] + 1] += 1.0     # I - gain Z without a K x K identity per step
+        np.matmul(IKZ @ P, IKZ.T, out=P_filt)
+        P_filt += (gain * r_diag) @ gain.T
     _symmetrize(P_filt)
     return gain, cPi, cP.diagonal(), cM.diagonal()
 

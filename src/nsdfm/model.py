@@ -54,7 +54,10 @@ class ModelSpec:
     trend slope, and ``detrend`` series with a deterministic intercept and
     linear trend in the measurement equation; None stands for
     ``local_level | local_trend`` (see :attr:`detrend_set`), whose states
-    then absorb only the stochastic part.  A series may not be both
+    then absorb only the stochastic part.  Of a detrended series' intercept
+    and slope, the one its local level or local trend state carries is not
+    a parameter: :attr:`free_intercepts` and :attr:`free_slopes` are the
+    series whose intercept and slope EM estimates.  A series may not be both
     ``idio_i1`` and ``local_level``: two random walks on one series are not
     identified.
     """
@@ -93,6 +96,16 @@ class ModelSpec:
         return self.local_level | self.local_trend if self.detrend is None else self.detrend
 
     @property
+    def free_intercepts(self) -> frozenset[int]:
+        """The series whose deterministic intercept is a parameter: the detrend set less the local levels."""
+        return self.detrend_set - self.local_level
+
+    @property
+    def free_slopes(self) -> frozenset[int]:
+        """The series whose deterministic slope is a parameter: the detrend set less the local trends."""
+        return self.detrend_set - self.local_trend
+
+    @property
     def idio_im(self) -> frozenset[int]:
         """Series with any extra latent state (measurement error is phi-tiny)."""
         return self.idio_i1 | self.local_level | self.local_trend
@@ -123,7 +136,10 @@ class Params:
     ``sigma2_eta`` zero off ``local_trend`` and ``sigma2_nu`` zero off the
     union of the three index sets.  The unit root of an ``idio_i1``
     component is known, not a parameter: ``build_state_space`` makes it a
-    random-walk state.
+    random-walk state.  ``gamma_e_diag`` is the innovation variance of an
+    ``idio_i1`` series' xi state and the measurement variance of a series
+    with no extra state; on a ``local_level`` or ``local_trend`` series
+    outside ``idio_i1`` the model never reads it.
     """
 
     loadings: list[np.ndarray]

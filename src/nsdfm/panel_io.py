@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ModelSpec, Panel, Params
+from .model import Panel, Params
 from .simulate import MCConfig, SimulatedPanel
 
 __all__ = [
@@ -132,7 +132,7 @@ def write_truth(path, sim: SimulatedPanel) -> None:
         "factors": sim.factors.tolist(),
         "xi": sim.xi.tolist(),
         "trend": sim.trend.tolist(),
-        "beta0": sim.beta0.tolist(),
+        "beta0": sim.params.beta0.tolist(),
         "i1_set": sorted(sim.i1_set),
         "trend_set": sorted(sim.trend_set),
         "rho2": sim.rho2.tolist(),
@@ -261,15 +261,5 @@ def mc_config_from_section(section: dict[str, str]) -> MCConfig:
         values["innovation_dist"] = values.pop("dist")
     try:
         return MCConfig(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def model_spec_from_section(section: dict[str, str], n: int, T: int) -> ModelSpec:
-    """Build a ModelSpec from the [model] section for an n x T panel; ``standardize``, an EMOptions key, is skipped."""
-    values = parse_section("model", section)
-    fields = {k: v for k, v in values.items() if k in ModelSpec.__dataclass_fields__}
-    try:
-        return ModelSpec(n=n, T=T, **{"q": 1, "p": 2, **fields})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

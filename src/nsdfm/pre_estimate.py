@@ -49,9 +49,12 @@ VARIANCE_FLOOR = 1.0e-12
 class PreEstimate:
     """Iteration-0 estimates plus the Kalman filter initialization.
 
-    ``params`` holds every iteration-0 parameter; its ``alpha0`` and
-    ``beta0`` are the OLS intercepts and slopes (0 off ``spec.detrend_set``).
-    ``init_state_mean`` and ``init_state_cov`` follow ``spec.layout``.
+    ``params`` is the point :func:`nsdfm.em.fit` starts EM from; its
+    ``alpha0`` and ``beta0`` are the OLS intercepts and slopes on
+    ``spec.free_intercepts`` and ``spec.free_slopes`` and 0 elsewhere.
+    ``init_state_mean`` and ``init_state_cov`` follow ``spec.layout``; the
+    mean starts each local level and local trend state at its series' OLS
+    intercept or slope.
     """
 
     params: Params
@@ -264,7 +267,8 @@ def initial_state_cov(spec: ModelSpec, var_coeffs: list[np.ndarray], gamma_u: np
 def pre_estimate(spec: ModelSpec, panel: Panel) -> PreEstimate:
     """Full iteration-0 estimation for (spec, panel).
 
-    The series of ``spec.detrend_set`` are OLS-detrended first.  The
+    The series of ``spec.detrend_set`` are OLS-detrended first, and
+    ``params`` keeps each OLS intercept and slope that is a parameter.  The
     returned initial state covariance uses the Lyapunov block for the
     factors and KAPPA * I for the extra states.
     """
@@ -292,13 +296,12 @@ def pre_estimate(spec: ModelSpec, panel: Panel) -> PreEstimate:
     gamma_u = floor_gamma_u(0.5 * (gamma_u + gamma_u.T))
     ge = np.maximum(gamma_e_init(dx, loadings, f_tilde, spec.idio_i1), VARIANCE_FLOOR)
 
-    im = spec.idio_im
     s2w = np.zeros(n)
     s2w[list(spec.local_level)] = SIGMA2_OMEGA_INIT
     s2e = np.zeros(n)
     s2e[list(spec.local_trend)] = SIGMA2_ETA_INIT
     s2nu = np.zeros(n)
-    s2nu[list(im)] = SIGMA2_NU_INIT
+    s2nu[list(spec.idio_im)] = SIGMA2_NU_INIT
 
     params = Params(
         loadings=loadings,
@@ -308,8 +311,8 @@ def pre_estimate(spec: ModelSpec, panel: Panel) -> PreEstimate:
         sigma2_omega=s2w,
         sigma2_eta=s2e,
         sigma2_nu=s2nu,
-        alpha0=alpha_check,
-        beta0=beta_check,
+        alpha0=np.where(np.isin(np.arange(n), list(spec.free_intercepts)), alpha_check, 0.0),
+        beta0=np.where(np.isin(np.arange(n), list(spec.free_slopes)), beta_check, 0.0),
     )
 
     layout = spec.layout

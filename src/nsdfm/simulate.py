@@ -101,8 +101,7 @@ class SimulatedPanel:
     chi: np.ndarray
     factors: np.ndarray              # q x T
     xi: np.ndarray
-    trend: np.ndarray                # n x T deterministic component
-    beta0: np.ndarray
+    trend: np.ndarray                # n x T deterministic component, params.beta0 * t
     i1_set: frozenset[int]
     trend_set: frozenset[int]
     rho2: np.ndarray                 # second AR roots of the idiosyncratic components
@@ -295,7 +294,6 @@ def simulate_panel(config: MCConfig, replication: int = 0) -> SimulatedPanel:
         factors=f[:, BURN_IN:],
         xi=xi_scaled,
         trend=trend,
-        beta0=beta0,
         i1_set=i1,
         trend_set=trend_set,
         rho2=rho2,

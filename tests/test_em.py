@@ -7,6 +7,7 @@ from nsdfm.em import (EMOptions, SufficientStats, _m_step, _series_scale, _solve
                       m_step_var)
 from nsdfm.kalman import kf_filter
 from nsdfm.model import ModelSpec, Panel, Params, build_state_space
+from nsdfm.pre_estimate import pre_estimate
 from nsdfm.simulate import MCConfig, simulate_panel
 from conftest import random_instance, random_panel, settled_panel
 from oracles import (expected_complete_loglik, joint_gaussian_moments, lag_one_covs, per_slot_reduce_moments,
@@ -247,9 +248,10 @@ def _m_step_instance(case: str, rng):
     return spec, params, random_panel(spec, rng, missing_frac=0.0 if case == "plain" else 0.1)
 
 
-def _block_perturbations(spec, new, alpha_free, beta_free, rng, h=1e-4):
+def _block_perturbations(spec, new, rng, h=1e-4):
     """Small feasible moves of each M-step block of ``new``, both ways along random directions."""
     q = spec.q
+    alpha_free, beta_free = (np.isin(np.arange(spec.n), list(idx)) for idx in (spec.free_intercepts, spec.free_slopes))
     moves = []
     for sign in (1.0, -1.0):
         step = sign * h
@@ -283,9 +285,7 @@ def test_m_step_maximizes_the_expected_complete_loglik(case, seed):
     spec, params, panel = _m_step_instance(case, rng)
     K = spec.layout.K
     stats, smooth = e_step(spec, params, panel, np.zeros(K), np.eye(K) * 2.0)
-    alpha_free = np.isin(np.arange(spec.n), list(spec.detrend_set - spec.local_level))
-    beta_free = np.isin(np.arange(spec.n), list(spec.detrend_set - spec.local_trend))
-    new = _m_step(stats, spec, params, EMOptions(), alpha_free, beta_free)
+    new = _m_step(stats, spec, params, EMOptions())
 
     def Q(p):
         return expected_complete_loglik(spec, p, panel, smooth.smoothed_means, smooth.smoothed_covs,
@@ -293,7 +293,7 @@ def test_m_step_maximizes_the_expected_complete_loglik(case, seed):
 
     best = Q(new)
     assert best > Q(params)
-    for block, moved in _block_perturbations(spec, new, alpha_free, beta_free, rng):
+    for block, moved in _block_perturbations(spec, new, rng):
         assert Q(moved) <= best + 1e-12 * abs(best), block
 
 
@@ -339,6 +339,41 @@ def test_fit_rejects_a_panel_of_another_shape():
         fit(ModelSpec(n=6, T=30, q=1), panel)
 
 
+@pytest.mark.parametrize("sets", [
+    {"local_level": {0, 1}},
+    {"local_trend": {2, 3}},
+    {"local_level": {0, 1}, "local_trend": {0, 1}},
+    {"idio_i1": {0, 1}, "local_trend": {0, 1}},
+    {"local_level": {0, 1}, "local_trend": {2, 3}, "detrend": {0, 1, 2, 3, 4, 5}},
+    {"detrend": {4, 5}},
+], ids=["local_level", "local_trend", "level_and_trend", "i1_and_trend", "detrend_beyond", "detrend"])
+def test_pre_estimate_returns_the_point_em_starts_from(sets):
+    # fit runs its first E-step at pre.params, bit for bit; in-band data is fitted at its own scale
+    sim = simulate_panel(MCConfig(n=20, T=40, q=2, n1=3, nb=3, seed=11), 0)
+    spec = ModelSpec(n=20, T=40, q=2, **sets)
+    assert np.all(_series_scale(sim.panel, False) == 1.0)
+    pre = pre_estimate(spec, sim.panel)
+    stats, _ = e_step(spec, pre.params, sim.panel, pre.init_state_mean, pre.init_state_cov)
+    assert stats.loglik == fit(spec, sim.panel, EMOptions(max_iter=1)).loglik_path[0]
+
+
+def test_gamma_e_diag_of_a_local_series_outside_idio_i1_is_never_read():
+    # no state and no measurement variance of series 0 (local level) or 1 (local trend) reads it
+    sim = simulate_panel(MCConfig(n=20, T=40, q=1, tau=0.0, seed=3), 0)
+    spec = ModelSpec(n=20, T=40, q=1, local_level={0}, local_trend={1})
+    assert np.all(_series_scale(sim.panel, False) == 1.0)
+    pre = pre_estimate(spec, sim.panel)
+    res = fit(spec, sim.panel)
+    assert res.iterations > 2
+    np.testing.assert_array_equal(res.params.gamma_e_diag[:2], pre.params.gamma_e_diag[:2])
+    assert np.all(res.params.gamma_e_diag[2:] != pre.params.gamma_e_diag[2:])
+    factor = np.where(np.arange(20) < 2, 7.0, 1.0)
+    rescaled = dataclasses.replace(res.params, gamma_e_diag=res.params.gamma_e_diag * factor)
+    filt = [kf_filter(build_state_space(spec, p), sim.panel, pre.init_state_mean, pre.init_state_cov)
+            for p in (res.params, rescaled)]
+    np.testing.assert_array_equal(filt[0].loglik, filt[1].loglik)
+
+
 def test_fit_noiseless_panel_plateaus(rng):
     n, q, T = 12, 2, 50
     spec = ModelSpec(n=n, T=T, q=q, s=0, p=1)
@@ -362,7 +397,7 @@ def test_fit_with_trend_series_detrends():
     off = [i for i in range(cfg.n) if i not in sim.trend_set]
     np.testing.assert_array_equal(res.params.beta0[off], 0.0)
     for i in sim.trend_set:
-        assert res.params.beta0[i] == pytest.approx(sim.beta0[i], abs=0.4)
+        assert res.params.beta0[i] == pytest.approx(sim.params.beta0[i], abs=0.4)
     from nsdfm.metrics import mse_common
     assert mse_common(res.chi, sim.chi) / np.var(sim.chi) < 0.5
 
@@ -519,9 +554,9 @@ def test_fit_is_permutation_equivariant():
     base = fitted(np.arange(cfg.n))
     assert base.iterations > 2
     # the deterministic intercept and slope are parameters exactly where no state carries them
-    series = np.arange(cfg.n)
-    np.testing.assert_array_equal(base.params.alpha0 != 0, np.isin(series, list(sets["detrend"] - sets["local_level"])))
-    np.testing.assert_array_equal(base.params.beta0 != 0, np.isin(series, list(sets["detrend"] - sets["local_trend"])))
+    spec = ModelSpec(cfg.n, cfg.T, cfg.q, p=cfg.p, **sets)
+    np.testing.assert_array_equal(np.flatnonzero(base.params.alpha0), sorted(spec.free_intercepts))
+    np.testing.assert_array_equal(np.flatnonzero(base.params.beta0), sorted(spec.free_slopes))
     for _ in range(4):
         perm = rng.permutation(cfg.n)
         res = fitted(perm)

@@ -178,6 +178,10 @@ def test_spec_index_sets():
     # None is resolved on each read, so a replaced local set carries over
     assert replace(spec, local_trend={3}).detrend_set == {1, 3}
     assert replace(spec, detrend=[4]).detrend_set == frozenset({4})
+    # a local level carries its series' intercept, a local trend its slope; the rest of the detrend set is free
+    assert spec.free_intercepts == {2} and spec.free_slopes == frozenset()
+    wide = replace(spec, detrend=[0, 1, 2, 4])
+    assert wide.free_intercepts == {0, 2, 4} and wide.free_slopes == {0, 4}
     with pytest.raises(ValueError, match="detrend contains indices outside 0..5"):
         ModelSpec(n=6, T=10, q=1, detrend={6})
     # two random walks on one series are not identified; a local level and a local trend

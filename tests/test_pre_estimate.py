@@ -256,14 +256,21 @@ def test_init_state_mean_follows_layout(rng):
         idio_i1=frozenset({6, 1}), local_level=frozenset({9, 3}), local_trend=frozenset({4, 8}),
     )
     pre = pre_estimate(spec, Panel.from_data(x))
+    ols = np.array([detrend_ols(x[i], np.ones(T, dtype=bool))[:2] for i in range(n)])   # (intercept, slope)
+    assert np.all(ols[[3, 4, 8, 9]] != 0)
     m = pre.init_state_mean
     assert m.shape == (12,)
     np.testing.assert_array_equal(m[:6], np.concatenate([pre.f_tilde[:, 0]] * 3))
     np.testing.assert_array_equal(m[6:8], 0.0)
-    np.testing.assert_array_equal(m[8:10], pre.params.alpha0[[3, 9]])
-    np.testing.assert_array_equal(m[10:12], pre.params.beta0[[4, 8]])
-    assert np.all(pre.params.alpha0[[3, 4, 8, 9]] != 0)
-    assert np.all(pre.params.beta0[[3, 4, 8, 9]] != 0)
+    # the local level states start at their series' OLS intercepts, the local trend states at their slopes
+    np.testing.assert_array_equal(m[8:10], ols[[3, 9], 0])
+    np.testing.assert_array_equal(m[10:12], ols[[4, 8], 1])
+    # the detrend set is {3, 4, 8, 9}: alpha0 and beta0 are OLS where no state carries them, +0.0 elsewhere
+    for value, col, free in ((pre.params.alpha0, 0, [4, 8]), (pre.params.beta0, 1, [3, 9])):
+        expected = np.zeros(n)
+        expected[free] = ols[free, col]
+        np.testing.assert_array_equal(value, expected)
+        assert not np.signbit(value[expected == 0]).any()
 
 
 
