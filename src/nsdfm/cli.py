@@ -35,6 +35,7 @@ from .panel_io import (
     params_to_dict,
     load_config,
     mc_config_from_section,
+    mc_section,
     parse_boolean,
     parse_section,
     read_panel,
@@ -130,10 +131,8 @@ def cmd_simulate(args) -> int:
     cfg = mc_config_from_section(sections.get("mc", {}))
     sim = simulate_panel(cfg, args.replication)  # a bad replication raises here, before the output directory is made
     out = _out_dir(args, sections)
-    meta = _config_echo(sections, {
-        **{f"mc.{k}": v for k, v in asdict(cfg).items()},
-        "replication": args.replication,
-    })
+    meta = _config_echo(sections, {**{f"mc.{k}": v for k, v in mc_section(cfg).items()},
+                                   "replication": args.replication})
     write_panel(out / "panel.csv", sim.panel, metadata=meta)
     write_truth(out / "truth.json", sim)
     print(f"wrote {out / 'panel.csv'} and {out / 'truth.json'} (seed={cfg.seed})")
@@ -155,7 +154,7 @@ def cmd_estimate(args) -> int:
     truth_chi = None
     if args.truth:  # checked before anything is fitted or written
         try:
-            truth_chi = read_truth(args.truth)["chi"]
+            truth_chi = read_truth(args.truth)
             if truth_chi.shape != (panel.n, panel.T):
                 raise ValueError(f"its chi is {'x'.join(map(str, truth_chi.shape))}, the panel {panel.n}x{panel.T}")
         except (OSError, ValueError, KeyError) as exc:

@@ -27,7 +27,6 @@ from .simulate import MCConfig, SimulatedPanel
 __all__ = [
     "write_panel",
     "params_to_dict",
-    "params_from_dict",
     "read_panel",
     "write_truth",
     "read_truth",
@@ -118,21 +117,14 @@ def params_to_dict(params: Params) -> dict:
     return out
 
 
-def params_from_dict(d: dict) -> Params:
-    """Inverse of :func:`params_to_dict`."""
-    return Params(**{f.name: d[f.name] for f in dataclasses.fields(Params)})
-
-
 def write_truth(path, sim: SimulatedPanel) -> None:
-    """Write the ground-truth sidecar of a simulated panel as JSON."""
+    """Write the ground-truth sidecar of a simulated panel as JSON; the drawn slopes are ``params.beta0``."""
     payload = {
         "config": dataclasses.asdict(sim.config),
         "replication": sim.replication,
         "chi": sim.chi.tolist(),
         "factors": sim.factors.tolist(),
         "xi": sim.xi.tolist(),
-        "trend": sim.trend.tolist(),
-        "beta0": sim.params.beta0.tolist(),
         "i1_set": sorted(sim.i1_set),
         "trend_set": sorted(sim.trend_set),
         "rho2": sim.rho2.tolist(),
@@ -141,14 +133,9 @@ def write_truth(path, sim: SimulatedPanel) -> None:
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
-def read_truth(path) -> dict:
-    d = json.loads(Path(path).read_text(encoding="utf-8"))
-    for key in ("chi", "factors", "xi", "trend", "beta0", "rho2"):
-        d[key] = np.array(d[key])
-    d["i1_set"] = frozenset(d["i1_set"])
-    d["trend_set"] = frozenset(d["trend_set"])
-    d["params"] = params_from_dict(d["params"])
-    return d
+def read_truth(path) -> np.ndarray:
+    """The simulated common component chi of a truth sidecar; its other keys are not read."""
+    return np.array(json.loads(Path(path).read_text(encoding="utf-8"))["chi"])
 
 
 def write_table(path, columns: list[str], rows: list[list], metadata: dict | None = None) -> None:
@@ -253,13 +240,21 @@ def load_config(path) -> dict[str, dict[str, str]]:
     return out
 
 
+# The MCConfig field of each [mc] key that names it otherwise
+_MC_FIELDS = {"dist": "innovation_dist"}
+
+
+def mc_section(cfg: MCConfig) -> dict:
+    """Every field of ``cfg`` under its [mc] key: the section :func:`mc_config_from_section` reads back to ``cfg``."""
+    keys = {field: key for key, field in _MC_FIELDS.items()}
+    return {keys.get(name, name): value for name, value in dataclasses.asdict(cfg).items()}
+
+
 def mc_config_from_section(section: dict[str, str]) -> MCConfig:
     """Build an MCConfig from an [mc] section; unknown keys raise :class:`ConfigError`."""
     values = parse_section("mc", section)
     values.pop("cells", None)
-    if "dist" in values:
-        values["innovation_dist"] = values.pop("dist")
     try:
-        return MCConfig(**values)
+        return MCConfig(**{_MC_FIELDS.get(key, key): value for key, value in values.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -90,18 +90,17 @@ class MCConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got seed={self.seed}")
         if self.innovation_dist not in ("gaussian", "student_t4"):
-            raise ValueError(f"unknown innovation_dist {self.innovation_dist!r}")
+            raise ValueError(f"dist must be gaussian or student_t4, got dist={self.innovation_dist!r}")
 
 
 @dataclass
 class SimulatedPanel:
-    """A generated panel plus every piece of ground truth."""
+    """A generated panel plus every piece of ground truth: x = chi + params.beta0 * t + xi, t = 1..T."""
 
     x: np.ndarray
     chi: np.ndarray
     factors: np.ndarray              # q x T
     xi: np.ndarray
-    trend: np.ndarray                # n x T deterministic component, params.beta0 * t
     i1_set: frozenset[int]
     trend_set: frozenset[int]
     rho2: np.ndarray                 # second AR roots of the idiosyncratic components
@@ -221,7 +220,8 @@ def apply_trends_and_rescale(
     theta * Var(d chi_i): the idiosyncratic share of every series'
     differenced variance is exactly theta/(1+theta) in sample, so the
     common component dominates at theta = 0.5.  nb randomly chosen series
-    get a beta0 * t trend with beta0 ~ U[0.3, 0.5].
+    get a beta0 * t trend with beta0 ~ U[0.3, 0.5].  Returns (x, xi scaled,
+    beta0, the trend set, the scale of each xi row).
     """
     n, T = chi.shape
     var_dchi = np.var(np.diff(chi, axis=1), axis=1)
@@ -236,9 +236,8 @@ def apply_trends_and_rescale(
     trend_set = frozenset(int(i) for i in rng.choice(n, size=nb, replace=False)) if nb else frozenset()
     if trend_set:
         beta0[list(trend_set)] = rng.uniform(0.3, 0.5, size=len(trend_set))
-    trend = beta0[:, None] * np.arange(1, T + 1)
-    x = chi + trend + xi_scaled
-    return x, xi_scaled, trend, beta0, trend_set, scale
+    x = chi + beta0[:, None] * np.arange(1, T + 1) + xi_scaled
+    return x, xi_scaled, beta0, trend_set, scale
 
 
 def simulate_panel(config: MCConfig, replication: int = 0) -> SimulatedPanel:
@@ -267,9 +266,7 @@ def simulate_panel(config: MCConfig, replication: int = 0) -> SimulatedPanel:
         chi += B @ f[:, BURN_IN - k:BURN_IN + T - k]
 
     xi, i1, rho2, cov_e = gen_idiosyncratic(n, T, config.n1, config.tau, config.innovation_dist, rng)
-    x, xi_scaled, trend, beta0, trend_set, scale = apply_trends_and_rescale(
-        chi, xi, config.nb, config.theta, rng
-    )
+    x, xi_scaled, beta0, trend_set, scale = apply_trends_and_rescale(chi, xi, config.nb, config.theta, rng)
 
     # innovation variances after rescaling; increments/levels of an AR
     # component with the unit root removed have variance s2/(1-rho2^2)
@@ -293,7 +290,6 @@ def simulate_panel(config: MCConfig, replication: int = 0) -> SimulatedPanel:
         chi=chi,
         factors=f[:, BURN_IN:],
         xi=xi_scaled,
-        trend=trend,
         i1_set=i1,
         trend_set=trend_set,
         rho2=rho2,

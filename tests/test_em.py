@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -455,6 +456,39 @@ def test_fit_survives_degenerate_and_sparse_panels(case):
     assert np.all(np.isfinite(res.chi))
     assert res.converged
     ll = np.array(res.loglik_path)
+    assert np.all(np.diff(ll) + 1e-8 * np.maximum(1.0, np.abs(ll[:-1])) >= 0.0)
+
+
+DEGENERATE_SPECS = {"plain": {}, "idio_i1_detrend": {"idio_i1": {1, 3}, "detrend": {2, 3}},
+                    "local": {"local_level": {2, 3}, "local_trend": {1, 3}}}
+
+
+@pytest.mark.parametrize("shape", ["missing_period", "missing_series", "constant_series", "scaled_1e6_1e-6"])
+@pytest.mark.parametrize("sets", list(DEGENERATE_SPECS))
+@pytest.mark.parametrize("options", [{}, {"standardize": True}, {"phi_policy": 1e-8}], ids=["default", "std", "phi"])
+def test_fit_on_a_degenerate_panel_is_finite_and_monotone_or_names_its_failure(shape, sets, options):
+    # a whole missing period, an all-missing, a constant or a far-scaled series, each in the index sets
+    x = simulate_panel(MCConfig(n=20, T=40, q=1, n1=3, nb=3, tau=0.0, seed=5), 0).x
+    if shape == "missing_period":
+        x[:, 17] = np.nan
+    elif shape == "missing_series":
+        x[1] = np.nan
+    elif shape == "constant_series":
+        x[1] = 1.5
+    else:
+        x[1] *= 1e6
+        x[2] *= 1e-6
+    spec = ModelSpec(n=20, T=40, q=1, p=2, **DEGENERATE_SPECS[sets])
+    try:
+        res = fit(spec, Panel.from_data(x), EMOptions(max_iter=30, **options))
+    except np.linalg.LinAlgError as exc:
+        assert re.search(r"at t=\d+", str(exc)), exc
+        return
+    except ValueError as exc:
+        assert str(exc), "a ValueError without a cause"
+        return
+    ll = np.array(res.loglik_path)
+    assert np.all(np.isfinite(res.chi)) and np.all(np.isfinite(ll))
     assert np.all(np.diff(ll) + 1e-8 * np.maximum(1.0, np.abs(ll[:-1])) >= 0.0)
 
 

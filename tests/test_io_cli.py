@@ -19,7 +19,6 @@ from nsdfm.panel_io import (
     SCHEMA,
     load_config,
     mc_config_from_section,
-    params_from_dict,
     params_to_dict,
     read_panel,
     read_truth,
@@ -90,10 +89,9 @@ def test_params_dict_round_trip_keeps_every_field_in_order(rng):
     spec, params = random_instance(rng, n=5, T=6, q=2, s=1, p=2)
     d = json.loads(json.dumps(params_to_dict(params)))
     assert list(d) == [f.name for f in fields(Params)]
-    back = params_from_dict(d)
-    assert (len(back.loadings), len(back.var_coeffs)) == (2, 2)
+    assert (len(d["loadings"]), len(d["var_coeffs"])) == (2, 2)
     for f in fields(Params):
-        a, b = getattr(params, f.name), getattr(back, f.name)
+        a, b = getattr(params, f.name), d[f.name]
         if isinstance(a, list):
             assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b)), f.name
         else:
@@ -199,6 +197,23 @@ def test_mc_config_from_section():
         mc_config_from_section({"n": "ten"})
 
 
+@pytest.mark.parametrize("mc", [{"n": "10", "T": "20", "seed": "7"},
+                                {"n": "10", "T": "20", "dist": "student_t4", "tau": "0", "nb": "3", "seed": "7"}])
+def test_simulate_header_is_the_mc_section_of_its_panel(tmp_path, mc):
+    # the header names every [mc] key once, and its mc.* lines, read as an [mc] section, draw the same panel
+    def simulate(section, out):
+        flags = [tok for key, value in section.items() for tok in (f"--{key}", value)]
+        assert main(["simulate", *flags, "--replication", "1", "--out-dir", str(out)]) == 0
+        panel, _, meta = read_panel(out / "panel.csv")
+        return {key[3:]: value for key, value in meta.items() if key.startswith("mc.")}, panel.data
+
+    header, x = simulate(mc, tmp_path / "a")
+    assert sorted(header) == sorted(set(SCHEMA["mc"]) - {"cells"})
+    assert mc_config_from_section(header) == mc_config_from_section(mc)
+    again, x_again = simulate(header, tmp_path / "b")
+    assert again == header and np.array_equal(x_again, x)
+
+
 def test_cli_simulate_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     argv = ["simulate", "--n", "10", "--T", "20", "--tau", "0", "--seed", "7"]
@@ -211,8 +226,7 @@ def test_cli_simulate_deterministic(tmp_path):
     body = [l for l in (out1 / "panel.csv").read_text().splitlines() if l and not l.startswith("#")]
     assert len(body) == 21
     assert sum(len(l.split(",")) for l in body[1:]) == 200
-    truth = read_truth(out1 / "truth.json")
-    assert truth["chi"].shape == (10, 20)
+    assert read_truth(out1 / "truth.json").shape == (10, 20)
 
 
 def test_cli_simulate_rejects_single_period(tmp_path, capsys):
@@ -225,24 +239,32 @@ def test_cli_simulate_rejects_single_period(tmp_path, capsys):
 
 
 def test_truth_with_rho_from_older_versions_still_loads(tmp_path):
-    # older versions wrote the known idiosyncratic roots as params.rho: 1 on i1_set, 0 elsewhere
+    # only chi is read: older versions also wrote the known idiosyncratic roots as params.rho (1 on
+    # i1_set, 0 elsewhere), and later ones the slopes again as the top-level beta0 and as trend = beta0 * t
     sim_dir = tmp_path / "sim"
-    assert main(["simulate", "--n", "12", "--T", "30", "--q", "1", "--n1", "3", "--tau", "0",
+    assert main(["simulate", "--n", "12", "--T", "30", "--q", "1", "--n1", "3", "--nb", "3", "--tau", "0",
                  "--seed", "8", "--out-dir", str(sim_dir)]) == 0
     new = json.loads((sim_dir / "truth.json").read_text())
+    assert list(new) == ["config", "replication", "chi", "factors", "xi", "i1_set", "trend_set", "rho2", "params"]
     assert "rho" not in new["params"]
-    old = {**new, "params": {**new["params"], "rho": [float(i in new["i1_set"]) for i in range(12)]}}
-    (sim_dir / "truth_old.json").write_text(json.dumps(old))
-
-    truth, truth_old = read_truth(sim_dir / "truth.json"), read_truth(sim_dir / "truth_old.json")
-    assert params_to_dict(truth_old["params"]) == params_to_dict(truth["params"])
+    beta0 = np.array(new["params"]["beta0"])
+    assert np.count_nonzero(beta0) == 3
+    old = {
+        "rho": {**new, "params": {**new["params"], "rho": [float(i in new["i1_set"]) for i in range(12)]}},
+        "trend": {**new, "trend": (beta0[:, None] * np.arange(1, 31)).tolist(), "beta0": beta0.tolist()},
+        "chi alone": {"chi": new["chi"]},
+    }
     mse = []
-    for name in ("truth.json", "truth_old.json"):
-        out = tmp_path / name
-        assert main(["estimate", "--input", str(sim_dir / "panel.csv"), "--truth", str(sim_dir / name),
+    for name, sidecar in [("truth.json", None), *old.items()]:
+        path = sim_dir / name
+        if sidecar is not None:
+            path.write_text(json.dumps(sidecar))
+        assert np.array_equal(read_truth(path), new["chi"])
+        out = tmp_path / f"est {name}"
+        assert main(["estimate", "--input", str(sim_dir / "panel.csv"), "--truth", str(path),
                      "--q", "1", "--max-iter", "5", "--out-dir", str(out)]) in (0, 4)
         mse.append(json.loads((out / "estimate.json").read_text())["mse_common"])
-    assert mse[0] == mse[1]
+    assert mse == mse[:1] * 4
 
 
 def test_cli_estimate_roundtrip(tmp_path):
@@ -426,7 +448,7 @@ def test_cli_standardize_key_takes_boolean_spellings(tmp_path):
 @pytest.mark.parametrize("case, named", [
     ("missing", "No such file"),
     ("14 series", "its chi is 14x30, the panel 12x30"),
-    ("no factors", "cannot use truth sidecar: no key 'factors'"),
+    ("no chi", "cannot use truth sidecar: no key 'chi'"),
 ])
 def test_cli_estimate_bad_truth_sidecar_writes_nothing(tmp_path, capsys, case, named):
     # the sidecar is read and checked against the panel before the fit runs or any output is written
@@ -438,7 +460,7 @@ def test_cli_estimate_bad_truth_sidecar_writes_nothing(tmp_path, capsys, case, n
         write_truth(truth, simulate_panel(MCConfig(n=14, T=30, q=1, s=0, tau=0.0, seed=4), 0))
     else:
         d = json.loads(truth.read_text())
-        del d["factors"]
+        del d["chi"]
         truth.write_text(json.dumps(d))
     rc = main(["estimate", "--input", str(panel), "--truth", str(truth), "--q", "1",
                "--out-dir", str(tmp_path / "out")])
@@ -498,6 +520,7 @@ def test_cli_bad_config_value_rejected_and_named(tmp_path, capsys, section, key,
      "q*(s+1) must be <= min(n, T-1) for the levels PCA, got q=2, s=1, n=3, T=30"),
     (["benchmark", "--n", "8", "--T", "20", "--q", "1", "--replications", "1", "--cells", "T=20;T=3,s=1,p=1"],
      "T must be >= s*q + s + 2 = 4 to fit lagged loadings, got T=3 with s=1, q=1"),
+    (["simulate", "--dist", "cauchy"], "dist must be gaussian or student_t4, got dist='cauchy'"),
 ])
 def test_cli_rejected_spec_or_cell_writes_nothing(tmp_path, capsys, argv, named):
     # the spec, the options and the cells are built before the output directory is made

@@ -102,23 +102,25 @@ def test_rescaling_share_exact(rng):
     # idiosyncratic share of differenced variance = theta/(1+theta) exactly
     chi = np.cumsum(rng.standard_normal((6, 300)), axis=1)
     xi = np.cumsum(rng.standard_normal((6, 300)), axis=1) * 3.0
-    x, xi_s, trend, beta0, tset, scale = apply_trends_and_rescale(chi, xi, 0, 0.5, rng)
+    x, xi_s, beta0, tset, scale = apply_trends_and_rescale(chi, xi, 0, 0.5, rng)
     share_idio = np.var(np.diff(xi_s, axis=1), axis=1) / (
         np.var(np.diff(chi, axis=1), axis=1) + np.var(np.diff(xi_s, axis=1), axis=1)
     )
     np.testing.assert_allclose(share_idio, 1.0 / 3.0, rtol=1e-12)
-    np.testing.assert_array_equal(trend, 0.0)
+    assert tset == frozenset()
+    np.testing.assert_array_equal(beta0, 0.0)
     np.testing.assert_array_equal(x, chi + xi_s)
 
 
 def test_trend_slopes_within_band(rng):
     chi = np.cumsum(rng.standard_normal((10, 100)), axis=1)
     xi = rng.standard_normal((10, 100))
-    x, xi_s, trend, beta0, tset, scale = apply_trends_and_rescale(chi, xi, 4, 0.5, rng)
+    x, xi_s, beta0, tset, scale = apply_trends_and_rescale(chi, xi, 4, 0.5, rng)
     assert len(tset) == 4
     drawn = beta0[sorted(tset)]
     assert np.all((drawn >= 0.3) & (drawn <= 0.5))
     np.testing.assert_array_equal(beta0[[i for i in range(10) if i not in tset]], 0.0)
+    np.testing.assert_array_equal(x, chi + beta0[:, None] * np.arange(1, 101) + xi_s)
 
 
 def test_panel_decomposition_and_reproducibility():
@@ -127,7 +129,8 @@ def test_panel_decomposition_and_reproducibility():
     sim2 = simulate_panel(cfg, 1)
     assert np.array_equal(sim1.x, sim2.x)
     assert sim1.i1_set == sim2.i1_set and sim1.trend_set == sim2.trend_set
-    np.testing.assert_array_equal(sim1.x, sim1.chi + sim1.trend + sim1.xi)
+    assert len(sim1.trend_set) == 5 and np.count_nonzero(sim1.params.beta0) == 5
+    np.testing.assert_array_equal(sim1.x, sim1.chi + sim1.params.beta0[:, None] * np.arange(1, 51) + sim1.xi)
     other = simulate_panel(cfg, 0)
     assert not np.array_equal(other.x, sim1.x)
 
@@ -149,7 +152,7 @@ def test_config_validation():
         MCConfig(n=10, T=10, q=2, d=3)
     with pytest.raises(ValueError):
         MCConfig(n=10, T=10, n1=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dist must be gaussian or student_t4, got dist='cauchy'"):
         MCConfig(n=10, T=10, innovation_dist="cauchy")
     for field in ("theta", "tau", "mu"):  # a NaN passes every bound check written with <=
         for value in (np.nan, np.inf):
