@@ -155,12 +155,13 @@ def run_cell(config: MCConfig, em_options: EMOptions | None = None, jobs: int = 
 
 def run_diagnostics(
     config: MCConfig,
-    n_grid: tuple[int, ...] = (25, 100),
+    n_grid: tuple[int, ...],
     horizon: int = DIAGNOSTIC_HORIZON,
     tol: float = 1.0e-6,
 ) -> dict:
-    """Filter/smoother trace table over an n-grid, averaged over ``config.replications``.
+    """Filter/smoother trace table at each panel size of ``n_grid``, averaged over ``config.replications``.
 
+    ``nsdfm diagnose`` passes its ``--n-grid`` and this default ``horizon``.
     Uses the true simulated parameters (no estimation); the covariance
     recursion is data-free, so each replication contributes one
     deterministic trace path per n, from :func:`initial_state_cov` at the

@@ -475,7 +475,7 @@ def steady_state_onset(trace: np.ndarray, tol: float) -> int | None:
 def steady_state_diagnostics(
     ss: StateSpace,
     P0: np.ndarray,
-    horizon: int = 10,
+    horizon: int,
     T_total: int | None = None,
 ) -> dict:
     """Per-t traces of the filter/smoother MSE matrices of one system.

@@ -34,6 +34,7 @@ __all__ = [
     "build_state_space",
     "companion",
     "common_component_path",
+    "indicator",
 ]
 
 
@@ -41,6 +42,13 @@ def _frozen(a: np.ndarray, dtype=float) -> np.ndarray:
     """Return a locked copy so instances are safe to share across workers."""
     out = np.array(a, dtype=dtype)
     out.flags.writeable = False
+    return out
+
+
+def indicator(n: int, idx) -> np.ndarray:
+    """Boolean array of length n, True exactly at the positions in ``idx``."""
+    out = np.zeros(n, dtype=bool)
+    out[list(idx)] = True
     return out
 
 
@@ -184,8 +192,7 @@ class Params:
         for name, idx in (("sigma2_omega", spec.local_level), ("sigma2_eta", spec.local_trend),
                           ("sigma2_nu", spec.idio_im)):
             v = getattr(self, name)
-            members = np.zeros(n, dtype=bool)
-            members[list(idx)] = True
+            members = indicator(n, idx)
             if np.any(v[~members] != 0) or np.any(v[members] <= 0):
                 raise ValueError(f"{name} must be positive exactly on its index set")
 
@@ -342,9 +349,7 @@ def build_state_space(spec: ModelSpec, params: Params) -> StateSpace:
     # Z_t multiplies the trend-slope entries by the time label (see StateSpace)
     Z[list(layout.extra_series), np.arange(r, K)] = 1.0
 
-    im = np.zeros(spec.n, dtype=bool)
-    im[list(spec.idio_im)] = True
-    R = np.where(im, params.sigma2_nu, params.gamma_e_diag)
+    R = np.where(indicator(spec.n, spec.idio_im), params.sigma2_nu, params.gamma_e_diag)
 
     return StateSpace(
         layout=layout,

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .em import EMOptions
 from .model import Panel, Params
 from .simulate import MCConfig, SimulatedPanel
 
@@ -196,7 +197,8 @@ SCHEMA = {
     },
     "em": {
         "max_iter": int, "tolerance": parse_finite,
-        "phi_policy": lambda text: text if text == "estimated" else parse_finite(text),
+        # checked by EMOptions, so a fixed phi below its bound is a bad value of em.phi_policy
+        "phi_policy": lambda text: EMOptions(phi_policy=text if text == "estimated" else parse_finite(text)).phi_policy,
     },
     "mc": {
         "n": int, "T": int, "q": int, "s": int, "d": int, "p": int, "n1": int, "nb": int, "tau": parse_finite,

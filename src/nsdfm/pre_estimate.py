@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, Panel, Params, companion
+from .model import ModelSpec, Panel, Params, companion, indicator
 
 __all__ = [
     "PreEstimate",
@@ -53,12 +53,13 @@ class PreEstimate:
     ``alpha0`` and ``beta0`` are the OLS intercepts and slopes on
     ``spec.free_intercepts`` and ``spec.free_slopes`` and 0 elsewhere.
     ``init_state_mean`` and ``init_state_cov`` follow ``spec.layout``; the
-    mean starts each local level and local trend state at its series' OLS
-    intercept or slope.
+    mean starts the factor states at the first period of the pre-factor
+    path M^{-1} B0' x (the path the VAR is pre-fitted on; it is not
+    returned), and each local level and local trend state at its series'
+    OLS intercept or slope.
     """
 
     params: Params
-    f_tilde: np.ndarray              # q x T pre-factor path
     init_state_mean: np.ndarray
     init_state_cov: np.ndarray
 
@@ -296,23 +297,16 @@ def pre_estimate(spec: ModelSpec, panel: Panel) -> PreEstimate:
     gamma_u = floor_gamma_u(0.5 * (gamma_u + gamma_u.T))
     ge = np.maximum(gamma_e_init(dx, loadings, f_tilde, spec.idio_i1), VARIANCE_FLOOR)
 
-    s2w = np.zeros(n)
-    s2w[list(spec.local_level)] = SIGMA2_OMEGA_INIT
-    s2e = np.zeros(n)
-    s2e[list(spec.local_trend)] = SIGMA2_ETA_INIT
-    s2nu = np.zeros(n)
-    s2nu[list(spec.idio_im)] = SIGMA2_NU_INIT
-
     params = Params(
         loadings=loadings,
         var_coeffs=A,
         gamma_u=gamma_u,
         gamma_e_diag=ge,
-        sigma2_omega=s2w,
-        sigma2_eta=s2e,
-        sigma2_nu=s2nu,
-        alpha0=np.where(np.isin(np.arange(n), list(spec.free_intercepts)), alpha_check, 0.0),
-        beta0=np.where(np.isin(np.arange(n), list(spec.free_slopes)), beta_check, 0.0),
+        sigma2_omega=np.where(indicator(n, spec.local_level), SIGMA2_OMEGA_INIT, 0.0),
+        sigma2_eta=np.where(indicator(n, spec.local_trend), SIGMA2_ETA_INIT, 0.0),
+        sigma2_nu=np.where(indicator(n, spec.idio_im), SIGMA2_NU_INIT, 0.0),
+        alpha0=np.where(indicator(n, spec.free_intercepts), alpha_check, 0.0),
+        beta0=np.where(indicator(n, spec.free_slopes), beta_check, 0.0),
     )
 
     layout = spec.layout
@@ -323,7 +317,6 @@ def pre_estimate(spec: ModelSpec, panel: Panel) -> PreEstimate:
 
     return PreEstimate(
         params=params,
-        f_tilde=f_tilde,
         init_state_mean=init_mean,
         init_state_cov=initial_state_cov(spec, A, gamma_u),
     )

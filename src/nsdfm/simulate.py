@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, Panel, Params
+from .model import ModelSpec, Panel, Params, indicator
 from .pre_estimate import SIGMA2_NU_INIT
 
 __all__ = [
@@ -188,8 +188,7 @@ def gen_idiosyncratic(
     if n1 >= n:
         raise ValueError("n1 must be smaller than n")
     i1 = frozenset(int(i) for i in rng.choice(n, size=n1, replace=False)) if n1 else frozenset()
-    rho1 = np.zeros(n)
-    rho1[list(i1)] = 1.0
+    rho1 = indicator(n, i1).astype(float)
     rho2 = rng.uniform(0.2, 0.6, size=n)
     phi1 = rho1 + rho2
     phi2 = -rho1 * rho2
@@ -272,8 +271,6 @@ def simulate_panel(config: MCConfig, replication: int = 0) -> SimulatedPanel:
     # component with the unit root removed have variance s2/(1-rho2^2)
     s2_inn = np.diag(cov_e) * scale ** 2
     ge = s2_inn / (1.0 - rho2 ** 2)
-    s2nu = np.zeros(n)
-    s2nu[list(i1)] = SIGMA2_NU_INIT
     params = Params(
         loadings=loadings,
         var_coeffs=[A1, A2],
@@ -281,7 +278,7 @@ def simulate_panel(config: MCConfig, replication: int = 0) -> SimulatedPanel:
         gamma_e_diag=ge,
         sigma2_omega=np.zeros(n),
         sigma2_eta=np.zeros(n),
-        sigma2_nu=s2nu,
+        sigma2_nu=np.where(indicator(n, i1), SIGMA2_NU_INIT, 0.0),
         alpha0=np.zeros(n),
         beta0=beta0,
     )

@@ -185,7 +185,7 @@ def per_slot_smooth(filt, ss: StateSpace):
     return s_mean, s_cov, lag1
 
 
-def per_slot_reduce_moments(spec: ModelSpec, panel: Panel, S, P, L1, loglik: float) -> SufficientStats:
+def per_slot_reduce_moments(spec: ModelSpec, panel: Panel, S, P, L1) -> SufficientStats:
     """M-step sufficient statistics from per-slot smoothed means, covariances and lag-one covariances."""
     x, mask = panel.data, panel.missing_mask
     n, T = x.shape
@@ -243,7 +243,7 @@ def per_slot_reduce_moments(spec: ModelSpec, panel: Panel, S, P, L1, loglik: flo
         SA=SA, SB=SB, SC=SC,
         gram_aug=gram_aug, cross_aug=cross_aug, sum_zw=sum_zw,
         sum_xx=sum_xx, sum_xw=sum_xw, sum_ww=sum_ww,
-        n_obs=n_obs, loglik=float(loglik),
+        n_obs=n_obs,
     )
 
 

@@ -4,7 +4,9 @@ The runtime dependency is numpy alone: every import in the package is numpy,
 nsdfm or the standard library.  Every name a module imports is used in that
 module, so a pass that removes code leaves no import behind.  And every name
 a module exports is used by package code, so no API is kept that only tests
-call.
+call, and every field and property of a package dataclass is read by package
+code, so no field is kept that only tests read.  Both go by name: a load of
+the same attribute on any object counts as a read.
 """
 
 import ast
@@ -85,3 +87,57 @@ def test_every_exported_name_is_used_by_package_code():
     unused = [f"{module}: {name}" for module, tree in trees.items() for name in sorted(_exported(tree))
               if not any(name in loaded and not (where == module and name in bound) for where, bound, loaded in loads)]
     assert not unused, unused
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass" for d in node.decorator_list)
+
+
+def _iterated_classes(trees: dict[str, ast.Module]) -> set[str]:
+    """The classes whose fields package code iterates: a ``fields`` or ``asdict`` call names the class,
+    passes ``self`` inside it, or passes a parameter annotated with it."""
+    iterated = set()
+
+    def visit(node, cls, annotations):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations = {a.arg: getattr(a.annotation, "id", None) for a in node.args.args}
+        if isinstance(node, ast.Call) and node.args:
+            func = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            arg = getattr(node.args[0], "id", None)
+            if func in ("fields", "asdict") and arg is not None:
+                iterated.add(cls if arg == "self" else annotations.get(arg) or arg)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, annotations)
+
+    for tree in trees.values():
+        visit(tree, None, {})
+    return iterated
+
+
+def test_every_dataclass_field_is_read_by_package_code():
+    # a field or property counts as read where package code loads it as an attribute outside the
+    # statement that defines it, the class's own methods included; a class whose fields the package
+    # iterates is exempt
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in _modules()}
+    classes = [(module, node) for module, tree in trees.items() for node in tree.body
+               if isinstance(node, ast.ClassDef) and _is_dataclass(node)]
+    assert len(classes) > 10
+    iterated = _iterated_classes(trees)
+    assert {"Params", "MCConfig"} <= iterated
+    loads = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    unread = []
+    for module, cls in classes:
+        if cls.name in iterated:
+            continue
+        defined = {stmt.target.id: stmt for stmt in cls.body if isinstance(stmt, ast.AnnAssign)}
+        defined |= {stmt.name: stmt for stmt in cls.body if isinstance(stmt, ast.FunctionDef)
+                    and any(getattr(d, "id", None) == "property" for d in stmt.decorator_list)}
+        for name, stmt in defined.items():
+            own = {id(node) for node in ast.walk(stmt)}
+            if not any(node.attr == name and id(node) not in own for node in loads):
+                unread.append(f"{module}: {cls.name}.{name}")
+    assert not unread, unread

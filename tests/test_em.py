@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from nsdfm.em import (EMOptions, SufficientStats, _m_step, _series_scale, _solve_measurement, e_step, fit,
-                      m_step_var)
+from nsdfm.em import (PHI_MIN, EMOptions, SufficientStats, _m_step, _series_scale, _solve_measurement, e_step,
+                      fit, m_step_var)
 from nsdfm.kalman import kf_filter
 from nsdfm.model import ModelSpec, Panel, Params, build_state_space
 from nsdfm.pre_estimate import pre_estimate
@@ -31,7 +31,7 @@ def stats_from_states(F: np.ndarray, x: np.ndarray, spec):
         SA=SA, SB=SB, SC=SC, gram_aug=gram_aug, cross_aug=cross_aug,
         sum_zw=np.zeros((n, r0 + 2)), sum_xx=(x ** 2).sum(axis=1),
         sum_xw=np.zeros(n), sum_ww=np.zeros(n),
-        n_obs=np.full(n, T), loglik=0.0,
+        n_obs=np.full(n, T),
     )
 
 
@@ -47,7 +47,7 @@ def test_loadings_hand_solve():
         gram_aug=gram_aug, cross_aug=cross_aug,
         sum_zw=np.zeros((1, 4)), sum_xx=np.zeros(1), sum_xw=np.zeros(1),
         sum_ww=np.zeros(1),
-        n_obs=np.array([5]), loglik=0.0,
+        n_obs=np.array([5]),
     )
     no = np.zeros(1, dtype=bool)
     coef = _solve_measurement(stats, no, no, np.zeros((1, 4)))
@@ -85,7 +85,7 @@ def test_var_update_matches_numeric_maximizer(rng):
     spec, params = random_instance(rng, n=3, T=5, q=1, s=0, p=1, with_states=False)
     ss = build_state_space(spec, params)
     panel = Panel.from_data(rng.standard_normal((3, 5)))
-    stats, _ = e_step(spec, params, panel, np.zeros(ss.K), np.eye(ss.K) * 5)
+    stats, _, _ = e_step(spec, params, panel, np.zeros(ss.K), np.eye(ss.K) * 5)
     A, gamma_u = m_step_var(stats, spec)
 
     Saa = stats.SA[0, 0]
@@ -149,7 +149,7 @@ def test_e_step_moments_match_oracle(case):
     panel = Panel.from_data(data)
     init_mean = np.zeros(ss.K)
     init_cov = np.eye(ss.K) * 10
-    stats, _ = e_step(spec, params, panel, init_mean, init_cov)
+    stats, _, loglik = e_step(spec, params, panel, init_mean, init_cov)
     oracle = joint_gaussian_moments(ss, panel, init_mean, init_cov)
 
     K = ss.K
@@ -165,7 +165,7 @@ def test_e_step_moments_match_oracle(case):
     np.testing.assert_allclose(stats.SA, SA, rtol=1e-8, atol=1e-8)
     np.testing.assert_allclose(stats.SB, SB, rtol=1e-8, atol=1e-8)
     np.testing.assert_allclose(stats.SC, SC, rtol=1e-8, atol=1e-8)
-    assert stats.loglik == pytest.approx(oracle["loglik"], rel=1e-8)
+    assert loglik == pytest.approx(oracle["loglik"], rel=1e-8)
 
     # w moments: zero off I_m, exact conditional moments on it
     out = np.array([i for i in range(spec.n) if i not in spec.idio_im])
@@ -216,14 +216,15 @@ def test_banked_e_step_equals_per_slot_oracle(case):
         spec, params, panel = ragged_local_trend_panel(rng)
     ss = build_state_space(spec, params)
     init_mean, init_cov = np.zeros(ss.K), np.eye(ss.K) * 10.0
-    stats, smooth = e_step(spec, params, panel, init_mean, init_cov)
+    stats, smooth, loglik = e_step(spec, params, panel, init_mean, init_cov)
 
     filt = kf_filter(ss, panel, init_mean, init_cov)
+    assert loglik == filt.loglik
     S, P, L1 = per_slot_smooth(filt, ss)
     np.testing.assert_array_equal(smooth.smoothed_means, S)
     np.testing.assert_array_equal(smooth.smoothed_covs, P)
     np.testing.assert_array_equal(lag_one_covs(smooth), L1)
-    oracle = per_slot_reduce_moments(spec, panel, S, P, L1, filt.loglik)
+    oracle = per_slot_reduce_moments(spec, panel, S, P, L1)
     for field in dataclasses.fields(SufficientStats):
         np.testing.assert_array_equal(getattr(stats, field.name), getattr(oracle, field.name), err_msg=field.name)
 
@@ -285,7 +286,7 @@ def test_m_step_maximizes_the_expected_complete_loglik(case, seed):
     rng = np.random.default_rng(seed + 300)
     spec, params, panel = _m_step_instance(case, rng)
     K = spec.layout.K
-    stats, smooth = e_step(spec, params, panel, np.zeros(K), np.eye(K) * 2.0)
+    stats, smooth, _ = e_step(spec, params, panel, np.zeros(K), np.eye(K) * 2.0)
     new = _m_step(stats, spec, params, EMOptions())
 
     def Q(p):
@@ -317,7 +318,7 @@ def test_loadings_fixed_point_with_exact_factors(rng):
     )
     panel, states, chi = simulate_from_params(spec, params, rng, measurement_noise=False)
     ss = build_state_space(spec, params)
-    stats, _ = e_step(spec, params, panel, np.zeros(ss.K), np.eye(ss.K) * 10)
+    stats, _, _ = e_step(spec, params, panel, np.zeros(ss.K), np.eye(ss.K) * 10)
     no = np.zeros(n, dtype=bool)
     coef = _solve_measurement(stats, no, no, np.zeros((n, q + 2)))
     np.testing.assert_allclose(coef[:, :q], B, atol=1e-8)
@@ -354,8 +355,8 @@ def test_pre_estimate_returns_the_point_em_starts_from(sets):
     spec = ModelSpec(n=20, T=40, q=2, **sets)
     assert np.all(_series_scale(sim.panel, False) == 1.0)
     pre = pre_estimate(spec, sim.panel)
-    stats, _ = e_step(spec, pre.params, sim.panel, pre.init_state_mean, pre.init_state_cov)
-    assert stats.loglik == fit(spec, sim.panel, EMOptions(max_iter=1)).loglik_path[0]
+    _, _, loglik = e_step(spec, pre.params, sim.panel, pre.init_state_mean, pre.init_state_cov)
+    assert loglik == fit(spec, sim.panel, EMOptions(max_iter=1)).loglik_path[0]
 
 
 def test_gamma_e_diag_of_a_local_series_outside_idio_i1_is_never_read():
@@ -422,6 +423,20 @@ def test_fixed_tiny_phi_loglik_never_falls():
     sim = simulate_panel(cfg, 0)
     res = fit(sim.spec, sim.panel, EMOptions(max_iter=50, tolerance=1e-12, phi_policy=1e-8))
     ll = np.array(res.loglik_path)
+    assert np.all(np.diff(ll) + 1e-8 * np.maximum(1.0, np.abs(ll[:-1])) >= 0.0)
+
+
+@pytest.mark.parametrize("sets", ["local_level", "idio_i1"])
+def test_fixed_phi_below_its_bound_is_rejected_and_at_it_em_never_falls(sets):
+    # on this panel a fixed phi of 1e-12 or 1e-11 made the log-likelihood fall 11-13 times in 30 iterations
+    sim = simulate_panel(MCConfig(n=20, T=40, q=1, n1=3, nb=3, tau=0.0, seed=5), 0)
+    spec = ModelSpec(n=20, T=40, q=1, p=2, **{sets: {4, 6} if sets == "local_level" else sim.i1_set})
+    for phi in (1e-12, 1e-11, 0.5 * PHI_MIN):
+        with pytest.raises(ValueError, match="phi_policy"):
+            EMOptions(max_iter=30, phi_policy=phi)
+    res = fit(spec, sim.panel, EMOptions(max_iter=30, tolerance=1e-12, phi_policy=PHI_MIN))
+    ll = np.array(res.loglik_path)
+    assert res.iterations == 30
     assert np.all(np.diff(ll) + 1e-8 * np.maximum(1.0, np.abs(ll[:-1])) >= 0.0)
 
 
@@ -514,7 +529,7 @@ def test_sigma2_omega_recovery_at_truth(rng):
     )
     panel, states, chi = simulate_from_params(spec, params, rng)
     ss = build_state_space(spec, params)
-    stats, _ = e_step(spec, params, panel, np.zeros(ss.K), np.eye(ss.K) * 100)
+    stats, _, _ = e_step(spec, params, panel, np.zeros(ss.K), np.eye(ss.K) * 100)
     from nsdfm.em import m_step_variances
     lam = np.hstack([np.asarray(B) for B in params.loadings])
     coef = np.concatenate([lam, np.zeros((n, 2))], axis=1)

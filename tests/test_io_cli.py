@@ -287,6 +287,15 @@ def test_cli_estimate_roundtrip(tmp_path):
     assert chi.data.shape == (20, 40)
 
 
+def test_cli_estimate_fits_one_factor_and_a_var2_when_model_omits_q_and_p(tmp_path):
+    out = tmp_path / "out"
+    argv = ["estimate", "--input", str(_small_panel(tmp_path)), "--max-iter", "5", "--out-dir", str(out)]
+    assert main(argv) in (0, 4)
+    params = json.loads((out / "estimate.json").read_text())["params"]
+    assert [np.shape(B) for B in params["loadings"]] == [(12, 1)]
+    assert len(params["var_coeffs"]) == 2
+
+
 def test_cli_estimate_accepts_missing_cells(tmp_path):
     cfg = MCConfig(n=15, T=30, q=1, s=0, tau=0.0, seed=11, replications=1)
     sim = simulate_panel(cfg, 0)
@@ -521,6 +530,7 @@ def test_cli_bad_config_value_rejected_and_named(tmp_path, capsys, section, key,
     (["benchmark", "--n", "8", "--T", "20", "--q", "1", "--replications", "1", "--cells", "T=20;T=3,s=1,p=1"],
      "T must be >= s*q + s + 2 = 4 to fit lagged loadings, got T=3 with s=1, q=1"),
     (["simulate", "--dist", "cauchy"], "dist must be gaussian or student_t4, got dist='cauchy'"),
+    (["estimate", "--phi-policy", "1e-12"], "bad value for em.phi_policy: '1e-12'"),
 ])
 def test_cli_rejected_spec_or_cell_writes_nothing(tmp_path, capsys, argv, named):
     # the spec, the options and the cells are built before the output directory is made

@@ -17,6 +17,20 @@ from nsdfm.pre_estimate import (
 from oracles import lyapunov_fixed_point, ols_line_fit, power_iteration_leading_eig
 
 
+def pre_factor_path(spec: ModelSpec, panel: Panel) -> np.ndarray:
+    """The q x T pre-factor path M^{-1} B0' x that pre_estimate fits the VAR on and starts the factors from.
+
+    Formed as pre_estimate forms it: the detrend set is OLS-detrended, and the
+    PCA of the gap-filled differences is applied to the gap-filled levels.
+    """
+    x, mask = np.array(panel.data), panel.missing_mask
+    for i in spec.detrend_set:
+        x[i] = detrend_ols(x[i], mask[i])[2]
+    dx = _filled_differences(x, mask)
+    B0, M = pc_first_differences(dx, spec.q)
+    return (B0.T @ _filled_levels(x, mask, dx)) / M[:, None]
+
+
 def test_detrend_exact_line():
     t = np.arange(1, 21, dtype=float)
     a, b, resid = detrend_ols(2 + 3 * t, np.ones(20, dtype=bool))
@@ -102,7 +116,7 @@ def test_lagged_loadings_noiseless_recovery(rng):
     x[:, 0] += B1 @ f[:, 0]
     spec = ModelSpec(n=n, T=T, q=q, s=1, p=2)
     pre = pre_estimate(spec, Panel.from_data(x))
-    dxf = np.diff(pre.f_tilde, axis=1)
+    dxf = np.diff(pre_factor_path(spec, Panel.from_data(x)), axis=1)
     dx = np.diff(x, axis=1)
     fit_dchi = pre.params.loadings[0] @ dxf
     fit_dchi[:, 1:] += pre.params.loadings[1] @ dxf[:, :-1]
@@ -227,7 +241,7 @@ def test_pre_estimate_runs_with_missing_cells(rng):
     panel = Panel(np.where(mask, x, np.nan), mask)
     spec = ModelSpec(n=n, T=T, q=2, s=0, p=2)
     pre = pre_estimate(spec, panel)
-    assert np.all(np.isfinite(pre.f_tilde))
+    assert np.all(np.isfinite(pre_factor_path(spec, panel)))
     assert np.all(pre.params.gamma_e_diag > 0)
     assert pre.init_state_cov.shape == (spec.layout.K, spec.layout.K)
 
@@ -260,7 +274,7 @@ def test_init_state_mean_follows_layout(rng):
     assert np.all(ols[[3, 4, 8, 9]] != 0)
     m = pre.init_state_mean
     assert m.shape == (12,)
-    np.testing.assert_array_equal(m[:6], np.concatenate([pre.f_tilde[:, 0]] * 3))
+    np.testing.assert_array_equal(m[:6], np.concatenate([pre_factor_path(spec, Panel.from_data(x))[:, 0]] * 3))
     np.testing.assert_array_equal(m[6:8], 0.0)
     # the local level states start at their series' OLS intercepts, the local trend states at their slopes
     np.testing.assert_array_equal(m[8:10], ols[[3, 9], 0])
