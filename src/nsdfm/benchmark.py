@@ -36,8 +36,7 @@ METHODS = ("pc_levels", "pc_diff_cumulate", "pc_diff_corrected")
 # Share of failed replications beyond which a cell is marked invalid
 MAX_FAILURE_SHARE = 0.05
 
-# EM options of a Monte Carlo fit when none are given; ``nsdfm benchmark``
-# lays its [em] keys over these
+# The EM options ``nsdfm benchmark`` lays its [em] keys over
 MC_EM_OPTIONS = EMOptions(max_iter=100)
 
 # Periods of the trace table of run_diagnostics and of ``nsdfm diagnose``
@@ -115,13 +114,13 @@ def check_fittable(config: MCConfig) -> None:
         raise ValueError(f"q*(s+1) must be <= min(n, T-1) for the levels PCA, got q={q}, s={s}, n={n}, T={T}")
 
 
-def run_replication(config: MCConfig, replication: int, em_options: EMOptions | None = None) -> ReplicationResult:
-    """Simulate, estimate and score one replication; the fit's VAR order is ``config.p``."""
+def run_replication(config: MCConfig, replication: int, em_options: EMOptions) -> ReplicationResult:
+    """Simulate, fit with ``em_options`` and score one replication; the fit's VAR order is ``config.p``."""
     rec = ReplicationResult(replication=replication)
     try:
         sim = simulate_panel(config, replication)
         panel = sim.panel
-        res = fit(replace(sim.spec, p=config.p, detrend=sim.trend_set), panel, em_options or MC_EM_OPTIONS)
+        res = fit(replace(sim.spec, p=config.p, detrend=sim.trend_set), panel, em_options)
         rec.mse_em = mse_common(res.chi, sim.chi)
         rec.converged = res.converged
         rec.iterations = res.iterations
@@ -137,7 +136,7 @@ def run_replication(config: MCConfig, replication: int, em_options: EMOptions | 
     return rec
 
 
-def run_cell(config: MCConfig, em_options: EMOptions | None = None, jobs: int = 1) -> CellReport:
+def run_cell(config: MCConfig, em_options: EMOptions, jobs: int = 1) -> CellReport:
     """Run all replications of one Monte Carlo cell, optionally in parallel."""
     start = time.perf_counter()
     reps = range(config.replications)

@@ -10,7 +10,7 @@ diagnose's ``--n-grid``.  Flags win over the file; the
 merged text of the sections a command reads is what it parses and what
 its outputs echo, and the file's other sections are checked but left out.  Exit
 codes: 0 success (estimate: converged), 2 usage/configuration error (a
-bad value names its ``section.key``), 3 data error, 4 non-convergence,
+bad value names its ``section.key`` and why), 3 data error, 4 non-convergence,
 5 numeric failure.
 """
 
@@ -35,7 +35,6 @@ from .panel_io import (
     params_to_dict,
     load_config,
     mc_config_from_section,
-    mc_section,
     parse_boolean,
     parse_section,
     read_panel,
@@ -119,10 +118,10 @@ def _out_dir(args, sections) -> Path:
     return path
 
 
-def _config_echo(sections, extra=None) -> dict:
+def _config_echo(sections, extra) -> dict:
     echo = {f"{sec}.{k}": v for sec, kv in sections.items() for k, v in kv.items()}
     echo["version"] = __version__
-    echo.update(extra or {})
+    echo.update(extra)
     return echo
 
 
@@ -131,8 +130,7 @@ def cmd_simulate(args) -> int:
     cfg = mc_config_from_section(sections.get("mc", {}))
     sim = simulate_panel(cfg, args.replication)  # a bad replication raises here, before the output directory is made
     out = _out_dir(args, sections)
-    meta = _config_echo(sections, {**{f"mc.{k}": v for k, v in mc_section(cfg).items()},
-                                   "replication": args.replication})
+    meta = _config_echo(sections, {**{f"mc.{k}": v for k, v in asdict(cfg).items()}, "replication": args.replication})
     write_panel(out / "panel.csv", sim.panel, metadata=meta)
     write_truth(out / "truth.json", sim)
     print(f"wrote {out / 'panel.csv'} and {out / 'truth.json'} (seed={cfg.seed})")
@@ -142,7 +140,7 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     sections = _sections(args)
     try:
-        panel, names, meta = read_panel(args.input)
+        panel, names, _ = read_panel(args.input)
     except (OSError, ValueError) as exc:
         print(f"error: cannot read panel: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -202,7 +200,7 @@ def _parse_cells(text: str, section: dict[str, str]) -> list[MCConfig]:
 def _cell_row(cfg: MCConfig, agg: dict) -> dict:
     """One report.csv row, column name -> value; a competitor's column is named by its last word."""
     row = {"n": cfg.n, "T": cfg.T, "n1": cfg.n1, "nb": cfg.nb, "q": cfg.q, "s": cfg.s,
-           "dist": cfg.innovation_dist, "tau": cfg.tau}
+           "dist": cfg.dist, "tau": cfg.tau}
     for stat in ("mean", "median"):
         for m in METHODS:
             row[f"{stat}_rel_{m.rsplit('_', 1)[1]}"] = agg[f"{stat}_rel_mse_{m}"]
@@ -213,7 +211,7 @@ def _cell_row(cfg: MCConfig, agg: dict) -> dict:
 def _replication_row(cfg: MCConfig, rec: ReplicationResult) -> dict:
     """One replications.csv row, column name -> value."""
     return {
-        "n": cfg.n, "T": cfg.T, "n1": cfg.n1, "nb": cfg.nb, "dist": cfg.innovation_dist,
+        "n": cfg.n, "T": cfg.T, "n1": cfg.n1, "nb": cfg.nb, "dist": cfg.dist,
         "replication": rec.replication, "mse_em": rec.mse_em,
         **{f"mse_{m}": rec.mse_competitors.get(m, float("nan")) for m in METHODS},
         "converged": rec.converged, "iterations": rec.iterations, "error": rec.error or "",
@@ -238,18 +236,18 @@ def cmd_benchmark(args) -> int:
         report = run_cell(cfg, em_options=em_options, jobs=jobs)
         agg = report.aggregate()
         reports.append({"config": asdict(cfg), **agg})
-        cell_rows.append(_cell_row(cfg, agg))
+        row = _cell_row(cfg, agg)
+        cell_rows.append(row)
         replication_rows += [_replication_row(cfg, rec) for rec in report.replications]
+        print(f"cell n={row['n']} T={row['T']} n1={row['n1']} nb={row['nb']}: "
+              f"mean rel MSE levels={row['mean_rel_levels']:.4f} cumulate={row['mean_rel_cumulate']:.4f} "
+              f"corrected={row['mean_rel_corrected']:.4f} (failed {row['failed']})")
     echo = _config_echo(sections, {"seed": base.seed, "jobs": jobs, "t_min": DEFAULT_T_MIN})
     (out / "report.json").write_text(json.dumps({"cells": reports, "config": echo}), encoding="utf-8")
     write_table(out / "report.csv", list(cell_rows[0]), [list(row.values()) for row in cell_rows], metadata=echo)
     # the header is named by a blank record, so a cell of no replications still writes it
     write_table(out / "replications.csv", list(_replication_row(base, ReplicationResult(0))),
                 [list(row.values()) for row in replication_rows], metadata=echo)
-    for row in cell_rows:
-        print(f"cell n={row['n']} T={row['T']} n1={row['n1']} nb={row['nb']}: "
-              f"mean rel MSE levels={row['mean_rel_levels']:.4f} cumulate={row['mean_rel_cumulate']:.4f} "
-              f"corrected={row['mean_rel_corrected']:.4f} (failed {row['failed']})")
     if not all(r["valid_cell"] for r in reports):
         print("error: a cell exceeded the failure budget", file=sys.stderr)
         return EXIT_NUMERIC
@@ -268,24 +266,21 @@ def cmd_diagnose(args) -> int:
     diag = run_diagnostics(cfg, n_grid=n_grid)  # a bad size raises here, before the output directory is made
     out = _out_dir(args, sections)
     echo = _config_echo(sections, {"seed": cfg.seed, "horizon": DIAGNOSTIC_HORIZON})
-    rows = []
-    for n in n_grid:
+    rows, srows = [], []
+    for n in n_grid:  # a repeated size repeats its rows
         d = diag[n]
-        for t in range(DIAGNOSTIC_HORIZON):
-            rows.append([n, t + 1, d["tr_pred_over_q"][t], d["tr_filt_over_q"][t], d["tr_smooth_over_q"][t]])
-    write_table(out / "diagnose.csv", ["n", "t", "tr_pred_over_q", "tr_filt_over_q", "tr_smooth_over_q"],
-                rows, metadata=echo)
-    srows = [[n, diag[n]["tr_init_over_q"], diag[n]["tr_filt_scaled"], diag[n]["tr_smooth_scaled"],
-              diag[n]["steady_state_t"] if diag[n]["steady_state_t"] is not None else -1]
-             for n in n_grid]
-    write_table(out / "diagnose_summary.csv",
-                ["n", "tr_init_over_q", "tr_filt_scaled", "tr_smooth_scaled", "steady_state_t"],
-                srows, metadata=echo)
-    for n in n_grid:
-        d = diag[n]
+        rows += [[n, t + 1, d["tr_pred_over_q"][t], d["tr_filt_over_q"][t], d["tr_smooth_over_q"][t]]
+                 for t in range(DIAGNOSTIC_HORIZON)]
+        srows.append([n, d["tr_init_over_q"], d["tr_filt_scaled"], d["tr_smooth_scaled"],
+                      d["steady_state_t"] if d["steady_state_t"] is not None else -1])
         print(f"n={n}: tr(P00)/q={d['tr_init_over_q']:.1f} pred(t={DIAGNOSTIC_HORIZON})={d['tr_pred_over_q'][-1]:.6f} "
               f"filt={d['tr_filt_over_q'][-1]:.6f} smooth={d['tr_smooth_over_q'][-1]:.6f} "
               f"steady_state_t={d['steady_state_t']}")
+    write_table(out / "diagnose.csv", ["n", "t", "tr_pred_over_q", "tr_filt_over_q", "tr_smooth_over_q"],
+                rows, metadata=echo)
+    write_table(out / "diagnose_summary.csv",
+                ["n", "tr_init_over_q", "tr_filt_scaled", "tr_smooth_scaled", "steady_state_t"],
+                srows, metadata=echo)
     return EXIT_OK
 
 

@@ -295,7 +295,6 @@ def m_step_var(stats: SufficientStats, spec: ModelSpec):
     last = slice(r - q, r)
     # sum_t E[g g'] for g = (f_t, ..., f_{t-n_lags}): SA covers lags 0..n_lags-1, SB and SC the oldest
     M = np.block([[stats.SA[:r, :r], stats.SB[:r, last]], [stats.SB[:r, last].T, stats.SC[last, last]]])
-    mu = {(j, l): M[q * j:q * (j + 1), q * l:q * (l + 1)] for j in range(p + 1) for l in range(p + 1)}
     gram_lag, cross = M[q:(p + 1) * q, q:(p + 1) * q], M[:q, q:(p + 1) * q]
     try:
         A_stack = np.linalg.solve(gram_lag.T, cross.T).T
@@ -306,7 +305,7 @@ def m_step_var(stats: SufficientStats, spec: ModelSpec):
     gamma_u = np.zeros((q, q))
     for j in range(p + 1):
         for l in range(p + 1):
-            gamma_u += tilde[j] @ mu[(j, l)] @ tilde[l].T
+            gamma_u += tilde[j] @ M[q * j:q * (j + 1), q * l:q * (l + 1)] @ tilde[l].T
     gamma_u = 0.5 * (gamma_u + gamma_u.T) / spec.T
     return A, gamma_u
 

@@ -476,7 +476,7 @@ def steady_state_diagnostics(
     ss: StateSpace,
     P0: np.ndarray,
     horizon: int,
-    T_total: int | None = None,
+    T_total: int,
 ) -> dict:
     """Per-t traces of the filter/smoother MSE matrices of one system.
 
@@ -485,11 +485,11 @@ def steady_state_diagnostics(
     zeros.  The result holds tr(P_{t|t-1})/q, tr(P_{t|t})/q and
     tr(P_{t|T})/q over the factor companion block for t = 1..horizon,
     tr(P_{0|0})/q, and n-scaled variants at t = horizon computed on the
-    current-factor block (whose MSE decays at rate n).  The smoother runs
-    back from ``T_total`` (default: the horizon) so the smoothed traces
-    condition on the full sample length.
+    current-factor block (whose MSE decays at rate n).  The filter runs
+    over max(``T_total``, ``horizon``) periods and the smoother back from
+    the last, so the smoothed traces condition on the full sample length.
     """
-    T_full = max(T_total or horizon, horizon)
+    T_full = max(T_total, horizon)
     n = ss.measurement_base.shape[0]
     q = ss.layout.q
     fb = slice(0, ss.layout.n_factor_states)

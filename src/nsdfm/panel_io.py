@@ -168,7 +168,10 @@ def parse_index_set(text: str) -> frozenset[int]:
 
 def parse_boolean(text: str) -> bool:
     """configparser's spellings: 1/yes/true/on and 0/no/false/off, in any case."""
-    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(f"not one of {'/'.join(states)}")
+    return states[text.lower()]
 
 
 def parse_finite(text: str) -> float:
@@ -209,7 +212,10 @@ SCHEMA = {
 
 
 def parse_section(name: str, section: dict[str, str]) -> dict:
-    """Typed values of one config section; a bad section, key or value raises ConfigError."""
+    """Typed values of one config section; a bad section, key or value raises ConfigError.
+
+    A bad value's error names its ``section.key`` and the parser's reason.
+    """
     if name not in SCHEMA:
         raise ConfigError(f"unknown config section [{name}]")
     out = {}
@@ -218,8 +224,8 @@ def parse_section(name: str, section: dict[str, str]) -> dict:
             raise ConfigError(f"unknown key {key!r} in section [{name}]")
         try:
             out[key] = SCHEMA[name][key](text)
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"bad value for {name}.{key}: {text!r}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {name}.{key}: {text!r} ({exc})") from exc
     return out
 
 
@@ -242,21 +248,12 @@ def load_config(path) -> dict[str, dict[str, str]]:
     return out
 
 
-# The MCConfig field of each [mc] key that names it otherwise
-_MC_FIELDS = {"dist": "innovation_dist"}
-
-
-def mc_section(cfg: MCConfig) -> dict:
-    """Every field of ``cfg`` under its [mc] key: the section :func:`mc_config_from_section` reads back to ``cfg``."""
-    keys = {field: key for key, field in _MC_FIELDS.items()}
-    return {keys.get(name, name): value for name, value in dataclasses.asdict(cfg).items()}
-
-
 def mc_config_from_section(section: dict[str, str]) -> MCConfig:
-    """Build an MCConfig from an [mc] section; unknown keys raise :class:`ConfigError`."""
+    """Build an MCConfig from an [mc] section, whose keys are its field names (and ``cells``, which it skips).
+
+    A bad key or value raises :class:`ConfigError` naming it, and a value
+    ``MCConfig`` rejects raises its ``ValueError``.
+    """
     values = parse_section("mc", section)
     values.pop("cells", None)
-    try:
-        return MCConfig(**{_MC_FIELDS.get(key, key): value for key, value in values.items()})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return MCConfig(**values)

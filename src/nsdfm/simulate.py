@@ -59,7 +59,7 @@ class MCConfig:
     tau: float = 0.5
     theta: float = 0.5
     mu: float = 0.5
-    innovation_dist: str = "gaussian"
+    dist: str = "gaussian"
     replications: int = 100
     seed: int = 0
 
@@ -89,8 +89,8 @@ class MCConfig:
             raise ValueError("replications must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got seed={self.seed}")
-        if self.innovation_dist not in ("gaussian", "student_t4"):
-            raise ValueError(f"dist must be gaussian or student_t4, got dist={self.innovation_dist!r}")
+        if self.dist not in ("gaussian", "student_t4"):
+            raise ValueError(f"dist must be gaussian or student_t4, got dist={self.dist!r}")
 
 
 @dataclass
@@ -254,7 +254,7 @@ def simulate_panel(config: MCConfig, replication: int = 0) -> SimulatedPanel:
 
     A1, A2 = gen_factor_var(q, config.d, config.mu, rng)
     loadings = gen_loadings(n, q, s, rng)
-    u = gen_innovations(q, config.innovation_dist, np.eye(q), rng, BURN_IN + T)
+    u = gen_innovations(q, config.dist, np.eye(q), rng, BURN_IN + T)
     f = np.zeros((q, BURN_IN + T))
     f[:, 0] = u[:, 0]
     f[:, 1] = A1 @ f[:, 0] + u[:, 1]
@@ -264,7 +264,7 @@ def simulate_panel(config: MCConfig, replication: int = 0) -> SimulatedPanel:
     for k, B in enumerate(loadings):
         chi += B @ f[:, BURN_IN - k:BURN_IN + T - k]
 
-    xi, i1, rho2, cov_e = gen_idiosyncratic(n, T, config.n1, config.tau, config.innovation_dist, rng)
+    xi, i1, rho2, cov_e = gen_idiosyncratic(n, T, config.n1, config.tau, config.dist, rng)
     x, xi_scaled, beta0, trend_set, scale = apply_trends_and_rescale(chi, xi, config.nb, config.theta, rng)
 
     # innovation variances after rescaling; increments/levels of an AR

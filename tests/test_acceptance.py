@@ -65,7 +65,7 @@ def test_criterion_2_em_monotonicity():
             n=n, T=T, q=int(rng.integers(1, 3)), s=int(rng.integers(0, 2)),
             n1=int(rng.integers(0, max(1, n // 5))), nb=int(rng.integers(0, max(1, n // 5))),
             tau=float(rng.choice([0.0, 0.5])),
-            innovation_dist=str(rng.choice(["gaussian", "student_t4"])),
+            dist=str(rng.choice(["gaussian", "student_t4"])),
             seed=1000 + k, replications=1,
         )
         sim = simulate_panel(cfg, 0)
@@ -103,7 +103,7 @@ def _cell_ratios(cfg: MCConfig) -> dict:
 
 def test_criterion_4_benchmark_stationary_cell():
     cfg = MCConfig(n=100, T=100, q=2, s=0, n1=0, nb=0, tau=0.5,
-                   innovation_dist="gaussian", seed=20240, replications=100)
+                   dist="gaussian", seed=20240, replications=100)
     agg = _cell_ratios(cfg)
     b = agg["mean_rel_mse_pc_levels"]
     bn = agg["mean_rel_mse_pc_diff_cumulate"]
@@ -115,7 +115,7 @@ def test_criterion_4_benchmark_stationary_cell():
 
 def test_criterion_5_benchmark_integrated_cell():
     cfg = MCConfig(n=100, T=100, q=2, s=0, n1=25, nb=25, tau=0.5,
-                   innovation_dist="gaussian", seed=20241, replications=100)
+                   dist="gaussian", seed=20241, replications=100)
     agg = _cell_ratios(cfg)
     b = agg["mean_rel_mse_pc_levels"]
     report(5, "benchmark cell, integrated idiosyncratic", b <= 0.10,
@@ -124,7 +124,7 @@ def test_criterion_5_benchmark_integrated_cell():
 
 def test_criterion_6_fat_tail_robustness():
     cfg = MCConfig(n=100, T=100, q=2, s=0, n1=0, nb=0, tau=0.5,
-                   innovation_dist="student_t4", seed=20242, replications=100)
+                   dist="student_t4", seed=20242, replications=100)
     agg = _cell_ratios(cfg)
     b = agg["mean_rel_mse_pc_levels"]
     report(6, "fat-tail robustness", 0.35 <= b <= 0.80,
@@ -135,7 +135,7 @@ def test_criterion_7_consistency_trend():
     medians = []
     for size in (50, 100, 200):
         cfg = MCConfig(n=size, T=size, q=2, s=0, n1=0, nb=0, tau=0.5,
-                       innovation_dist="gaussian", seed=20243, replications=50)
+                       dist="gaussian", seed=20243, replications=50)
         rep = run_cell(cfg, EMOptions(max_iter=100), jobs=JOBS)
         assert rep.is_valid
         medians.append(rep.aggregate()["median_mse_em"])

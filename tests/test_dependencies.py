@@ -94,9 +94,17 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
                or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass" for d in node.decorator_list)
 
 
+def _called(call: ast.Call) -> str | None:
+    """The name a call looks its function up by: ``f`` of ``f(...)`` and of ``module.f(...)``."""
+    return call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
+
+
 def _iterated_classes(trees: dict[str, ast.Module]) -> set[str]:
     """The classes whose fields package code iterates: a ``fields`` or ``asdict`` call names the class,
-    passes ``self`` inside it, or passes a parameter annotated with it."""
+    passes ``self`` inside it, or passes a parameter annotated with it or a local bound from a call of a
+    function whose return annotation is the class."""
+    returns = {node.name: node.returns.id for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and isinstance(node.returns, ast.Name)}
     iterated = set()
 
     def visit(node, cls, annotations):
@@ -104,10 +112,12 @@ def _iterated_classes(trees: dict[str, ast.Module]) -> set[str]:
             cls = node.name
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             annotations = {a.arg: getattr(a.annotation, "id", None) for a in node.args.args}
+            annotations |= {target.id: returns.get(_called(stmt.value)) for stmt in ast.walk(node)
+                            if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call)
+                            for target in stmt.targets if isinstance(target, ast.Name)}
         if isinstance(node, ast.Call) and node.args:
-            func = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
             arg = getattr(node.args[0], "id", None)
-            if func in ("fields", "asdict") and arg is not None:
+            if _called(node) in ("fields", "asdict") and arg is not None:
                 iterated.add(cls if arg == "self" else annotations.get(arg) or arg)
         for child in ast.iter_child_nodes(node):
             visit(child, cls, annotations)

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import nsdfm
-from nsdfm.benchmark import MC_EM_OPTIONS, METHODS, run_cell
+from nsdfm.benchmark import DIAGNOSTIC_HORIZON, MC_EM_OPTIONS, METHODS, run_cell
 from nsdfm.cli import _parse_cells, build_parser, main
 from nsdfm.em import EMOptions, fit
-from nsdfm.model import Panel, Params
+from nsdfm.model import ModelSpec, Panel, Params
 from nsdfm.panel_io import (
     ConfigError,
     SCHEMA,
@@ -183,7 +183,7 @@ def test_readme_library_quickstart_runs(capsys):
 
 def test_cells_use_mc_key_names():
     cell = _parse_cells("n=30, q=1, dist=student_t4", {"T": "40"})[0]
-    assert (cell.n, cell.T, cell.q, cell.innovation_dist) == (30, 40, 1, "student_t4")
+    assert (cell.n, cell.T, cell.q, cell.dist) == (30, 40, 1, "student_t4")
     with pytest.raises(ConfigError, match="innovation_dist"):
         _parse_cells("innovation_dist=student_t4", {})
     with pytest.raises(ConfigError, match="mc.n"):
@@ -192,7 +192,7 @@ def test_cells_use_mc_key_names():
 
 def test_mc_config_from_section():
     cfg = mc_config_from_section({"n": "20", "T": "30", "tau": "0", "dist": "student_t4", "seed": "5"})
-    assert (cfg.n, cfg.T, cfg.seed, cfg.innovation_dist) == (20, 30, 5, "student_t4")
+    assert (cfg.n, cfg.T, cfg.seed, cfg.dist) == (20, 30, 5, "student_t4")
     with pytest.raises(ConfigError):
         mc_config_from_section({"n": "ten"})
 
@@ -212,6 +212,26 @@ def test_simulate_header_is_the_mc_section_of_its_panel(tmp_path, mc):
     assert mc_config_from_section(header) == mc_config_from_section(mc)
     again, x_again = simulate(header, tmp_path / "b")
     assert again == header and np.array_equal(x_again, x)
+
+
+def test_each_config_key_is_its_field_name(tmp_path):
+    # a key, its flag and the field it sets share one name, so the sidecars' configs read back as [mc] sections
+    assert set(SCHEMA["mc"]) - {"cells"} == {f.name for f in fields(MCConfig)}
+    assert set(SCHEMA["em"]) | {"standardize"} == {f.name for f in fields(EMOptions)}  # [model] standardize
+    assert set(SCHEMA["model"]) - {"standardize"} <= {f.name for f in fields(ModelSpec)}
+
+    def read_back(config):
+        return mc_config_from_section({key: str(value) for key, value in config.items()})
+
+    argv = ["--n", "10", "--T", "20", "--q", "1", "--tau", "0", "--dist", "student_t4", "--seed", "3"]
+    cfg = MCConfig(n=10, T=20, q=1, tau=0.0, dist="student_t4", seed=3)
+    assert main(["simulate", *argv, "--out-dir", str(tmp_path / "sim")]) == 0
+    assert read_back(json.loads((tmp_path / "sim" / "truth.json").read_text())["config"]) == cfg
+    assert main(["benchmark", *argv, "--replications", "1", "--max-iter", "2", "--cells", "n=12;dist=gaussian,s=1",
+                 "--out-dir", str(tmp_path / "bench")]) in (0, 5)
+    report = json.loads((tmp_path / "bench" / "report.json").read_text())
+    cells = [replace(cfg, n=12, replications=1), replace(cfg, dist="gaussian", s=1, replications=1)]
+    assert [read_back(cell["config"]) for cell in report["cells"]] == cells
 
 
 def test_cli_simulate_deterministic(tmp_path):
@@ -378,6 +398,25 @@ def test_cli_diagnose_smoke(tmp_path):
     assert "steady_state_t" in summary
 
 
+def test_cli_diagnose_repeated_size_repeats_its_rows(tmp_path, capsys):
+    rc = main(["diagnose", "--T", "30", "--replications", "2", "--seed", "2", "--n-grid", "10,20,10",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    table = _read_rows(tmp_path / "diagnose.csv")
+    summary = _read_rows(tmp_path / "diagnose_summary.csv")
+    printed = capsys.readouterr().out.splitlines()
+    h = DIAGNOSTIC_HORIZON
+    assert [row[0] for row in table] == ["10"] * h + ["20"] * h + ["10"] * h and table[:h] == table[2 * h:]
+    assert [row[0] for row in summary] == ["10", "20", "10"] and summary[0] == summary[2]
+    assert [line.split(":")[0] for line in printed] == ["n=10", "n=20", "n=10"] and printed[0] == printed[2]
+
+
+def _read_rows(path) -> list[list[str]]:
+    """The data rows of a table ``write_table`` wrote: no metadata lines, no header."""
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return [line.split(",") for line in lines[1:]]
+
+
 def test_cli_bad_config_exit_code(tmp_path):
     cfg = tmp_path / "c.ini"
     cfg.write_text("[mc]\nnot_a_key = 3\n")
@@ -436,7 +475,7 @@ def _small_panel(tmp_path):
     return tmp_path / "p.csv"
 
 
-def test_cli_standardize_key_takes_boolean_spellings(tmp_path):
+def test_cli_standardize_key_takes_boolean_spellings(tmp_path, capsys):
     panel = _small_panel(tmp_path)
     base = ["estimate", "--input", str(panel), "--q", "1", "--max-iter", "5"]
 
@@ -452,6 +491,8 @@ def test_cli_standardize_key_takes_boolean_spellings(tmp_path):
         assert loglik(tmp_path / spelling, "--config", str(cfg)) == flagged
     cfg.write_text("[model]\nstandardize = maybe\n")
     assert main(base + ["--config", str(cfg), "--out-dir", str(tmp_path / "maybe")]) == 2
+    err = capsys.readouterr().err
+    assert "bad value for model.standardize: 'maybe' (not one of 1/yes/true/on/0/no/false/off)" in err
 
 
 @pytest.mark.parametrize("case, named", [
@@ -493,7 +534,9 @@ def test_cli_bad_config_value_rejected_and_named(tmp_path, capsys, section, key,
                "--replications", "1", "--seed", "2", "--config", str(cfg),
                "--out-dir", str(tmp_path / "out")])
     assert rc == 2
-    assert f"bad value for {section}.{key}" in capsys.readouterr().err
+    with pytest.raises(ValueError) as why:  # the parser's reason closes the line
+        SCHEMA[section][key](value)
+    assert f"bad value for {section}.{key}: {value!r} ({why.value})\n" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
         load_config(cfg)
@@ -514,8 +557,8 @@ def test_cli_bad_config_value_rejected_and_named(tmp_path, capsys, section, key,
     (["simulate", "--n", "10", "--nb", "10"], "nb must be in [0, n)"),
     (["diagnose", "--n-grid", ""], "bad --n-grid"),
     (["diagnose", "--n-grid", ",,"], "bad --n-grid"),
-    (["benchmark", "--jobs", "0"], "bad value for io.jobs"),
-    (["benchmark", "--jobs", "-3"], "bad value for io.jobs"),
+    (["benchmark", "--jobs", "0"], "bad value for io.jobs: '0' (0 is below 1)"),
+    (["benchmark", "--jobs", "-3"], "bad value for io.jobs: '-3' (-3 is below 1)"),
     (["simulate", "--n", "0"], "q must satisfy 0 < q < n, got q=2 with n=0"),
     (["diagnose", "--n-grid", "-5"], "q must satisfy 0 < q < n, got q=2 with n=-5"),
     (["simulate", "--n", "8", "--T", "20", "--seed", "-1"], "seed must be >= 0, got seed=-1"),
@@ -530,7 +573,8 @@ def test_cli_bad_config_value_rejected_and_named(tmp_path, capsys, section, key,
     (["benchmark", "--n", "8", "--T", "20", "--q", "1", "--replications", "1", "--cells", "T=20;T=3,s=1,p=1"],
      "T must be >= s*q + s + 2 = 4 to fit lagged loadings, got T=3 with s=1, q=1"),
     (["simulate", "--dist", "cauchy"], "dist must be gaussian or student_t4, got dist='cauchy'"),
-    (["estimate", "--phi-policy", "1e-12"], "bad value for em.phi_policy: '1e-12'"),
+    (["estimate", "--phi-policy", "1e-12"],
+     "bad value for em.phi_policy: '1e-12' (a fixed phi_policy must be finite and at least 1e-09, got 1e-12)"),
 ])
 def test_cli_rejected_spec_or_cell_writes_nothing(tmp_path, capsys, argv, named):
     # the spec, the options and the cells are built before the output directory is made
@@ -596,13 +640,13 @@ def test_cli_echoes_only_the_sections_it_reads(tmp_path, command, reads, table):
 
 
 def test_cli_benchmark_rows_equal_run_cell(tmp_path):
-    # the CLI fits with run_cell's Monte Carlo EM options, its [em] keys laid over them
+    # the CLI fits with the Monte Carlo EM options MC_EM_OPTIONS, its [em] keys laid over them
     cfg = MCConfig(n=10, T=20, q=1, s=0, tau=0.0, seed=6, replications=2)
     argv = ["benchmark", "--n", "10", "--T", "20", "--q", "1", "--s", "0", "--tau", "0",
             "--replications", "2", "--seed", "6"]
     ini = tmp_path / "c.ini"
     ini.write_text("[em]\ntolerance = 1e-12\n")
-    for name, options, extra in (("default", None, []),
+    for name, options, extra in (("default", MC_EM_OPTIONS, []),
                                  ("tight", replace(MC_EM_OPTIONS, tolerance=1e-12), ["--config", str(ini)])):
         out = tmp_path / name
         assert main(argv + extra + ["--out-dir", str(out)]) == 0

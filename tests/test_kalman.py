@@ -174,7 +174,7 @@ def test_steady_state_diagnostics_shape_and_flag():
     for n in (5, 10):
         spec, params = random_instance(rng, n=n, T=4, q=1, s=0, p=1, with_states=False)
         ss = build_state_space(spec, params)
-        res = steady_state_diagnostics(ss, np.eye(ss.K) * 100.0, horizon=12)
+        res = steady_state_diagnostics(ss, np.eye(ss.K) * 100.0, horizon=12, T_total=12)
         assert res["tr_pred_over_q"].shape == (12,)
         assert steady_state_onset(res["tr_pred_over_q"], 1.0e-6) is not None  # q = 1
         # one-step-ahead trace decreasing toward its steady state

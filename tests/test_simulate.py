@@ -153,7 +153,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         MCConfig(n=10, T=10, n1=10)
     with pytest.raises(ValueError, match="dist must be gaussian or student_t4, got dist='cauchy'"):
-        MCConfig(n=10, T=10, innovation_dist="cauchy")
+        MCConfig(n=10, T=10, dist="cauchy")
     for field in ("theta", "tau", "mu"):  # a NaN passes every bound check written with <=
         for value in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
