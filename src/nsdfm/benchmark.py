@@ -59,7 +59,6 @@ class ReplicationResult:
 
 @dataclass
 class CellReport:
-    config: MCConfig
     replications: list[ReplicationResult]
     elapsed_seconds: float = 0.0
 
@@ -149,7 +148,7 @@ def run_cell(config: MCConfig, em_options: EMOptions, jobs: int = 1) -> CellRepo
     else:
         results = [run_replication(config, rep, em_options) for rep in reps]
     elapsed = time.perf_counter() - start
-    return CellReport(config=config, replications=results, elapsed_seconds=elapsed)
+    return CellReport(replications=results, elapsed_seconds=elapsed)
 
 
 def run_diagnostics(

@@ -140,7 +140,7 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     sections = _sections(args)
     try:
-        panel, names, _ = read_panel(args.input)
+        panel, names = read_panel(args.input)
     except (OSError, ValueError) as exc:
         print(f"error: cannot read panel: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -380,7 +380,7 @@ def _relative_change(curr: float, prev: float) -> float:
     return abs(curr - prev) / denom if denom > 0 else 0.0
 
 
-def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMResult:
+def fit(spec: ModelSpec, panel: Panel, options: EMOptions = EMOptions()) -> EMResult:
     """Estimate the model by EM and return the common component.
 
     Runs the pre-estimation, alternates E- and M-steps until the relative
@@ -413,9 +413,10 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions | None = None) -> EMRe
     regression returns nearly the old loadings: EM leaves the loadings of
     those series near their pre-estimated start.
     """
-    options = options or EMOptions()
     scale = _series_scale(panel, options.standardize)
-    panel = Panel(panel.data / scale[:, None], panel.missing_mask)
+    data = np.where(panel.missing_mask, panel.data, 0.0)  # a missing cell may hold anything, inf included
+    data /= scale[:, None]
+    panel = Panel(data, panel.missing_mask)
 
     pre = pre_estimate(spec, panel)
     params = pre.params

@@ -5,8 +5,9 @@ per time period, first row a header of series names, empty cells marking
 missing values.  Every other cell must parse to a finite number: ``inf``
 or ``nan`` is rejected, not read as a gap.  Lines starting with '#'
 before the header carry ``key=value`` metadata (effective configuration
-and master seed), so every output file records how to reproduce it.  Values are printed with
-17 significant digits, which round-trips IEEE doubles exactly.
+and master seed), so every output file records how to reproduce it; the
+reader skips them.  Values are printed with 17 significant digits, which
+round-trips IEEE doubles exactly.
 
 The truth sidecar and parameter outputs are JSON; benchmark tables are
 plain CSV with the same metadata convention.
@@ -33,12 +34,7 @@ __all__ = [
     "read_truth",
     "write_table",
     "load_config",
-    "ConfigError",
 ]
-
-
-class ConfigError(ValueError):
-    """Malformed configuration file or unknown key."""
 
 
 def write_panel(path, panel: Panel, metadata: dict | None = None) -> None:
@@ -54,23 +50,16 @@ def write_panel(path, panel: Panel, metadata: dict | None = None) -> None:
 
 
 def read_panel(path):
-    """Read a wide-format panel CSV; returns (Panel, names, metadata).
+    """Read a wide-format panel CSV; returns (Panel, names).  '#' lines are skipped like blank ones.
 
     Raises ValueError naming the file line and the column of a cell that
     is neither empty nor a finite number.
     """
     text = Path(path).read_text(encoding="utf-8")
-    metadata: dict[str, str] = {}
     rows: list[tuple[int, list[str]]] = []
     header: list[str] | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                metadata[key.strip()] = value.strip()
+        if not line.strip() or line.startswith("#"):
             continue
         cells = line.split(",")
         if header is None:
@@ -92,7 +81,7 @@ def read_panel(path):
             if cells[i]:  # not a gap but a literal nan or inf
                 _panel_cell(cells[i], lineno, i, header)
     # C-ordered like an in-memory panel: the fit's BLAS products, and so its bits, follow the layout
-    return Panel.from_data(np.ascontiguousarray(values.T)), header, metadata
+    return Panel.from_data(np.ascontiguousarray(values.T)), header
 
 
 def _panel_cell(cell: str, lineno: int, i: int, header: list[str]) -> float:
@@ -212,20 +201,20 @@ SCHEMA = {
 
 
 def parse_section(name: str, section: dict[str, str]) -> dict:
-    """Typed values of one config section; a bad section, key or value raises ConfigError.
+    """Typed values of one config section; a bad section, key or value raises ValueError.
 
     A bad value's error names its ``section.key`` and the parser's reason.
     """
     if name not in SCHEMA:
-        raise ConfigError(f"unknown config section [{name}]")
+        raise ValueError(f"unknown config section [{name}]")
     out = {}
     for key, text in section.items():
         if key not in SCHEMA[name]:
-            raise ConfigError(f"unknown key {key!r} in section [{name}]")
+            raise ValueError(f"unknown key {key!r} in section [{name}]")
         try:
             out[key] = SCHEMA[name][key](text)
         except ValueError as exc:
-            raise ConfigError(f"bad value for {name}.{key}: {text!r} ({exc})") from exc
+            raise ValueError(f"bad value for {name}.{key}: {text!r} ({exc})") from exc
     return out
 
 
@@ -241,7 +230,7 @@ def load_config(path) -> dict[str, dict[str, str]]:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except (OSError, configparser.Error) as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+        raise ValueError(f"cannot parse config {path}: {exc}") from exc
     out = {section: dict(parser.items(section)) for section in parser.sections()}
     for name, section in out.items():
         parse_section(name, section)
@@ -251,8 +240,8 @@ def load_config(path) -> dict[str, dict[str, str]]:
 def mc_config_from_section(section: dict[str, str]) -> MCConfig:
     """Build an MCConfig from an [mc] section, whose keys are its field names (and ``cells``, which it skips).
 
-    A bad key or value raises :class:`ConfigError` naming it, and a value
-    ``MCConfig`` rejects raises its ``ValueError``.
+    A bad key or value raises ``ValueError`` naming it, as does a value
+    ``MCConfig`` rejects.
     """
     values = parse_section("mc", section)
     values.pop("cells", None)

@@ -98,8 +98,11 @@ def mean_filled(values: np.ndarray, ok: np.ndarray) -> np.ndarray:
 
 
 def _filled_differences(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """n x (T-1) differenced panel, a difference observed when both its levels are, gaps :func:`mean_filled`."""
-    return mean_filled(x[:, 1:] - x[:, :-1], mask[:, 1:] & mask[:, :-1])
+    """n x (T-1) differenced panel, a difference observed when both its levels are, gaps :func:`mean_filled`.
+
+    The missing levels are zeroed first: they may hold anything, and inf - inf would warn.
+    """
+    return mean_filled(np.diff(np.where(mask, x, 0.0), axis=1), mask[:, 1:] & mask[:, :-1])
 
 
 def _filled_levels(x: np.ndarray, mask: np.ndarray, dx_fill: np.ndarray) -> np.ndarray:

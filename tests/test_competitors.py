@@ -89,6 +89,11 @@ def test_gaps_filled_with_observed_series_means(rng):
     assert np.array_equal(pc_levels(Panel.from_data(x), 2), pc_levels(Panel.from_data(by_hand), 2))
 
 
+def test_cumulated_differences_need_three_periods():
+    with pytest.raises(ValueError, match="need T >= 3"):
+        pc_diff_cumulate(Panel.from_data(np.ones((4, 2))), 1)
+
+
 def test_metrics_values():
     assert mse_common(np.zeros((2, 5)), np.zeros((2, 5))) == 0.0
     chi = np.arange(10.0).reshape(2, 5)

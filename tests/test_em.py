@@ -341,6 +341,13 @@ def test_fit_rejects_a_panel_of_another_shape():
         fit(ModelSpec(n=6, T=30, q=1), panel)
 
 
+def test_fit_rejects_a_panel_too_short_for_the_differenced_pca():
+    # the pre-estimate's PCA of first differences needs T >= q + 2
+    panel = Panel.from_data(np.random.default_rng(0).standard_normal((5, 3)))
+    with pytest.raises(ValueError, match="T too small for the differenced PCA"):
+        fit(ModelSpec(n=5, T=3, q=2), panel)
+
+
 @pytest.mark.parametrize("sets", [
     {"local_level": {0, 1}},
     {"local_trend": {2, 3}},
@@ -581,6 +588,8 @@ def test_options_reject_non_finite_values_and_a_non_integer_max_iter():
         with pytest.raises(ValueError):
             EMOptions(**kwargs)
     assert EMOptions(max_iter=np.int64(3), phi_policy=1e-5).max_iter == 3
+    with pytest.raises(ValueError, match="phi_policy must be 'estimated' or a fixed value"):
+        EMOptions(phi_policy="fixed")
 
 
 def test_fit_is_permutation_equivariant():
@@ -664,6 +673,27 @@ def test_scale_exponent_band():
     for c, k in ((1.0, 0), (1.4e-3, -10), (7.0e5, 19)):
         np.testing.assert_array_equal(_series_scale(Panel(np.where(mask, walk * c, np.inf), mask), False),
                                       2.0 ** k, str(c))
+
+
+def test_fit_reads_no_missing_cell():
+    # a missing cell may hold anything: on a x1e-3 panel, which fit divides by 2^-9, with runs of
+    # adjacent gaps in detrended and local-trend series, a fill of +-inf or near the float limit
+    # fits as NaN does, bit for bit, and warns nowhere (warnings are errors here)
+    sim = simulate_panel(MCConfig(n=30, T=40, n1=4, nb=4, seed=3), 0)
+    mask = np.random.default_rng(7).random(sim.x.shape) >= 0.1
+    local = sorted(set(range(30)) - sim.i1_set - sim.trend_set)[:3]
+    mask[[*sorted(sim.trend_set)[:2], *local], 10:13] = False
+    spec = ModelSpec(30, 40, sim.spec.q, p=2, local_trend=set(local), detrend=sim.trend_set | set(local))
+    x = sim.x * 1e-3
+    options = EMOptions(max_iter=8)
+    base = fit(spec, Panel(np.where(mask, x, np.nan), mask), options)
+    assert _series_scale(Panel(x, mask), False)[0] == 2.0 ** -9
+    for fill in (np.inf, -np.inf, 1.7e308, -1.7e308):
+        res = fit(spec, Panel(np.where(mask, x, fill), mask), options)
+        assert res.iterations == base.iterations
+        assert res.chi.tobytes() == base.chi.tobytes(), fill
+        assert res.smoothed_means.tobytes() == base.smoothed_means.tobytes(), fill
+        assert res.loglik_path == base.loglik_path
 
 
 def test_standardize_is_per_series_power_of_two_equivariant():

@@ -15,7 +15,6 @@ from nsdfm.cli import _parse_cells, build_parser, main
 from nsdfm.em import EMOptions, fit
 from nsdfm.model import ModelSpec, Panel, Params
 from nsdfm.panel_io import (
-    ConfigError,
     SCHEMA,
     load_config,
     mc_config_from_section,
@@ -30,6 +29,13 @@ from nsdfm.simulate import MCConfig, simulate_panel
 from conftest import random_instance
 
 
+def _metadata(path) -> dict[str, str]:
+    """The ``key=value`` lines a writer puts before a table's header, which ``read_panel`` skips."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    return {key.strip(): value.strip() for key, _, value in
+            (line[1:].partition("=") for line in lines if line.startswith("#"))}
+
+
 def test_panel_roundtrip_exact(tmp_path, rng):
     data = rng.standard_normal((4, 9))
     data[1, 3] = np.nan
@@ -37,14 +43,14 @@ def test_panel_roundtrip_exact(tmp_path, rng):
     panel = Panel.from_data(data)
     path = tmp_path / "p.csv"
     write_panel(path, panel, metadata={"seed": 7, "note": "x"})
-    back, names, meta = read_panel(path)
+    back, names = read_panel(path)
     np.testing.assert_array_equal(back.missing_mask, panel.missing_mask)
     # bit-exact float round trip through %.17g
     assert np.array_equal(
         np.where(panel.missing_mask, panel.data, 0.0),
         np.where(back.missing_mask, back.data, 0.0),
     )
-    assert meta["seed"] == "7"
+    assert _metadata(path) == {"seed": "7", "note": "x"}
     assert names == [f"series_{i}" for i in range(4)]
 
 
@@ -115,11 +121,20 @@ def test_panel_errors_name_the_file_line(tmp_path, cell, error):
         read_panel(path)
 
 
+@pytest.mark.parametrize("text", ["", "# seed=1\n\n", "a,b\n", "# seed=1\na,b\n\n"],
+                         ids=["empty", "metadata_only", "header_only", "header_and_blank"])
+def test_panel_without_data_rows_is_rejected(tmp_path, text):
+    path = tmp_path / "p.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="panel file has no header or no data rows"):
+        read_panel(path)
+
+
 def test_panel_blank_cells_are_gaps(tmp_path):
     # a blank cell fails the row's one-pass parse, which then reads it cell by cell
     path = tmp_path / "p.csv"
     path.write_text("a,b,c\n1.0, 2.0,\n ,3.0 ,\n")
-    panel, _, _ = read_panel(path)
+    panel, _ = read_panel(path)
     np.testing.assert_array_equal(panel.missing_mask, [[True, False], [True, True], [False, False]])
     np.testing.assert_array_equal(panel.data[:2], [[1.0, np.nan], [2.0, 3.0]])
 
@@ -137,7 +152,7 @@ def test_fit_after_csv_round_trip_is_bit_identical(tmp_path):
     spec = replace(sim.spec, idio_i1=sim.i1_set, local_level=frozenset(), local_trend=frozenset(others[:2]))
     path = tmp_path / "panel.csv"
     write_panel(path, panel, metadata={"seed": 12})
-    back, _, _ = read_panel(path)
+    back, _ = read_panel(path)
     assert back.data.flags.c_contiguous and back.missing_mask.flags.c_contiguous
     options = EMOptions(max_iter=8)
     res_csv, res_mem = fit(spec, back, options), fit(spec, panel, options)
@@ -148,19 +163,27 @@ def test_fit_after_csv_round_trip_is_bit_identical(tmp_path):
 def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "c.ini"
     cfg.write_text("[mc]\nn = 10\nbanana = 1\n")
-    with pytest.raises(ConfigError, match="banana"):
+    with pytest.raises(ValueError, match="banana"):
         load_config(cfg)
     cfg.write_text("[weird]\nn = 10\n")
-    with pytest.raises(ConfigError, match="weird"):
+    with pytest.raises(ValueError, match="weird"):
         load_config(cfg)
     for section, key in (("mc", "delta"), ("em", "kappa"), ("io", "format"), ("io", "t_min")):  # earlier keys
         cfg.write_text(f"[{section}]\n{key} = 0.2\n")
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ValueError, match=key):
             load_config(cfg)
     for key in ("n", "T"):  # [model] takes n and T from the panel
         cfg.write_text(f"[model]\n{key} = 5\n")
-        with pytest.raises(ConfigError, match=f"'{key}'"):
+        with pytest.raises(ValueError, match=f"'{key}'"):
             load_config(cfg)
+
+
+def test_config_unreadable_file_rejected(tmp_path):
+    # a missing file, a directory and text before any section header each raise one error naming the path
+    (tmp_path / "flat.ini").write_text("n = 10\n")
+    for path in (tmp_path / "missing.ini", tmp_path, tmp_path / "flat.ini"):
+        with pytest.raises(ValueError, match=re.escape(f"cannot parse config {path}: ")):
+            load_config(path)
 
 
 def test_readme_config_example_loads(tmp_path):
@@ -184,16 +207,16 @@ def test_readme_library_quickstart_runs(capsys):
 def test_cells_use_mc_key_names():
     cell = _parse_cells("n=30, q=1, dist=student_t4", {"T": "40"})[0]
     assert (cell.n, cell.T, cell.q, cell.dist) == (30, 40, 1, "student_t4")
-    with pytest.raises(ConfigError, match="innovation_dist"):
+    with pytest.raises(ValueError, match="innovation_dist"):
         _parse_cells("innovation_dist=student_t4", {})
-    with pytest.raises(ConfigError, match="mc.n"):
+    with pytest.raises(ValueError, match="mc.n"):
         _parse_cells("n=ten", {})
 
 
 def test_mc_config_from_section():
     cfg = mc_config_from_section({"n": "20", "T": "30", "tau": "0", "dist": "student_t4", "seed": "5"})
     assert (cfg.n, cfg.T, cfg.seed, cfg.dist) == (20, 30, 5, "student_t4")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         mc_config_from_section({"n": "ten"})
 
 
@@ -204,7 +227,8 @@ def test_simulate_header_is_the_mc_section_of_its_panel(tmp_path, mc):
     def simulate(section, out):
         flags = [tok for key, value in section.items() for tok in (f"--{key}", value)]
         assert main(["simulate", *flags, "--replication", "1", "--out-dir", str(out)]) == 0
-        panel, _, meta = read_panel(out / "panel.csv")
+        panel, _ = read_panel(out / "panel.csv")
+        meta = _metadata(out / "panel.csv")
         return {key[3:]: value for key, value in meta.items() if key.startswith("mc.")}, panel.data
 
     header, x = simulate(mc, tmp_path / "a")
@@ -240,7 +264,7 @@ def test_cli_simulate_deterministic(tmp_path):
     assert main(argv + ["--out-dir", str(out1)]) == 0
     assert main(argv + ["--out-dir", str(out2)]) == 0
     assert (out1 / "panel.csv").read_bytes() == (out2 / "panel.csv").read_bytes()
-    panel, names, meta = read_panel(out1 / "panel.csv")
+    panel, names = read_panel(out1 / "panel.csv")
     assert panel.n == 10 and panel.T == 20
     # header + n*T data cells
     body = [l for l in (out1 / "panel.csv").read_text().splitlines() if l and not l.startswith("#")]
@@ -303,7 +327,7 @@ def test_cli_estimate_roundtrip(tmp_path):
     # the intercepts and slopes are written once, under params
     assert "trend_alpha" not in summary and "trend_beta" not in summary
     assert {"alpha0", "beta0"} <= set(summary["params"])
-    chi, names, meta = read_panel(est_dir / "chi.csv")
+    chi, names = read_panel(est_dir / "chi.csv")
     assert chi.data.shape == (20, 40)
 
 
@@ -326,7 +350,7 @@ def test_cli_estimate_accepts_missing_cells(tmp_path):
     rc = main(["estimate", "--input", str(tmp_path / "p.csv"), "--q", "1",
                "--out-dir", str(tmp_path / "out")])
     assert rc in (0, 4)
-    chi, _, _ = read_panel(tmp_path / "out" / "chi.csv")
+    chi, _ = read_panel(tmp_path / "out" / "chi.csv")
     assert np.all(np.isfinite(chi.data))
 
 
@@ -538,7 +562,7 @@ def test_cli_bad_config_value_rejected_and_named(tmp_path, capsys, section, key,
         SCHEMA[section][key](value)
     assert f"bad value for {section}.{key}: {value!r} ({why.value})\n" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+    with pytest.raises(ValueError, match=f"{section}.{key}"):
         load_config(cfg)
 
 

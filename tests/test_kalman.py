@@ -108,6 +108,30 @@ def test_loglik_matches_direct_density_n3_T4():
     assert filt.loglik == pytest.approx(oracle["loglik"], rel=1e-8)
 
 
+@pytest.mark.parametrize("case, message", [
+    ("series", "panel has 2 series but the system measures 3"),
+    ("mean_shape", "initial moments have wrong shape"),
+    ("cov_shape", "initial moments have wrong shape"),
+    ("non_finite", "initial moments must be finite"),
+])
+def test_filter_rejects_inputs_that_do_not_fit_the_system(case, message):
+    rng = np.random.default_rng(42)
+    spec, params = random_instance(rng, n=3, T=4, q=1, s=0, p=1, with_states=False)
+    ss = build_state_space(spec, params)
+    panel = random_panel(spec, rng)
+    init_mean, init_cov = np.zeros(ss.K), np.eye(ss.K)
+    if case == "series":
+        panel = Panel(panel.data[:2], panel.missing_mask[:2])
+    elif case == "mean_shape":
+        init_mean = np.zeros(ss.K + 1)
+    elif case == "cov_shape":
+        init_cov = np.eye(ss.K + 1)
+    else:
+        init_cov = np.where(np.eye(ss.K) > 0, np.nan, 0.0)
+    with pytest.raises(ValueError, match=message):
+        kf_filter(ss, panel, init_mean, init_cov)
+
+
 def test_smoother_T1_equals_filter():
     rng = np.random.default_rng(9)
     spec, params = random_instance(rng, n=3, T=1)

@@ -172,6 +172,37 @@ def test_non_spd_gamma_u_rejected():
         ).validate(spec)
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"loadings": [np.ones((3, 2))] * 2}, "expected 1 loading matrices, got 2"),
+    ({"loadings": [np.ones((3, 1))]}, r"loadings\[0\] has shape \(3, 1\), expected \(3, 2\)"),
+    ({"var_coeffs": []}, "expected 1 VAR coefficient matrices, got 0"),
+    ({"var_coeffs": [np.ones((2, 1))]}, r"var_coeffs\[0\] has shape \(2, 1\), expected \(2, 2\)"),
+    ({"gamma_u": np.eye(3)}, "gamma_u has wrong shape"),
+    ({"gamma_u": np.array([[1.0, 0.5], [0.0, 1.0]])}, "gamma_u must be symmetric"),
+    ({"gamma_u": np.array([[1.0, 2.0], [2.0, 1.0]])}, "gamma_u must be positive definite"),
+    ({"sigma2_eta": np.zeros(2)}, r"sigma2_eta has shape \(2,\), expected \(3,\)"),
+    ({"gamma_e_diag": np.array([1.0, 0.0, 1.0])}, "gamma_e_diag entries must be positive"),
+])
+def test_params_validate_names_what_is_wrong(change, message):
+    spec = ModelSpec(n=3, T=6, q=2, s=0, p=1)
+    valid = replace(minimal_params(n=3), loadings=[np.ones((3, 2))], var_coeffs=[0.5 * np.eye(2)], gamma_u=np.eye(2))
+    valid.validate(spec)
+    with pytest.raises(ValueError, match=message):
+        replace(valid, **change).validate(spec)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ModelSpec(n=0, T=10, q=1), "n and T must be positive"),
+    (lambda: ModelSpec(n=3, T=0, q=1), "n and T must be positive"),
+    (lambda: ModelSpec(n=3, T=10, q=1, s=-1), "loading lag order s must be >= 0"),
+    (lambda: ModelSpec(n=3, T=10, q=1, p=0), "VAR order p must be >= 1"),
+    (lambda: Panel(np.zeros((2, 3)), np.ones((3, 2), dtype=bool)), "missing_mask shape must match data"),
+], ids=["n", "T", "s", "p", "mask_shape"])
+def test_spec_and_panel_reject_bad_sizes(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_spec_index_sets():
     spec = ModelSpec(n=6, T=10, q=1, idio_i1=[0], local_level=[1], local_trend=[1, 2])
     assert spec.detrend is None and spec.detrend_set == {1, 2}

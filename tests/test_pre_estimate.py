@@ -5,6 +5,7 @@ from nsdfm.model import ModelSpec, Panel
 from nsdfm.pre_estimate import (
     _filled_differences,
     _filled_levels,
+    _ordered_eigh,
     detrend_ols,
     floor_gamma_u,
     gamma_e_init,
@@ -315,18 +316,33 @@ def test_filled_levels_hand_values():
 
 
 def test_filled_differences_hand_values():
-    nan = np.nan
+    nan, inf = np.nan, np.inf
     x = np.array([
         [0.0, 1.0, 3.0, 6.0, 10.0],   # complete: its differences untouched
         [0.0, 1.0, nan, 4.0, 6.0],    # observed pairs give 1 and 2: gaps take 1.5
         [nan, 1.0, nan, 2.0, nan],    # no observed pair: zeros
+        [inf, inf, 1.0, 4.0, 6.0],    # missing cells may hold anything: inf - inf is never formed
     ])
     out = _filled_differences(x, np.isfinite(x))
     np.testing.assert_array_equal(out, [
         [1.0, 2.0, 3.0, 4.0],
         [1.0, 1.5, 1.5, 2.0],
         [0.0, 0.0, 0.0, 0.0],
+        [2.5, 2.5, 3.0, 2.0],
     ])
+
+
+def test_ordered_eigh_breaks_ties_by_the_eigenvectors():
+    # eigenvalues descend; the tied pair goes by its eigenvectors' entries, the larger first
+    G = np.diag([1.0, 2.0, 2.0, 3.0])
+    vals, vecs = _ordered_eigh(G)
+    np.testing.assert_array_equal(vals, [3.0, 2.0, 2.0, 1.0])
+    np.testing.assert_array_equal(vecs, np.eye(4)[:, [3, 1, 2, 0]])
+    # relabelling the series by a permutation that keeps the tied pair's order permutes the rows
+    perm = [1, 3, 0, 2]
+    vals_p, vecs_p = _ordered_eigh(G[np.ix_(perm, perm)])
+    np.testing.assert_array_equal(vals_p, vals)
+    np.testing.assert_array_equal(vecs_p, vecs[perm])
 
 
 def _walk_every_cell(x, mask, dx_fill):

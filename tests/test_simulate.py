@@ -169,6 +169,11 @@ def test_config_validation():
     assert MCConfig(n=10, T=10, tau=0.0, mu=0.99, replications=1).tau == 0.0
 
 
+def test_innovations_reject_a_covariance_that_is_not_positive_definite(rng):
+    with pytest.raises(ValueError, match="innovation covariance is not positive definite"):
+        gen_innovations(2, "gaussian", np.array([[1.0, 2.0], [2.0, 1.0]]), rng, 5)
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_simulated_spec_is_the_truths(p):
     # the truth is a VAR(2) whatever the estimator's order config.p says
