@@ -62,25 +62,18 @@ class CellReport:
     replications: list[ReplicationResult]
     elapsed_seconds: float = 0.0
 
-    @property
-    def valid(self) -> list[ReplicationResult]:
-        return [r for r in self.replications if r.error is None]
-
-    @property
-    def n_failed(self) -> int:
-        return len(self.replications) - len(self.valid)
-
-    @property
-    def is_valid(self) -> bool:
-        return self.n_failed <= MAX_FAILURE_SHARE * len(self.replications)
-
     def aggregate(self) -> dict:
-        """Mean and median relative MSEs plus absolute MSE summaries."""
-        ok = self.valid
+        """Mean and median relative MSEs over the replications that did not fail, plus absolute MSE summaries.
+
+        ``failed`` counts the failed replications, and ``valid_cell`` is
+        False when they are more than ``MAX_FAILURE_SHARE`` of the cell.
+        """
+        ok = [r for r in self.replications if r.error is None]
+        failed = len(self.replications) - len(ok)
         out = {
             "replications": len(self.replications),
-            "failed": self.n_failed,
-            "valid_cell": self.is_valid,
+            "failed": failed,
+            "valid_cell": failed <= MAX_FAILURE_SHARE * len(self.replications),
             "elapsed_seconds": self.elapsed_seconds,
             "mean_mse_em": float(np.mean([r.mse_em for r in ok])) if ok else np.nan,
             "median_mse_em": float(np.median([r.mse_em for r in ok])) if ok else np.nan,

@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sections(args) -> dict[str, dict[str, str]]:
+def _sections(args: argparse.Namespace) -> dict[str, dict[str, str]]:
     """The config file's sections with the flags laid over them, checked but kept as text.
 
     Only the sections the command reads are returned, so they alone are echoed.
@@ -111,7 +111,7 @@ def _sections(args) -> dict[str, dict[str, str]]:
     return {sec: kv for sec, kv in sections.items() if sec in args.reads}
 
 
-def _out_dir(args, sections) -> Path:
+def _out_dir(args: argparse.Namespace, sections) -> Path:
     out = args.out_dir or sections.get("io", {}).get("out_dir", ".")
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
@@ -125,7 +125,7 @@ def _config_echo(sections, extra) -> dict:
     return echo
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     sections = _sections(args)
     cfg = mc_config_from_section(sections.get("mc", {}))
     sim = simulate_panel(cfg, args.replication)  # a bad replication raises here, before the output directory is made
@@ -137,7 +137,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args: argparse.Namespace) -> int:
     sections = _sections(args)
     try:
         panel, names = read_panel(args.input)
@@ -218,7 +218,7 @@ def _replication_row(cfg: MCConfig, rec: ReplicationResult) -> dict:
     }
 
 
-def cmd_benchmark(args) -> int:
+def cmd_benchmark(args: argparse.Namespace) -> int:
     sections = _sections(args)
     mc = sections.get("mc", {})
     base = mc_config_from_section(mc)
@@ -254,7 +254,7 @@ def cmd_benchmark(args) -> int:
     return EXIT_OK
 
 
-def cmd_diagnose(args) -> int:
+def cmd_diagnose(args: argparse.Namespace) -> int:
     sections = _sections(args)
     cfg = mc_config_from_section(sections.get("mc", {}))
     try:

@@ -198,9 +198,8 @@ def reduce_moments(
     EZZ[:, :r0, :r0] += P[:, :r0, :r0][slot]
     m = mask.astype(float)
     gram_aug = np.einsum("it,tjk->ijk", m, EZZ)
-    xz = np.where(mask, x, 0.0)
-    cross_aug = xz @ Z                                                   # sum E[z x]
-    sum_xx = (xz ** 2).sum(axis=1)
+    cross_aug = x @ Z                                                    # sum E[z x]
+    sum_xx = (x ** 2).sum(axis=1)
     n_obs = mask.sum(axis=1)
 
     # w_it = level + t * slope on series with extra latent states: the level is the series' xi or
@@ -222,7 +221,7 @@ def reduce_moments(
     sum_xw = np.zeros(n)
     sum_zw = np.zeros((n, r0 + 2))
     sum_ww[im] = (mask_m * (wbar ** 2 + var_w)).sum(axis=0)
-    sum_xw[im] = (mask_m * xz[im].T * wbar).sum(axis=0)
+    sum_xw[im] = (mask_m * x[im].T * wbar).sum(axis=0)
     sum_zw_m = np.einsum("tn,tr->nr", mask_m * wbar, Z)
     sum_zw_m[:, :r0] += np.einsum("tn,trn->nr", mask_m, cov_Fw)
     sum_zw[im] = sum_zw_m
@@ -391,7 +390,8 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions = EMOptions()) -> EMRe
     The initial variances, floors and diffuse ``KAPPA`` are absolute, so
     they suit data of one scale.  ``fit`` divides each series i by a
     divisor c_i read from the standard deviations of the series' observed
-    first differences, fits that panel, and maps chi, the parameters and
+    first differences, fits that panel (its missing cells hold 0.0, as every
+    ``Panel``'s do), and maps chi, the parameters and
     the xi, alpha and beta paths of ``smoothed_means`` back (the factor
     paths need no map: the loadings carry the scale); ``loglik_path`` is
     shifted by the Jacobian -sum_i N_obs,i log c_i, so it is the data's
@@ -414,9 +414,7 @@ def fit(spec: ModelSpec, panel: Panel, options: EMOptions = EMOptions()) -> EMRe
     those series near their pre-estimated start.
     """
     scale = _series_scale(panel, options.standardize)
-    data = np.where(panel.missing_mask, panel.data, 0.0)  # a missing cell may hold anything, inf included
-    data /= scale[:, None]
-    panel = Panel(data, panel.missing_mask)
+    panel = Panel(panel.data / scale[:, None], panel.missing_mask)
 
     pre = pre_estimate(spec, panel)
     params = pre.params
@@ -468,7 +466,7 @@ def _series_scale(panel: Panel, standardize: bool) -> np.ndarray:
     mask = panel.missing_mask
     ok = mask[:, 1:] & mask[:, :-1]
     pairs = ok.sum(axis=1)
-    dx = np.where(ok, np.diff(np.where(mask, panel.data, 0.0), axis=1), 0.0)
+    dx = np.where(ok, np.diff(panel.data, axis=1), 0.0)
     mean = dx.sum(axis=1) / np.maximum(pairs, 1)
     sd = np.sqrt((np.where(ok, dx - mean[:, None], 0.0) ** 2).sum(axis=1) / np.maximum(pairs, 1))
     if standardize:

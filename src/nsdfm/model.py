@@ -39,8 +39,8 @@ __all__ = [
 
 
 def _frozen(a: np.ndarray, dtype=float) -> np.ndarray:
-    """Return a locked copy so instances are safe to share across workers."""
-    out = np.array(a, dtype=dtype)
+    """Return a locked C-ordered copy so instances are safe to share across workers."""
+    out = np.array(a, dtype=dtype, order="C")
     out.flags.writeable = False
     return out
 
@@ -201,10 +201,11 @@ class Params:
 class Panel:
     """n x T observation matrix plus a boolean mask (True = observed).
 
-    Cells the mask marks missing may hold anything, NaN included;
-    :meth:`from_data` builds the mask from an array where NaN marks them.
-    Fully missing time columns are allowed; the filter treats them as
-    prediction-only steps.
+    The panel stores its data read-only and C-ordered, with 0.0 in every
+    cell the mask marks missing, whatever the caller's array held there
+    (NaN, ±inf or any number); :meth:`from_data` builds the mask from an
+    array where NaN marks them.  Fully missing time columns are allowed;
+    the filter treats them as prediction-only steps.
     """
 
     data: np.ndarray
@@ -217,12 +218,15 @@ class Panel:
             raise ValueError("missing_mask shape must match data")
         if not np.all(np.isfinite(data[mask])):
             raise ValueError("observed cells must be finite")
-        object.__setattr__(self, "data", _frozen(data))
+        object.__setattr__(self, "data", _frozen(np.where(mask, data, 0.0)))
         object.__setattr__(self, "missing_mask", _frozen(mask, dtype=bool))
 
     @classmethod
     def from_data(cls, data: np.ndarray) -> "Panel":
-        """Build a panel from an array where NaN marks missing cells; ±inf is rejected as an observed cell."""
+        """Build a panel from an array where NaN marks the missing cells, which it stores as 0.0.
+
+        ±inf is rejected as an observed cell.
+        """
         data = np.asarray(data, dtype=float)
         return cls(data, ~np.isnan(data))
 

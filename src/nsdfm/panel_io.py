@@ -4,10 +4,10 @@ Panel files are UTF-8 comma-separated, one column per series and one row
 per time period, first row a header of series names, empty cells marking
 missing values.  Every other cell must parse to a finite number: ``inf``
 or ``nan`` is rejected, not read as a gap.  Lines starting with '#'
-before the header carry ``key=value`` metadata (effective configuration
-and master seed), so every output file records how to reproduce it; the
-reader skips them.  Values are printed with 17 significant digits, which
-round-trips IEEE doubles exactly.
+before the header carry ``key=value`` metadata, one line per key
+(effective configuration and master seed), so every output file records
+how to reproduce it; the reader skips them.  Values are printed with 17
+significant digits, which round-trips IEEE doubles exactly.
 
 The truth sidecar and parameter outputs are JSON; benchmark tables are
 plain CSV with the same metadata convention.
@@ -80,8 +80,7 @@ def read_panel(path):
         for i in np.flatnonzero(~np.isfinite(values[t])):
             if cells[i]:  # not a gap but a literal nan or inf
                 _panel_cell(cells[i], lineno, i, header)
-    # C-ordered like an in-memory panel: the fit's BLAS products, and so its bits, follow the layout
-    return Panel.from_data(np.ascontiguousarray(values.T)), header
+    return Panel.from_data(values.T), header
 
 
 def _panel_cell(cell: str, lineno: int, i: int, header: list[str]) -> float:
@@ -131,11 +130,14 @@ def read_truth(path) -> np.ndarray:
 def write_table(path, columns: list[str], rows: list[list], metadata: dict | None = None) -> None:
     """Write a CSV table with the '#' metadata block convention.
 
-    A float cell is printed with ``%.17g``, any other cell as ``str``.
-    Each row is formatted by one ``%`` with a template per sequence of cell
-    types, built once for all rows that share it.
+    Each metadata value is written on its one '#' line: a value spanning
+    lines, such as a config value continued on the next line, has its line
+    breaks written as spaces.  A float cell is printed with ``%.17g``, any
+    other cell as ``str``.  Each row is formatted by one ``%`` with a
+    template per sequence of cell types, built once for all rows that share
+    it.
     """
-    lines = [f"# {k}={v}" for k, v in (metadata or {}).items()]
+    lines = [f"# {k}={' '.join(str(v).splitlines())}" for k, v in (metadata or {}).items()]
     lines.append(",".join(columns))
     templates: dict[tuple, str] = {}
     for row in rows:

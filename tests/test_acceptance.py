@@ -96,9 +96,9 @@ def test_criterion_3_filter_trace_shape():
 
 
 def _cell_ratios(cfg: MCConfig) -> dict:
-    rep = run_cell(cfg, EMOptions(max_iter=100), jobs=JOBS)
-    assert rep.is_valid, f"cell failure budget exceeded: {rep.n_failed} failures"
-    return rep.aggregate()
+    agg = run_cell(cfg, EMOptions(max_iter=100), jobs=JOBS).aggregate()
+    assert agg["valid_cell"], f"cell failure budget exceeded: {agg['failed']} failures"
+    return agg
 
 
 def test_criterion_4_benchmark_stationary_cell():
@@ -136,9 +136,9 @@ def test_criterion_7_consistency_trend():
     for size in (50, 100, 200):
         cfg = MCConfig(n=size, T=size, q=2, s=0, n1=0, nb=0, tau=0.5,
                        dist="gaussian", seed=20243, replications=50)
-        rep = run_cell(cfg, EMOptions(max_iter=100), jobs=JOBS)
-        assert rep.is_valid
-        medians.append(rep.aggregate()["median_mse_em"])
+        agg = run_cell(cfg, EMOptions(max_iter=100), jobs=JOBS).aggregate()
+        assert agg["valid_cell"]
+        medians.append(agg["median_mse_em"])
     ok = medians[0] > medians[1] > medians[2]
     report(7, "consistency trend", ok,
            f"median MSE over (50,100,200): {medians[0]:.4f} > {medians[1]:.4f} > {medians[2]:.4f}")
@@ -154,9 +154,9 @@ def test_stationary_mse_follows_the_paper_rate():
     scaled = []
     for n, T in cells:
         cfg = MCConfig(n=n, T=T, q=2, s=0, n1=0, nb=0, tau=0.5, seed=20243, replications=20)
-        rep = run_cell(cfg, EMOptions(max_iter=100), jobs=JOBS)
-        assert rep.is_valid
-        scaled.append(rep.aggregate()["median_mse_em"] / (1 / n + 1 / T))
+        agg = run_cell(cfg, EMOptions(max_iter=100), jobs=JOBS).aggregate()
+        assert agg["valid_cell"]
+        scaled.append(agg["median_mse_em"] / (1 / n + 1 / T))
     spread = max(scaled) / min(scaled)
     print("[acceptance] median MSE / (1/n + 1/T) over", cells, ":", np.round(scaled, 2))
     assert spread < 2.0, f"scaled median MSE spreads by {spread:.2f} across the cells"

@@ -48,8 +48,8 @@ def test_failed_replication_is_recorded_not_dropped():
     bad = MCConfig(n=10, T=4, q=2, s=0, p=2, tau=0.0, seed=1, replications=3)
     report = run_cell(bad, EMOptions(max_iter=5), jobs=1)
     assert [rec.error for rec in report.replications] == ["ValueError: T=4 too small for a VAR(2) on 2 factors"] * 3
-    assert report.n_failed == 3 and not report.is_valid
-    assert report.aggregate()["failed"] == bad.replications
+    agg = report.aggregate()
+    assert agg["failed"] == bad.replications == 3 and not agg["valid_cell"]
 
     cfg = MCConfig(n=10, T=20, q=2, s=0, tau=0.0, seed=1, replications=2)
     rec = run_replication(cfg, 0, EMOptions(max_iter=1, tolerance=1e-12))

@@ -5,8 +5,10 @@ nsdfm or the standard library.  Every name a module imports is used in that
 module, so a pass that removes code leaves no import behind.  And every name
 a module exports is used by package code, so no API is kept that only tests
 call, and every field and property of a package dataclass is read by package
-code, so no field is kept that only tests read.  Both go by name: a load of
-the same attribute on any object counts as a read.
+code, so no field is kept that only tests read.  An export goes by name: a
+load of the same name or attribute anywhere counts as a use.  A field goes by
+name and receiver: a load of the same attribute counts toward class C only
+when its receiver is typed C or cannot be typed.
 """
 
 import ast
@@ -99,55 +101,127 @@ def _called(call: ast.Call) -> str | None:
     return call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
 
 
-def _iterated_classes(trees: dict[str, ast.Module]) -> set[str]:
-    """The classes whose fields package code iterates: a ``fields`` or ``asdict`` call names the class,
-    passes ``self`` inside it, or passes a parameter annotated with it or a local bound from a call of a
-    function whose return annotation is the class."""
-    returns = {node.name: node.returns.id for tree in trees.values() for node in ast.walk(tree)
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and isinstance(node.returns, ast.Name)}
-    iterated = set()
+def _type_name(annotation: ast.expr | None) -> str | None:
+    """The class an annotation names, ``C``, ``"C"`` or ``module.C`` as written; None for any other form."""
+    if isinstance(annotation, ast.Name):
+        return annotation.id
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        return annotation.value
+    return ast.unparse(annotation) if isinstance(annotation, ast.Attribute) else None
 
-    def visit(node, cls, annotations):
+
+def _typed_nodes(trees: dict[str, ast.Module]) -> list[tuple[ast.AST, dict]]:
+    """Every node of package code with the classes its function's names are typed by.
+
+    ``self`` is typed by the enclosing class, a parameter by its annotation, and a
+    local bound from a call by the called function's return annotation.  A name
+    bound any other way, or to two different classes, is untyped (None), and so is
+    a name the function does not bind.
+    """
+    returns = {node.name: _type_name(node.returns) for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    out = []
+
+    def visit(node, cls, types):
         if isinstance(node, ast.ClassDef):
             cls = node.name
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            annotations = {a.arg: getattr(a.annotation, "id", None) for a in node.args.args}
-            annotations |= {target.id: returns.get(_called(stmt.value)) for stmt in ast.walk(node)
-                            if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call)
-                            for target in stmt.targets if isinstance(target, ast.Name)}
-        if isinstance(node, ast.Call) and node.args:
-            arg = getattr(node.args[0], "id", None)
-            if _called(node) in ("fields", "asdict") and arg is not None:
-                iterated.add(cls if arg == "self" else annotations.get(arg) or arg)
+            args = node.args
+            types = {a.arg: _type_name(a.annotation) for a in args.posonlyargs + args.args + args.kwonlyargs}
+            calls = {id(target): returns.get(_called(stmt.value)) for stmt in ast.walk(node)
+                     if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call) for target in stmt.targets}
+            for name in ast.walk(node):
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                    bound = calls.get(id(name))
+                    types[name.id] = bound if types.get(name.id, bound) == bound else None
+            types["self"] = cls
+        out.append((node, types))
         for child in ast.iter_child_nodes(node):
-            visit(child, cls, annotations)
+            visit(child, cls, types)
 
     for tree in trees.values():
         visit(tree, None, {})
-    return iterated
+    return out
+
+
+def _iterated_classes(typed: list[tuple[ast.AST, dict]]) -> set[str]:
+    """The classes whose fields package code iterates: a ``fields`` or ``asdict`` call passes the class
+    itself or a name typed by it."""
+    return {types.get(node.args[0].id) or node.args[0].id for node, types in typed
+            if isinstance(node, ast.Call) and _called(node) in ("fields", "asdict")
+            and node.args and isinstance(node.args[0], ast.Name)}
+
+
+def _unread_fields(trees: dict[str, ast.Module]) -> list[str]:
+    """The fields and properties of the dataclasses of ``trees`` that no code of ``trees`` reads.
+
+    A field or property of class C counts as read where the code loads it as an
+    attribute of a receiver typed C or untyped, outside the statement that defines
+    it, the class's own methods included; a class whose fields the code iterates is
+    exempt.
+    """
+    typed = _typed_nodes(trees)
+    iterated = _iterated_classes(typed)
+    loads = [(node, types.get(node.value.id) if isinstance(node.value, ast.Name) else None) for node, types in typed
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    unread = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or not _is_dataclass(cls) or cls.name in iterated:
+                continue
+            defined = {stmt.target.id: stmt for stmt in cls.body if isinstance(stmt, ast.AnnAssign)}
+            defined |= {stmt.name: stmt for stmt in cls.body if isinstance(stmt, ast.FunctionDef)
+                        and any(getattr(d, "id", None) == "property" for d in stmt.decorator_list)}
+            for name, stmt in defined.items():
+                own = {id(node) for node in ast.walk(stmt)}
+                if not any(node.attr == name and receiver in (None, cls.name) and id(node) not in own
+                           for node, receiver in loads):
+                    unread.append(f"{module}: {cls.name}.{name}")
+    return unread
 
 
 def test_every_dataclass_field_is_read_by_package_code():
-    # a field or property counts as read where package code loads it as an attribute outside the
-    # statement that defines it, the class's own methods included; a class whose fields the package
-    # iterates is exempt
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in _modules()}
-    classes = [(module, node) for module, tree in trees.items() for node in tree.body
-               if isinstance(node, ast.ClassDef) and _is_dataclass(node)]
-    assert len(classes) > 10
-    iterated = _iterated_classes(trees)
-    assert {"Params", "MCConfig"} <= iterated
-    loads = [node for tree in trees.values() for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
-    unread = []
-    for module, cls in classes:
-        if cls.name in iterated:
-            continue
-        defined = {stmt.target.id: stmt for stmt in cls.body if isinstance(stmt, ast.AnnAssign)}
-        defined |= {stmt.name: stmt for stmt in cls.body if isinstance(stmt, ast.FunctionDef)
-                    and any(getattr(d, "id", None) == "property" for d in stmt.decorator_list)}
-        for name, stmt in defined.items():
-            own = {id(node) for node in ast.walk(stmt)}
-            if not any(node.attr == name and id(node) not in own for node in loads):
-                unread.append(f"{module}: {cls.name}.{name}")
+    assert sum(isinstance(node, ast.ClassDef) and _is_dataclass(node) for tree in trees.values()
+               for node in tree.body) > 10
+    assert {"Params", "MCConfig"} <= _iterated_classes(_typed_nodes(trees))
+    unread = _unread_fields(trees)
     assert not unread, unread
+
+
+# Report.config is loaded only through receivers typed by another class: a parameter by its
+# annotation (argparse.Namespace) and a local by its call's return annotation (make() -> Sim)
+RECEIVERS = """
+import argparse
+from dataclasses import dataclass
+
+
+@dataclass
+class Report:
+    config: int
+    elapsed: float
+
+
+@dataclass
+class Sim:
+    config: int
+
+
+def make() -> Sim:
+    return Sim(1)
+
+
+def use(args: argparse.Namespace, report: Report):
+    sim = make()
+    return args.config, sim.config, report.elapsed
+"""
+
+
+def test_a_field_read_counts_toward_its_receivers_class():
+    assert _unread_fields({"m.py": ast.parse(RECEIVERS)}) == ["m.py: Report.config"]
+    # an untyped receiver may be any class, so it reads the field of every class
+    untyped = RECEIVERS.replace("args: argparse.Namespace", "args")
+    assert _unread_fields({"m.py": ast.parse(untyped)}) == []
+    # a name bound twice, by a typed call and otherwise, is untyped
+    rebound = RECEIVERS.replace("    sim = make()", "    sim = make()\n    sim = args")
+    assert _unread_fields({"m.py": ast.parse(rebound)}) == []

@@ -676,9 +676,10 @@ def test_scale_exponent_band():
 
 
 def test_fit_reads_no_missing_cell():
-    # a missing cell may hold anything: on a x1e-3 panel, which fit divides by 2^-9, with runs of
-    # adjacent gaps in detrended and local-trend series, a fill of +-inf or near the float limit
-    # fits as NaN does, bit for bit, and warns nowhere (warnings are errors here)
+    # a missing cell holds 0.0 whatever the caller's array held there: on a x1e-3 panel, which fit
+    # divides by 2^-9, with runs of adjacent gaps in detrended and local-trend series, a fill of
+    # +-inf or near the float limit fits as NaN does, bit for bit, and warns nowhere (warnings are
+    # errors here)
     sim = simulate_panel(MCConfig(n=30, T=40, n1=4, nb=4, seed=3), 0)
     mask = np.random.default_rng(7).random(sim.x.shape) >= 0.1
     local = sorted(set(range(30)) - sim.i1_set - sim.trend_set)[:3]

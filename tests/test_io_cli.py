@@ -45,11 +45,8 @@ def test_panel_roundtrip_exact(tmp_path, rng):
     write_panel(path, panel, metadata={"seed": 7, "note": "x"})
     back, names = read_panel(path)
     np.testing.assert_array_equal(back.missing_mask, panel.missing_mask)
-    # bit-exact float round trip through %.17g
-    assert np.array_equal(
-        np.where(panel.missing_mask, panel.data, 0.0),
-        np.where(back.missing_mask, back.data, 0.0),
-    )
+    # bit-exact float round trip through %.17g; both panels hold 0.0 at the gaps
+    assert np.array_equal(back.data, panel.data)
     assert _metadata(path) == {"seed": "7", "note": "x"}
     assert names == [f"series_{i}" for i in range(4)]
 
@@ -136,13 +133,13 @@ def test_panel_blank_cells_are_gaps(tmp_path):
     path.write_text("a,b,c\n1.0, 2.0,\n ,3.0 ,\n")
     panel, _ = read_panel(path)
     np.testing.assert_array_equal(panel.missing_mask, [[True, False], [True, True], [False, False]])
-    np.testing.assert_array_equal(panel.data[:2], [[1.0, np.nan], [2.0, 3.0]])
+    np.testing.assert_array_equal(panel.data, [[1.0, 0.0], [2.0, 3.0], [0.0, 0.0]])  # a gap holds 0.0
 
 
 def test_fit_after_csv_round_trip_is_bit_identical(tmp_path):
     # a ragged local-trend panel read back from its CSV must fit to the same
-    # bits as the panel in memory, which needs read_panel to return C-ordered
-    # arrays like any other panel: a transposed layout moves the fit
+    # bits as the panel in memory, which needs the panel read from the file's
+    # transposed rows to be C-ordered like any other: a transposed layout moves the fit
     sim = simulate_panel(MCConfig(n=20, T=40, q=2, s=0, n1=3, nb=3, tau=0.5, seed=12, replications=1), 0)
     rng = np.random.default_rng(12)
     mask = rng.random(sim.x.shape) >= 0.1
@@ -409,6 +406,22 @@ def test_cli_benchmark_smoke(tmp_path):
     assert cell["failed"] == 0
     assert cell["mean_rel_mse_pc_levels"] > 0
     assert cell["elapsed_seconds"] > 0
+
+
+def test_a_config_value_continued_on_the_next_line_keeps_to_its_metadata_line(tmp_path):
+    # configparser joins a continuation line to its value with a line break; echoed as it is, the
+    # bare "n=12,T=20" line would end the '#' block, and read_panel would take it for the header
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[mc]\nn = 10\nT = 20\nq = 1\ntau = 0\nreplications = 1\nseed = 3\n"
+                   "cells = n=10,T=20;\n  n=12,T=20\n")
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "sim")]) == 0
+    assert _metadata(tmp_path / "sim" / "panel.csv")["mc.cells"] == "n=10,T=20; n=12,T=20"
+    assert main(["estimate", "--input", str(tmp_path / "sim" / "panel.csv"), "--out-dir", str(tmp_path / "est")]) == 0
+    assert main(["benchmark", "--config", str(cfg), "--out-dir", str(tmp_path / "bench")]) == 0
+    lines = (tmp_path / "bench" / "report.csv").read_text().splitlines()
+    k = sum(line.startswith("#") for line in lines)
+    assert all(line.startswith("#") for line in lines[:k])
+    assert lines[k].split(",")[:2] == ["n", "T"] and len(lines) == k + 3  # the header, then one row per cell
 
 
 def test_cli_diagnose_smoke(tmp_path):

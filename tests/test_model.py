@@ -256,3 +256,23 @@ def test_panel_accepts_fully_missing_columns():
     p = Panel.from_data(data)
     assert p.missing_mask[:, 1].sum() == 0
     assert p.n == 2 and p.T == 2
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf, 1.7e308, -1.7e308, 5.0])
+def test_panel_stores_a_missing_cell_as_zero_and_read_only(fill):
+    mask = np.array([[True, False, True], [False, True, True]])
+    data = np.where(mask, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], fill)
+    before = data.copy()
+    p = Panel(data, mask)
+    assert p.data.tolist() == [[1.0, 0.0, 3.0], [0.0, 5.0, 6.0]]
+    assert not p.data.flags.writeable and not p.missing_mask.flags.writeable
+    np.testing.assert_array_equal(data, before)  # the caller's array is left as it was
+
+
+def test_panel_from_a_fortran_ordered_array_is_c_ordered():
+    data = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+    mask = np.asfortranarray(data != 5.0)
+    p = Panel(data, mask)
+    assert p.data.flags.c_contiguous and p.missing_mask.flags.c_contiguous
+    assert p.data.tolist() == np.where(mask, data, 0.0).tolist()
+    assert Panel.from_data(data.T).data.flags.c_contiguous
